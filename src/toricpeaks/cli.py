@@ -81,6 +81,8 @@ def cmd_stats(args) -> int:
 
 def cmd_expand(args) -> int:
     kind = args.kind
+    if args.n is None and kind not in ("delta", "delta-cyc"):
+        raise SystemExit(f"expand {kind} needs a degree n")
     try:
         if kind in ("M", "F"):
             n, E = args.n, parse_subset(args.set)
@@ -214,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="toricpeaks",
         description="Exact combinatorics of enriched partitions on DAGs and toric classes.",
     )
-    p.add_argument("--parallel", type=int, default=1, help="accepted for compatibility; output is identical")
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("stats", help="descent and peak statistics of a word")

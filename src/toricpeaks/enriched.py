@@ -27,8 +27,15 @@ from .permstat import (
     peak_witness,
     peak_set,
 )
-from .qsym import CQSym, QSym, cyclic_fundamental
-from .setcomp import canonical_subset_class, psi, shift_set
+from .qsym import CQSym, QSym, _add_fcyc
+from .setcomp import (
+    _class_set,
+    _class_table,
+    _fill_orbit,
+    _mask,
+    _set,
+    canonical_subset_class,
+)
 
 Assignment = dict[int, int]
 FrozenAssignment = frozenset[tuple[int, int]]
@@ -105,10 +112,13 @@ def delta_from_peak_set(S: frozenset[int], n: int) -> QSym:
     """
     if n == 0:
         return QSym.unit(1)
+    # Masks in degree n hold e at bit n - e, so E + 1 is mask >> 1; the
+    # subsets of [n-1] are the even masks.
+    peaks = _mask(S, n)
     terms: dict[frozenset, int] = {}
-    for E in _subsets(range(1, n)):
-        if S <= E | {e + 1 for e in E}:
-            terms[E] = 2 ** (len(E) + 1)
+    for E in range(0, 1 << n, 2):
+        if not peaks & ~(E | E >> 1):
+            terms[_set(E, n)] = 2 << E.bit_count()
     return QSym(n, terms)
 
 
@@ -133,11 +143,12 @@ def delta_fundamental_expansion(w: Sequence[int]) -> dict[frozenset, int]:
     n = len(w)
     S = peak_set(w)
     coeff = 2 ** (len(S) + 1)
-    out = {}
-    for D in _subsets(range(1, n)):
-        if S <= D ^ {d + 1 for d in D}:
-            out[D] = coeff
-    return out
+    peaks = _mask(S, n)
+    return {
+        _set(D, n): coeff
+        for D in range(0, 1 << n, 2)
+        if not peaks & ~(D ^ D >> 1)
+    }
 
 
 def k_peak(S: Iterable[int], n: int) -> QSym:
@@ -159,14 +170,14 @@ def kcyc(S: Iterable[int], n: int) -> CQSym:
         raise ValueError(f"{sorted(S)} is not a cyclic peak set in [{n}]")
     if n == 0:
         return CQSym.unit(1)
-    terms: dict[frozenset, int] = {}
-    for E in _subsets(range(1, n + 1)):
-        if not E:
-            continue  # Mcyc of the empty set is zero
-        if S <= E | shift_set(E, n, 1):
-            key = canonical_subset_class(E, n)
-            terms[key] = terms.get(key, 0) + 2 ** len(E)
-    return CQSym(n, terms)
+    # In the bitmask encoding of setcomp, E + 1 is E rotated right by one.
+    peaks, table, top = _mask(S, n), _class_table(n), n - 1
+    terms: dict[int, int] = {}
+    for E in range(1, 1 << n):  # Mcyc of the empty set is zero
+        if not peaks & ~(E | E >> 1 | (E & 1) << top):
+            key = table[E] or _fill_orbit(table, E, n)
+            terms[key] = terms.get(key, 0) + (1 << E.bit_count())
+    return CQSym(n, {_class_set(k, n): c for k, c in terms.items()})
 
 
 def delta_toric(tc: ToricClass) -> CQSym:
@@ -208,16 +219,18 @@ def kcyc_fund_expansion(S: Iterable[int], n: int) -> tuple[dict[frozenset, int],
     if not is_cyclic_peak_set(S, n):
         raise ValueError(f"{sorted(S)} is not a cyclic peak set in [{n}]")
     weight = 2 ** len(S)
-    coeffs: dict[frozenset, int] = {}
-    elem = CQSym.zero(n)
-    for E in _subsets(range(1, n + 1)):
-        if not E:
-            continue
-        if S <= E ^ shift_set(E, n, 1):
-            key = canonical_subset_class(E, n)
+    peaks, table, top = _mask(S, n), _class_table(n), n - 1
+    coeffs: dict[int, int] = {}
+    elem: dict[int, int] = {}
+    for E in range(1, 1 << n):
+        if not peaks & ~(E ^ (E >> 1 | (E & 1) << top)):
+            key = table[E] or _fill_orbit(table, E, n)
             coeffs[key] = coeffs.get(key, 0) + weight
-            elem = elem + cyclic_fundamental(n, E).scale(weight)
-    return coeffs, elem
+            _add_fcyc(elem, E, n, weight)
+    return (
+        {_class_set(k, n): c for k, c in coeffs.items()},
+        CQSym(n, {_class_set(k, n): c for k, c in elem.items()}),
+    )
 
 
 def kcyc_index_map(S: frozenset[int]) -> frozenset[int]:
@@ -313,10 +326,3 @@ def cyclic_peak_product(
             f"T={sorted(T)} (n={nT})"
         )
     return lhs, decomposition
-
-
-def _subsets(rng: Iterable[int]) -> Iterable[frozenset[int]]:
-    items = sorted(rng)
-    for k in range(len(items) + 1):
-        for combo in itertools.combinations(items, k):
-            yield frozenset(combo)

@@ -19,12 +19,17 @@ from typing import Iterable, Iterator, Mapping
 
 from .setcomp import (
     Composition,
+    _canonical_mask,
+    _class_set,
+    _class_table,
+    _fill_orbit,
+    _mask,
+    _orbit,
+    _set,
+    _submasks,
     canonical_subset_class,
     phi,
-    phi_inv,
-    psi_preimage,
     shift_set,
-    subset_class_members,
 )
 
 
@@ -32,7 +37,7 @@ class NotCyclicError(ValueError):
     """A quasi-symmetric function does not lie in cQSym."""
 
 
-def _clean(terms: Mapping[frozenset, int]) -> dict[frozenset, int]:
+def _clean(terms: Mapping) -> dict:
     return {k: v for k, v in terms.items() if v != 0}
 
 
@@ -108,19 +113,26 @@ class QSym:
         return self.scale(c)
 
     def __mul__(self, other: "QSym") -> "QSym":
-        """Product via the quasi-shuffle of indexing compositions."""
+        """Product via the quasi-shuffle of indexing compositions.
+
+        Each quasi-shuffle of alpha and beta is a lattice path from (0, 0)
+        to (len(alpha), len(beta)) with steps (1, 0), (0, 1) and (1, 1);
+        its partial sums are A_i + B_j at the path's interior points, where
+        A and B are the partial sums of alpha and beta. A DP over the grid
+        counts the paths per set of partial sums, as bitmasks.
+        """
         if isinstance(other, int):
             return self.scale(other)
         n = self.degree + other.degree
-        out: dict[frozenset, int] = {}
-        for E, a in self.terms.items():
-            alpha = phi(E, self.degree)
-            for L, b in other.terms.items():
-                beta = phi(L, other.degree)
-                for gamma in quasi_shuffle(alpha, beta):
-                    key, _ = phi_inv(gamma) if gamma else (frozenset(), 0)
-                    out[key] = out.get(key, 0) + a * b
-        return QSym(n, out)
+        lefts = [(_partial_sums(E, self.degree), a) for E, a in self.terms.items()]
+        rights = [(_partial_sums(L, other.degree), b) for L, b in other.terms.items()]
+        out: dict[int, int] = {}
+        for A, a in lefts:
+            for B, b in rights:
+                ab = a * b
+                for mask, count in _shuffle_masks(A, B, n).items():
+                    out[mask] = out.get(mask, 0) + ab * count
+        return QSym(n, {_set(mask, n): c for mask, c in out.items()})
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -134,13 +146,14 @@ class QSym:
     def to_fundamental(self) -> dict[frozenset, int]:
         """F-basis coefficients by inclusion-exclusion over supersets."""
         n = self.degree
-        rest = frozenset(range(1, n))
-        out: dict[frozenset, int] = {}
+        ambient = _mask(range(1, n), n)
+        out: dict[int, int] = {}
         for E, c in self.terms.items():
-            for extra in _subsets(rest - E):
-                L = E | extra
-                out[L] = out.get(L, 0) + c * (-1) ** len(extra)
-        return _clean(out)
+            mask = _mask(E, n)
+            for extra in _submasks(ambient ^ mask):
+                L = mask | extra
+                out[L] = out.get(L, 0) + (-c if extra.bit_count() & 1 else c)
+        return {_set(L, n): c for L, c in out.items() if c}
 
     @classmethod
     def from_fundamental(cls, degree: int, coeffs: Mapping[frozenset, int]) -> "QSym":
@@ -200,11 +213,36 @@ class QSym:
         raise ValueError(f"unknown basis {data['basis']!r}")
 
 
-def _subsets(s: frozenset) -> Iterator[frozenset]:
-    items = sorted(s)
-    for k in range(len(items) + 1):
-        for combo in itertools.combinations(items, k):
-            yield frozenset(combo)
+def _partial_sums(E: frozenset[int], n: int) -> list[int]:
+    """Partial sums 0, a_1, a_1 + a_2, ..., n of the composition phi(E, n)."""
+    return [0, *sorted(E), n] if n else [0]
+
+
+def _shuffle_masks(A: list[int], B: list[int], n: int) -> dict[int, int]:
+    """Quasi-shuffles of the compositions with partial sums A and B, counted
+    by the mask in degree n of their partial-sum set."""
+    k, last = len(A) - 1, len(B) - 1
+    prev: list[dict[int, int]] = []
+    for i in range(k + 1):
+        row: list[dict[int, int]] = []
+        for j in range(last + 1):
+            if not (i or j):
+                row.append({0: 1})
+                continue
+            bit = 0 if (i == k and j == last) else 1 << (n - A[i] - B[j])
+            sources = [row[j - 1]] if j else []
+            if i:
+                sources.append(prev[j])
+                if j:
+                    sources.append(prev[j - 1])
+            cell: dict[int, int] = {}
+            for src in sources:
+                for mask, c in src.items():
+                    mask |= bit
+                    cell[mask] = cell.get(mask, 0) + c
+            row.append(cell)
+        prev = row
+    return prev[last]
 
 
 def monomial(n: int, E: Iterable[int]) -> QSym:
@@ -218,8 +256,9 @@ def fundamental(n: int, E: Iterable[int]) -> QSym:
     """F_{n,E} = sum of M_{n,L} over supersets L of E in [n-1]."""
     E = frozenset(E)
     phi(E, n)  # range check
-    rest = frozenset(range(1, n)) - E
-    return QSym(n, {E | extra: 1 for extra in _subsets(rest)})
+    mask = _mask(E, n)
+    rest = _mask(range(1, n), n) ^ mask
+    return QSym(n, {_set(mask | extra, n): 1 for extra in _submasks(rest)})
 
 
 class CQSym:
@@ -236,8 +275,10 @@ class CQSym:
             if degree == 0:
                 if E:
                     raise ValueError("degree-0 element admits only the unit term")
-            elif canonical_subset_class(E, degree) != E:
-                raise ValueError(f"{sorted(E)} is not a canonical class key")
+            else:
+                mask = _mask(E, degree)
+                if not mask or _canonical_mask(mask, degree) != mask:
+                    raise ValueError(f"{sorted(E)} is not a canonical class key")
         self.degree = degree
         self.terms = _clean(terms)
 
@@ -307,11 +348,11 @@ class CQSym:
         n = self.degree
         if n == 0:
             return QSym.unit(self.terms.get(frozenset(), 0))
-        out: dict[frozenset, int] = {}
+        out: dict[int, int] = {}
         for E, c in self.terms.items():
-            for L, mult in _class_expansion(E, n).items():
+            for L, mult in _class_expansion(_mask(E, n), n).items():
                 out[L] = out.get(L, 0) + c * mult
-        return QSym(n, out)
+        return QSym(n, {_set(L, n): c for L, c in out.items()})
 
     def specialize_ones(self, m: int) -> int:
         return self.as_qsym().specialize_ones(m)
@@ -341,16 +382,15 @@ class CQSym:
         )
 
 
-def _class_expansion(E: frozenset[int], n: int) -> Counter:
-    """Monomial expansion multiset of a cyclic monomial class.
+def _class_expansion(mask: int, n: int) -> Counter:
+    """Monomial expansion multiset of a cyclic monomial class, as masks.
 
     Mcyc_{n,E} is the sum of M_{n,(E-e) ∩ [n-1]} over e in E; equal subsets
-    are collected with multiplicity.
+    are collected with multiplicity. E - e is the shift by b = n - e, which
+    moves e to n, at bit 0.
     """
-    out: Counter = Counter()
-    for e in E:
-        out[frozenset(x for x in shift_set(E, n, -e) if x != n)] += 1
-    return out
+    orbit = _orbit(mask, n)
+    return Counter(orbit[b] & ~1 for b in range(n) if mask >> b & 1)
 
 
 def cyclic_monomial(n: int, E: Iterable[int]) -> CQSym:
@@ -358,8 +398,6 @@ def cyclic_monomial(n: int, E: Iterable[int]) -> CQSym:
     E = frozenset(E)
     if not E:
         return CQSym.zero(n)
-    if not E <= frozenset(range(1, n + 1)):
-        raise ValueError(f"subset {sorted(E)} not contained in [{n}]")
     return CQSym(n, {canonical_subset_class(E, n): 1})
 
 
@@ -376,13 +414,18 @@ def cyclic_fundamental(n: int, E: Iterable[int]) -> CQSym:
     E = frozenset(E)
     if not E:
         raise ValueError("Fcyc requires a nonempty index set")
-    if not E <= frozenset(range(1, n + 1)):
-        raise ValueError(f"subset {sorted(E)} not contained in [{n}]")
-    out: dict[frozenset, int] = {}
-    for extra in _subsets(frozenset(range(1, n + 1)) - E):
-        key = canonical_subset_class(E | extra, n)
-        out[key] = out.get(key, 0) + 1
-    return CQSym(n, out)
+    out: dict[int, int] = {}
+    _add_fcyc(out, _mask(E, n), n, 1)
+    return CQSym(n, {_class_set(k, n): c for k, c in out.items()})
+
+
+def _add_fcyc(out: dict[int, int], mask: int, n: int, weight: int) -> None:
+    """Add weight * Fcyc_{n,E} to out, keyed by canonical masks."""
+    table = _class_table(n)
+    for extra in _submasks(((1 << n) - 1) ^ mask):
+        L = mask | extra
+        key = table[L] or _fill_orbit(table, L, n)
+        out[key] = out.get(key, 0) + weight
 
 
 def cyclic_fundamental_via_F(n: int, E: Iterable[int]) -> QSym:
@@ -406,26 +449,26 @@ def from_qsym(a: QSym) -> CQSym:
     n = a.degree
     if n == 0:
         return CQSym.unit(a.terms.get(frozenset(), 0))
-    class_keys = set()
-    for L in a.terms:
-        subset, _ = psi_preimage(phi(L, n))
-        class_keys.add(canonical_subset_class(subset, n))
+    # M_{n,L} occurs in Mcyc_{n,E} exactly when L ∪ {n} lies in the class of
+    # E; n is bit 0.
+    terms = {_mask(L, n): c for L, c in a.terms.items()}
+    class_keys = {_canonical_mask(L | 1, n) for L in terms}
     coeffs: dict[frozenset, int] = {}
-    reconstructed: dict[frozenset, int] = {}
+    reconstructed: dict[int, int] = {}
     for key in class_keys:
         expansion = _class_expansion(key, n)
         L0, mult0 = next(iter(expansion.items()))
-        c0 = a.terms.get(L0, 0)
+        c0 = terms.get(L0, 0)
         if c0 % mult0 != 0:
             raise NotCyclicError(
-                f"coefficient {c0} of M_{{{n},{sorted(L0)}}} is not divisible "
-                f"by its class multiplicity {mult0}"
+                f"coefficient {c0} of M_{{{n},{sorted(_set(L0, n))}}} is not "
+                f"divisible by its class multiplicity {mult0}"
             )
         c = c0 // mult0
-        coeffs[key] = c
+        coeffs[_class_set(key, n)] = c
         for L, mult in expansion.items():
             reconstructed[L] = reconstructed.get(L, 0) + c * mult
-    if _clean(reconstructed) != a.terms:
+    if _clean(reconstructed) != terms:
         raise NotCyclicError("coefficients are inconsistent across a cyclic class")
     return CQSym(n, coeffs)
 

@@ -4,11 +4,20 @@ between them.
 A subset is a frozenset of elements of [n] together with an explicit
 ambient size n; a composition is a tuple of positive parts. Residue 0 is
 always stored as n, so shifted sets stay inside [n].
+
+Internally a subset E of [n] is also an int bitmask with element e at bit
+n - e. A cyclic shift by +1 is then a rotation right by one bit, and
+within one cardinality the lex-least sorted element list is the largest
+mask, so the canonical cyclic class of E is the largest mask in its
+rotation orbit.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from array import array
 
 Composition = tuple[int, ...]
 
@@ -96,14 +105,104 @@ def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
     """Shift of E whose sorted element list is lexicographically least.
 
     Cardinality is shift-invariant, so the cardinality-then-lex order on
-    subsets collapses to lex inside a class.
+    subsets collapses to lex inside a class. E must be a nonempty subset
+    of [n].
     """
     E = frozenset(E)
     if not E:
         raise ValueError("the empty set has no cyclic class in [n]")
-    return min(subset_class_members(E, n), key=sorted)
+    return _class_set(_canonical_mask(_mask(E, n), n), n)
 
 
 def psi_class(E: Iterable[int], n: int) -> Composition:
     """Canonical cyclic composition of the class of psi(E)."""
     return canonical_composition_class(psi(E, n))
+
+
+# --- bitmask internals -------------------------------------------------------
+
+# A degree's class table maps each of its 2^n masks to the canonical mask
+# and is filled lazily, one orbit at a time (8 KB at n = 12). Loops over
+# all 2^n masks read it in any degree; a single key reads it up to this
+# degree and is computed directly above, where the table would dwarf the
+# work.
+_TABLE_MAX_N = 16
+_TABLES: dict[int, array] = {}
+# Frozensets of canonical masks only, per degree; the same key object is
+# handed out for every member of a class.
+_CLASS_SETS: dict[int, dict[int, frozenset[int]]] = {}
+
+
+def _mask(E: Iterable[int], n: int) -> int:
+    """Bitmask of a subset of [n], element e at bit n - e."""
+    mask = 0
+    for e in E:
+        if not 1 <= e <= n:
+            raise ValueError(f"subset {sorted(E)} not contained in [{n}]")
+        mask |= 1 << (n - e)
+    return mask
+
+
+def _set(mask: int, n: int) -> frozenset[int]:
+    """Inverse of :func:`_mask`."""
+    return frozenset(n - b for b in range(n) if mask >> b & 1)
+
+
+def _submasks(mask: int) -> Iterator[int]:
+    """Every submask of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if not sub:
+            return
+        sub = (sub - 1) & mask
+
+
+def _orbit(mask: int, n: int) -> list[int]:
+    """The n cyclic shifts of a mask (shift +i is rotation right by i)."""
+    out, top = [], n - 1
+    for _ in range(n):
+        out.append(mask)
+        mask = (mask >> 1) | ((mask & 1) << top)
+    return out
+
+
+def _class_table(n: int) -> array:
+    """Mask -> canonical mask in degree n; 0 marks an orbit not yet filled.
+
+    Read entries as ``table[m] or _fill_orbit(table, m, n)``.
+    """
+    table = _TABLES.get(n)
+    if table is None:
+        # Imported on first use, to keep it out of the package's import time.
+        from array import array
+
+        # 16-bit entries hold the masks of degree 16 and below.
+        table = _TABLES[n] = array("H" if n <= 16 else "I", [0]) * (1 << n)
+    return table
+
+
+def _fill_orbit(table: array, mask: int, n: int) -> int:
+    """Fill in the orbit of mask and return its canonical mask."""
+    orbit = _orbit(mask, n)
+    best = max(orbit)
+    for m in orbit:
+        table[m] = best
+    return best
+
+
+def _canonical_mask(mask: int, n: int) -> int:
+    """The largest mask in the rotation orbit of mask."""
+    if n > _TABLE_MAX_N:
+        return max(_orbit(mask, n))
+    table = _class_table(n)
+    return table[mask] or _fill_orbit(table, mask, n)
+
+
+def _class_set(cmask: int, n: int) -> frozenset[int]:
+    """The interned frozenset of a canonical mask."""
+    sets = _CLASS_SETS.setdefault(n, {})
+    key = sets.get(cmask)
+    if key is None:
+        key = sets[cmask] = _set(cmask, n)
+    return key

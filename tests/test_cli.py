@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -64,6 +68,19 @@ def test_expand_delta_cyc_from_dag(capsys):
 def test_expand_rejects_invalid_peak_set():
     with pytest.raises(SystemExit):
         main(["expand", "Kcyc", "4", "1,2"])
+
+
+def test_expand_without_degree_is_one_line_error():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-m", "toricpeaks.cli", "expand", "M"],
+        capture_output=True, text=True, env=env,
+    )
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == ["expand M needs a degree n"]
 
 
 def test_extensions_linear_and_toric(capsys):

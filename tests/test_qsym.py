@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricpeaks.qsym import (
     CQSym,
@@ -16,6 +18,7 @@ from toricpeaks.qsym import (
     monomial,
     quasi_shuffle,
 )
+from toricpeaks.setcomp import phi, phi_inv
 
 
 def test_fundamental_is_superset_sum():
@@ -43,6 +46,41 @@ def test_quasi_shuffle_counts():
     assert sorted(out) == [(1, 1), (1, 1), (2,)]
     out = list(quasi_shuffle((2,), (1, 1)))
     assert (3, 1) in out and (1, 2, 1) in out
+
+
+def _quasi_shuffle_product(a: QSym, b: QSym) -> QSym:
+    """Product term by term over the quasi-shuffles of the compositions."""
+    out: dict[frozenset, int] = {}
+    for E, x in a.terms.items():
+        for L, y in b.terms.items():
+            for gamma in quasi_shuffle(phi(E, a.degree), phi(L, b.degree)):
+                key, _ = phi_inv(gamma) if gamma else (frozenset(), 0)
+                out[key] = out.get(key, 0) + x * y
+    return QSym(a.degree + b.degree, out)
+
+
+@st.composite
+def qsym_elements(draw, degree):
+    if degree > 1:
+        subsets = st.frozensets(st.integers(1, degree - 1))
+    else:
+        subsets = st.just(frozenset())
+    terms = st.dictionaries(subsets, st.integers(-3, 3), min_size=1, max_size=4)
+    return QSym(degree, draw(terms))
+
+
+@st.composite
+def qsym_pairs(draw, max_degree=9):
+    p = draw(st.integers(0, max_degree))
+    q = draw(st.integers(0, max_degree - p))
+    return draw(qsym_elements(p)), draw(qsym_elements(q))
+
+
+@settings(deadline=None)
+@given(qsym_pairs())
+def test_product_matches_quasi_shuffle(pair):
+    a, b = pair
+    assert a * b == _quasi_shuffle_product(a, b)
 
 
 def test_product_matches_truncated_polynomial_oracle():

@@ -76,6 +76,21 @@ def test_subset_classes():
         canonical_subset_class(set(), 4)
 
 
+def test_canonical_subset_class_rejects_elements_outside_n():
+    for E in ({5}, {0}, {1, 4}):
+        with pytest.raises(ValueError):
+            canonical_subset_class(E, 3)
+
+
+def test_canonical_subset_class_matches_lex_least_member():
+    for n in range(1, 13):
+        for mask in range(1, 1 << n):
+            E = frozenset(e for e in range(1, n + 1) if mask >> (e - 1) & 1)
+            assert canonical_subset_class(E, n) == min(
+                subset_class_members(E, n), key=sorted
+            )
+
+
 def test_composition_shifts_and_class():
     assert set(composition_shifts((1, 2, 1))) == {(1, 2, 1), (2, 1, 1), (1, 1, 2)}
     assert canonical_composition_class((3, 1)) == (1, 3)
