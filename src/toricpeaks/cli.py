@@ -44,7 +44,7 @@ def load_dag(args) -> dagmod.Dag:
         payload = path.read_text() if path.exists() else args.dag
         try:
             return dagmod.Dag.from_json(payload)
-        except (ValueError, KeyError, json.JSONDecodeError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise SystemExit(f"cannot read DAG from {args.dag!r}: {exc}")
     if getattr(args, "word", None):
         return dagmod.Dag.from_word(parse_word(args.word))
@@ -270,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    for bound in ("n", "m", "order"):
+        if (getattr(args, bound, None) or 0) < 0:
+            raise SystemExit(f"{bound} must be nonnegative, got {getattr(args, bound)}")
     return args.fn(args)
 
 

@@ -24,7 +24,6 @@ from .permstat import (
     cyclic_peak_witness,
     is_cyclic_peak_set,
     is_peak_set,
-    peak_witness,
     peak_set,
 )
 from .qsym import CQSym, QSym, _add_fcyc
@@ -119,7 +118,7 @@ def delta_from_peak_set(S: frozenset[int], n: int) -> QSym:
     for E in range(0, 1 << n, 2):
         if not peaks & ~(E | E >> 1):
             terms[_set(E, n)] = 2 << E.bit_count()
-    return QSym(n, terms)
+    return QSym._make(n, terms)
 
 
 def delta_perm(w: Sequence[int]) -> QSym:
@@ -152,11 +151,16 @@ def delta_fundamental_expansion(w: Sequence[int]) -> dict[frozenset, int]:
 
 
 def k_peak(S: Iterable[int], n: int) -> QSym:
-    """K_S, the peak function of a valid linear peak set S in [n]."""
+    """K_S, the peak function of a valid linear peak set S in [n].
+
+    Stembridge's formula gives it from S alone, as the weight enumerator of
+    any permutation with peak set S; tests compare it with ``delta_perm``
+    of ``peak_witness(S, n)``.
+    """
     S = frozenset(S)
     if not is_peak_set(S, n):
         raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
-    return delta_perm(peak_witness(S, n))
+    return delta_from_peak_set(S, n)
 
 
 def kcyc(S: Iterable[int], n: int) -> CQSym:
@@ -177,15 +181,17 @@ def kcyc(S: Iterable[int], n: int) -> CQSym:
         if not peaks & ~(E | E >> 1 | (E & 1) << top):
             key = table[E] or _fill_orbit(table, E, n)
             terms[key] = terms.get(key, 0) + (1 << E.bit_count())
-    return CQSym(n, {_class_set(k, n): c for k, c in terms.items()})
+    return CQSym._make(n, {_class_set(k, n): c for k, c in terms.items()})
 
 
 def delta_toric(tc: ToricClass) -> CQSym:
-    """Cyclic weight enumerator of a toric class: sum over toric extensions."""
+    """Cyclic weight enumerator of a toric class: the sum of Kcyc_{cPk w}
+    over its toric extensions w, one ``kcyc`` call per distinct cPk set."""
     n = len(tc.canonical.vertices)
+    counts = Counter(cpeak_set(w) for w in toric_extensions(tc.canonical))
     out = CQSym.zero(n)
-    for w in toric_extensions(tc.canonical):
-        out = out + kcyc(cpeak_set(w), n)
+    for S, c in counts.items():
+        out = out + kcyc(S, n).scale(c)
     return out
 
 
@@ -229,7 +235,7 @@ def kcyc_fund_expansion(S: Iterable[int], n: int) -> tuple[dict[frozenset, int],
             _add_fcyc(elem, E, n, weight)
     return (
         {_class_set(k, n): c for k, c in coeffs.items()},
-        CQSym(n, {_class_set(k, n): c for k, c in elem.items()}),
+        CQSym._make(n, {_class_set(k, n): c for k, c in elem.items()}),
     )
 
 
@@ -244,8 +250,8 @@ def kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int]
 
     Rows and columns follow the canonical cyclic peak sets in
     cardinality-then-lex order; entry (i, j) is the coefficient of the
-    class of f(S_j) in Kcyc_{S_i}. Asserts upper triangularity with a
-    nonzero diagonal.
+    class of f(S_j) in Kcyc_{S_i}. The ``triangularity`` verify suite
+    checks that it is upper triangular with a nonzero diagonal.
     """
     if n < 2:
         raise ValueError("need n >= 2")
@@ -255,14 +261,6 @@ def kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int]
     for S in sets:
         row_elem = kcyc(S, n)
         matrix.append([row_elem.terms.get(c, 0) for c in cols])
-    for i in range(len(sets)):
-        if matrix[i][i] == 0:
-            raise AssertionError(f"zero diagonal entry at {sorted(sets[i])}")
-        for j in range(i):
-            if matrix[i][j] != 0:
-                raise AssertionError(
-                    f"nonzero below-diagonal entry at ({i},{j}) for n={n}"
-                )
     return sets, matrix
 
 
@@ -298,31 +296,20 @@ def cyclic_peak_product(
     """Product Kcyc_U * Kcyc_T with its toric-extension decomposition.
 
     Builds witnesses, standardizes the second to labels above mU, and
-    checks that the ring product agrees with the sum of Kcyc over toric
-    extensions of the disjoint union of the witness total orders.
+    counts the toric extensions of the disjoint union of the witness total
+    orders by canonical cPk class; the decomposition is empty when a degree
+    is 0. The ``closure`` verify suite checks that the product equals the
+    sum of Kcyc over the decomposition.
     """
     U, T = frozenset(U), frozenset(T)
     lhs = kcyc(U, mU) * kcyc(T, nT)
     if mU == 0 or nT == 0:
-        other = kcyc(T, nT) if mU == 0 else kcyc(U, mU)
-        unit = kcyc(U, mU) if mU == 0 else kcyc(T, nT)
-        scaled = other.scale(unit.terms.get(frozenset(), 0))
-        if lhs != scaled:
-            raise AssertionError("degree-0 unit case failed")
         return lhs, Counter()
     pi = cyclic_peak_witness(U, mU)
     w = standardize(cyclic_peak_witness(T, nT), mU)
     union = disjoint_union(Dag.from_word(pi), Dag.from_word(w))
     n = mU + nT
-    rhs = CQSym.zero(n)
-    decomposition: Counter = Counter()
-    for sigma in toric_extensions(union):
-        S = canonical_subset_class(cpeak_set(sigma), n)
-        decomposition[S] += 1
-        rhs = rhs + kcyc(cpeak_set(sigma), n)
-    if lhs != rhs:
-        raise AssertionError(
-            f"subring closure failed for U={sorted(U)} (m={mU}), "
-            f"T={sorted(T)} (n={nT})"
-        )
+    decomposition = Counter(
+        canonical_subset_class(cpeak_set(sigma), n) for sigma in toric_extensions(union)
+    )
     return lhs, decomposition

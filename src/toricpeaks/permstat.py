@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import comb
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -94,7 +93,10 @@ def shifted_stat_multiset(w: Sequence[int], stat: str) -> Counter:
 
 
 def shuffle_set(p: Sequence[int], s: Sequence[int]) -> set[Word]:
-    """All interleavings of p and s.  Label sets must be disjoint."""
+    """All interleavings of p and s.  Label sets must be disjoint.
+
+    The ``shuffle`` verify suite checks that there are C(|p|+|s|, |p|).
+    """
     p, s = check_word(p), check_word(s)
     if set(p) & set(s):
         raise ValueError(f"label sets overlap: {sorted(set(p) & set(s))}")
@@ -111,9 +113,7 @@ def shuffle_set(p: Sequence[int], s: Sequence[int]) -> set[Word]:
         for tail in rec(a, b[1:]):
             yield (b[0],) + tail
 
-    out = set(rec(p, s))
-    assert len(out) == comb(len(p) + len(s), len(p))
-    return out
+    return set(rec(p, s))
 
 
 def is_peak_set(S: frozenset[int] | set[int], n: int) -> bool:

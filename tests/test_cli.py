@@ -70,17 +70,50 @@ def test_expand_rejects_invalid_peak_set():
         main(["expand", "Kcyc", "4", "1,2"])
 
 
-def test_expand_without_degree_is_one_line_error():
+def run_subprocess(*argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
-    proc = subprocess.run(
-        [sys.executable, "-m", "toricpeaks.cli", "expand", "M"],
+    return subprocess.run(
+        [sys.executable, "-m", "toricpeaks.cli", *argv],
         capture_output=True, text=True, env=env,
     )
+
+
+def test_expand_without_degree_is_one_line_error():
+    proc = run_subprocess("expand", "M")
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert proc.stderr.strip().splitlines() == ["expand M needs a degree n"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("extensions", "toric", "--dag", "[1]"),
+        ("extensions", "toric", "--dag", '{"vertices":["a","b"],"arcs":[["a","b"]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[[1],2]]}'),
+        ("enumerate", "enriched", "--word", "12", "--m", "-1"),
+        ("enumerate", "markings", "--word", "12", "--m", "-1"),
+        ("order-poly", "12", "--m", "-1"),
+        ("series", "12", "--order", "-1"),
+        ("verify", "order-poly", "--n", "-1"),
+    ],
+)
+def test_bad_input_is_one_line_error(argv):
+    proc = run_subprocess(*argv)
+    assert proc.returncode != 0
+    assert proc.stdout == ""
+    assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_zero_bounds_stay_valid(capsys):
+    _, out = run(capsys, "order-poly", "12", "--m", "0")
+    assert out.splitlines() == ["m\tomega\tomega_cyc", "0\t0\t0"]
+    _, out = run(capsys, "series", "12", "--order", "0")
+    assert json.loads(out)["omega"] == [0]
+    _, out = run(capsys, "enumerate", "enriched", "--word", "12", "--m", "0")
+    assert json.loads(out) == {"assignments": [], "count": 0}
 
 
 def test_extensions_linear_and_toric(capsys):

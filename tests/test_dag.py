@@ -13,6 +13,7 @@ from toricpeaks.dag import (
     toric_extensions,
     transitive_closure,
 )
+from toricpeaks.verify import small_dags
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
@@ -70,6 +71,17 @@ def test_total_orders_are_toric_posets():
     for w in [(1, 2, 3), (3, 1, 2), (2, 4, 1, 3)]:
         assert is_toric_transitive(Dag.from_word(w))
         assert is_toric_poset(toric_class(Dag.from_word(w)))
+
+
+def test_toric_transitivity_is_a_class_invariant():
+    classes = {}
+    for d in small_dags(4):
+        tc = toric_class(d)
+        classes[tc.canonical] = tc
+    assert len(classes) == 121
+    for tc in classes.values():
+        values = {is_toric_transitive(member) for member in tc.members}
+        assert values == {is_toric_poset(tc)}
 
 
 def test_non_toric_transitive_example():

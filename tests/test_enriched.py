@@ -21,7 +21,7 @@ from toricpeaks.enriched import (
     matrix_rank,
     signed_key,
 )
-from toricpeaks.permstat import cyclic_peak_sets
+from toricpeaks.permstat import cyclic_peak_sets, peak_sets, peak_witness
 from toricpeaks.qsym import CQSym, QSym, cyclic_monomial
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
@@ -84,6 +84,12 @@ def test_k_peak_square_identity():
     k2 = k_peak(frozenset(), 2)
     assert k1 * k1 == QSym(2, {frozenset(): 4, frozenset({1}): 8})
     assert k1 * k1 == 2 * k2
+
+
+def test_k_peak_matches_enumerator_of_a_witness():
+    for n in range(0, 9):
+        for S in peak_sets(n):
+            assert k_peak(S, n) == delta_perm(peak_witness(S, n))
 
 
 def test_k_peak_rejects_invalid_sets():

@@ -22,7 +22,7 @@ from toricpeaks.orderpoly import (
 )
 from toricpeaks.dag import Dag, toric_class
 from toricpeaks.enriched import enumerate_enriched_word
-from toricpeaks.permstat import peak_set
+from toricpeaks.permstat import peak_set, rotations
 
 
 def test_poly_helpers():
@@ -68,7 +68,7 @@ def test_omega_cyc_closed_form_vs_rotations():
                 continue
             seen.add(key)
             for m in (0, 1, 2, 3):
-                omega_cyc(w, m)  # raises on internal disagreement
+                assert omega_cyc(w, m) == sum(omega(v, m) for v in rotations(w))
 
 
 def test_series_match_values():

@@ -106,6 +106,30 @@ def test_degree_mismatch_add_raises():
         monomial(2, {1}) + monomial(3, {1})
 
 
+def test_qsym_and_cqsym_never_mix():
+    terms = {frozenset({1}): 3}
+    a, b = QSym(3, terms), CQSym(3, terms)
+    assert a.degree == b.degree and a.terms == b.terms
+    assert a != b and b != a
+    with pytest.raises(TypeError):
+        a + b
+
+
+def test_public_constructors_reject_bad_keys():
+    with pytest.raises(ValueError):
+        QSym(3, {frozenset({3}): 1})
+    with pytest.raises(ValueError):
+        CQSym(4, {frozenset({2}): 1})  # the class key is {1}
+    with pytest.raises(ValueError):
+        CQSym(0, {frozenset({1}): 1})
+    with pytest.raises(ValueError):
+        monomial(3, {3})
+    with pytest.raises(ValueError):
+        QSym.from_json('{"basis": "M", "degree": 2, "terms": [{"set": [2], "coeff": 1}]}')
+    with pytest.raises(ValueError):
+        CQSym.from_json('{"basis": "Mcyc", "degree": 3, "terms": [{"set": [2], "coeff": 1}]}')
+
+
 def test_json_roundtrip_both_bases():
     a = 3 * fundamental(4, {2}) - monomial(4, {1, 3})
     assert QSym.from_json(a.to_json("M")) == a
