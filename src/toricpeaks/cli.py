@@ -41,11 +41,14 @@ def parse_subset(text: str) -> frozenset[int]:
 def load_dag(args) -> dagmod.Dag:
     if getattr(args, "dag", None):
         path = Path(args.dag)
-        payload = path.read_text() if path.exists() else args.dag
+        payload = path.read_text() if path.is_file() else args.dag
         try:
             return dagmod.Dag.from_json(payload)
         except (ValueError, KeyError, TypeError) as exc:
-            raise SystemExit(f"cannot read DAG from {args.dag!r}: {exc}")
+            reason = str(exc)
+            if isinstance(exc, json.JSONDecodeError) and not path.is_file():
+                reason = f"no such file, and not inline JSON ({exc})"
+            raise SystemExit(f"cannot read DAG from {args.dag!r}: {reason}")
     if getattr(args, "word", None):
         return dagmod.Dag.from_word(parse_word(args.word))
     raise SystemExit("provide a word or --dag")
@@ -57,6 +60,8 @@ def emit(data) -> None:
 
 def cmd_stats(args) -> int:
     w = parse_word(args.word)
+    if not w:
+        raise SystemExit("stats needs a nonempty word")
     data = {
         "word": list(w),
         "des": sorted(permstat.des_set(w)),
@@ -66,13 +71,12 @@ def cmd_stats(args) -> int:
         "composition_des": list(phi(permstat.des_set(w), len(w))),
         "canonical_rotation": list(permstat.canonical_rotation(w)),
     }
-    if len(w) >= 1:
-        for stat in ("cdes", "cpeak"):
-            multiset = permstat.cyclic_stat_multiset(w, stat)
-            data[f"{stat}_multiset"] = [
-                {"set": sorted(S), "mult": c}
-                for S, c in sorted(multiset.items(), key=lambda kv: sorted(kv[0]))
-            ]
+    for stat in ("cdes", "cpeak"):
+        multiset = permstat.cyclic_stat_multiset(w, stat)
+        data[f"{stat}_multiset"] = [
+            {"set": sorted(S), "mult": c}
+            for S, c in sorted(multiset.items(), key=lambda kv: sorted(kv[0]))
+        ]
     if permstat.cdes_set(w):
         data["composition_cdes"] = list(psi(permstat.cdes_set(w), len(w)))
     emit(data)
@@ -200,7 +204,7 @@ def cmd_verify(args) -> int:
     try:
         report = verify.run_suite(args.suite, **kwargs)
     except KeyError as exc:
-        raise SystemExit(str(exc))
+        raise SystemExit(exc.args[0])
     reports = report.get("reports", [report])
     for rep in reports:
         for check in rep["checks"]:

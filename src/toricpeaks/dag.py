@@ -118,7 +118,10 @@ def flip(d: Dag, v: int) -> Dag:
 
 @dataclasses.dataclass(frozen=True)
 class ToricClass:
-    members: frozenset[Dag]
+    """The members of a toric class and its canonical member. It hashes and
+    compares by the canonical member alone, which determines the class."""
+
+    members: frozenset[Dag] = dataclasses.field(compare=False)
     canonical: Dag
 
     def to_json(self) -> str:

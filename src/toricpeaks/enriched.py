@@ -16,7 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .dag import Dag, ToricClass, disjoint_union, linear_extensions, toric_class, toric_extensions
+from .dag import Dag, ToricClass, disjoint_union, linear_extensions, toric_extensions
 from .permstat import (
     Word,
     cpeak_set,

@@ -218,18 +218,15 @@ class QSym(_Homogeneous):
 
     def truncate(self, m: int) -> "TruncPoly":
         """Exact polynomial in m variables; the independent oracle format."""
-        out = TruncPoly.zero(m)
+        out: Counter = Counter()
         for E, c in self.terms.items():
             alpha = phi(E, self.degree)
-            s = len(alpha)
-            for idx in itertools.combinations(range(m), s):
+            for idx in itertools.combinations(range(m), len(alpha)):
                 expo = [0] * m
                 for pos, a in zip(idx, alpha):
                     expo[pos] = a
-                key = tuple(expo)
-                out.terms[key] = out.terms.get(key, 0) + c
-        out.terms = {k: v for k, v in out.terms.items() if v != 0}
-        return out
+                out[tuple(expo)] += c
+        return TruncPoly(m, out)
 
     def to_json(self, basis: str = "M") -> str:
         if basis == "M":
@@ -463,10 +460,6 @@ class TruncPoly:
         self.m = m
         self.terms = {k: v for k, v in terms.items() if v != 0}
 
-    @classmethod
-    def zero(cls, m: int) -> "TruncPoly":
-        return cls(m, {})
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncPoly)
@@ -475,17 +468,15 @@ class TruncPoly:
         )
 
     def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            out[k] = out.get(k, 0) + v
+        out = Counter(self.terms)
+        out.update(other.terms)
         return TruncPoly(self.m, out)
 
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        out: dict[tuple[int, ...], int] = {}
+        out: Counter = Counter()
         for ka, va in self.terms.items():
             for kb, vb in other.terms.items():
-                key = tuple(x + y for x, y in zip(ka, kb))
-                out[key] = out.get(key, 0) + va * vb
+                out[tuple(x + y for x, y in zip(ka, kb))] += va * vb
         return TruncPoly(self.m, out)
 
     def __repr__(self) -> str:
@@ -501,7 +492,7 @@ def fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> TruncPoly:
     E = frozenset(E)
     if m < 1:
         raise ValueError("need at least one variable")
-    out = TruncPoly.zero(m)
+    out: Counter = Counter()
     for w in itertools.product(range(1, m + 1), repeat=n):
         for k in range(1, n + 1):
             seq = w[k - 1:] + w[: k - 1]
@@ -515,7 +506,5 @@ def fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> TruncPoly:
             expo = [0] * m
             for x in w:
                 expo[x - 1] += 1
-            key = tuple(expo)
-            out.terms[key] = out.terms.get(key, 0) + 1
-    out.terms = {k: v for k, v in out.terms.items() if v != 0}
-    return out
+            out[tuple(expo)] += 1
+    return TruncPoly(m, out)

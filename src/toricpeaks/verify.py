@@ -7,6 +7,7 @@ fundamental-lemma suite) uses a fixed seed.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -14,6 +15,7 @@ from collections import Counter
 
 from .dag import (
     Dag,
+    ToricClass,
     disjoint_union,
     linear_extensions,
     toric_class,
@@ -27,7 +29,6 @@ from .enriched import (
     delta_toric,
     delta_toric_by_rotations,
     enumerate_enriched,
-    enumerate_enriched_toric,
     freeze,
     k_peak,
     kcyc,
@@ -81,50 +82,34 @@ def _report(suite: str, checks: list) -> dict:
     }
 
 
-# Shared memo tables; everything here is pure, so caching is safe.
-_ENRICHED: dict[tuple[Dag, int], frozenset] = {}
-_TORIC_ENR: dict[tuple[Dag, int], frozenset] = {}
-_TORIC_CLS: dict[Dag, object] = {}
-_DELTA_TORIC: dict[Dag, CQSym] = {}
-_KPEAK: dict[tuple[frozenset, int], QSym] = {}
-
-
+# Process-wide memos of pure results. They fill across suites, as ``verify
+# all`` runs them in one process. A ToricClass hashes and compares by its
+# canonical member, so all members of a class share one toric entry. The
+# bodies call the library by its module-level names, so a tracer that
+# patches those names still sees the calls.
+@functools.cache
 def _enriched_set(d: Dag, m: int) -> frozenset:
-    key = (d, m)
-    if key not in _ENRICHED:
-        _ENRICHED[key] = frozenset(freeze(f) for f in enumerate_enriched(d, m))
-    return _ENRICHED[key]
+    return frozenset(freeze(f) for f in enumerate_enriched(d, m))
 
 
-def _toric_of(d: Dag):
-    if d not in _TORIC_CLS:
-        _TORIC_CLS[d] = toric_class(d)
-    return _TORIC_CLS[d]
+@functools.cache
+def _toric_of(d: Dag) -> ToricClass:
+    return toric_class(d)
 
 
-def _toric_enriched_set(d: Dag, m: int) -> frozenset:
-    tc = _toric_of(d)
-    key = (tc.canonical, m)
-    if key not in _TORIC_ENR:
-        out: set = set()
-        for member in tc.members:
-            out |= _enriched_set(member, m)
-        _TORIC_ENR[key] = frozenset(out)
-    return _TORIC_ENR[key]
+@functools.cache
+def _toric_enriched_set(tc: ToricClass, m: int) -> frozenset:
+    return frozenset().union(*(_enriched_set(member, m) for member in tc.members))
 
 
-def _delta_toric_of(d: Dag) -> CQSym:
-    tc = _toric_of(d)
-    if tc.canonical not in _DELTA_TORIC:
-        _DELTA_TORIC[tc.canonical] = delta_toric(tc)
-    return _DELTA_TORIC[tc.canonical]
+@functools.cache
+def _delta_toric(tc: ToricClass) -> CQSym:
+    return delta_toric(tc)
 
 
+@functools.cache
 def _k_peak(S: frozenset, n: int) -> QSym:
-    key = (S, n)
-    if key not in _KPEAK:
-        _KPEAK[key] = k_peak(S, n)
-    return _KPEAK[key]
+    return k_peak(S, n)
 
 
 def small_dags(max_n: int = 4) -> list[Dag]:
@@ -182,15 +167,13 @@ def _count_enriched_word(w: tuple[int, ...], m: int) -> int:
 
 def _weight_poly(assignments, m: int) -> TruncPoly:
     """Brute-force weight enumerator: sum of products of x_{|f(i)|}."""
-    out = TruncPoly.zero(m)
+    out: Counter = Counter()
     for frozen in assignments:
         expo = [0] * m
         for _, v in frozen:
             expo[abs(v) - 1] += 1
-        key = tuple(expo)
-        out.terms[key] = out.terms.get(key, 0) + 1
-    out.terms = {k: v for k, v in out.terms.items() if v != 0}
-    return out
+        out[tuple(expo)] += 1
+    return TruncPoly(m, out)
 
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
@@ -300,41 +283,40 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> dict:
     _check(checks, "delta-cyc via cPk formula", via_cpk == DELTA_CYC_D3, repr(via_cpk))
     _check(checks, "delta-cyc via rotation sums", via_rot == DELTA_CYC_D3, repr(via_rot))
     for m in range(1, max_m + 1):
-        brute = _weight_poly(_toric_enriched_set(D3, m), m)
+        brute = _weight_poly(_toric_enriched_set(tc, m), m)
         _check(
             checks,
             f"delta-cyc brute-force weights m={m}",
             brute == via_cpk.truncate(m),
         )
     # Linear enumerators against brute force, and the F-expansion shortcut.
+    bad = 0
     for n in range(1, max_n + 1):
         for w in itertools.permutations(range(1, n + 1)):
             dperm = delta_perm(w)
             if n <= 3 or w == (1, 3, 2, 4):
                 for m in range(1, max_m + 1):
-                    brute = _weight_poly(
-                        _enriched_set(Dag.from_word(w), m), m
-                    )
-                    if brute != dperm.truncate(m):
-                        _check(checks, f"delta brute force {w} m={m}", False)
-            if delta_fundamental_expansion(w) != dperm.to_fundamental():
-                _check(checks, f"delta F-expansion {w}", False)
-    _check(checks, f"delta oracles all words n<={max_n}", True)
-    # Dependence on the (cyclic) peak set alone.
-    for n in range(1, 7):
-        groups: dict = {}
-        cgroups: dict = {}
-        for w in itertools.permutations(range(1, n + 1)):
-            groups.setdefault(peak_set(w), set()).add(delta_perm(w).to_json())
-            cgroups.setdefault(cpeak_set(w), set()).add(
-                kcyc(cpeak_set(w), n).to_json()
-            )
-        if any(len(v) != 1 for v in groups.values()):
-            _check(checks, f"delta depends only on Pk, n={n}", False)
-        if any(len(v) != 1 for v in cgroups.values()):
-            _check(checks, f"delta-cyc depends only on cPk, n={n}", False)
-    _check(checks, "enumerators depend only on peak data, n<=6", True)
+                    brute = _weight_poly(_enriched_set(Dag.from_word(w), m), m)
+                    bad += brute != dperm.truncate(m)
+            bad += delta_fundamental_expansion(w) != dperm.to_fundamental()
+    _check(checks, f"delta oracles all words n<={max_n}", bad == 0, f"{bad} failures")
+    # Kcyc of the cyclic peak set against the rotation route, which sums
+    # the linear enumerators of all n rotations of the cyclic order w.
+    bad = 0
+    for n in range(2, 7):
+        for rest in itertools.permutations(range(2, n + 1)):
+            w = (1, *rest)
+            tc = toric_class(Dag.from_word(w))
+            bad += delta_toric_by_rotations(tc) != kcyc(cpeak_set(w), n)
+    _check(
+        checks, "enumerators depend only on peak data, n<=6", bad == 0, f"{bad} failures"
+    )
     return _report("enumerator", checks)
+
+
+def _is_disjoint_cover(whole: frozenset, pieces: list[frozenset]) -> bool:
+    """The pieces are pairwise disjoint and their union is ``whole``."""
+    return sum(map(len, pieces)) == len(whole) and frozenset().union(*pieces) == whole
 
 
 def suite_fundamental_lemma(
@@ -348,33 +330,21 @@ def suite_fundamental_lemma(
     for d in dags:
         for m in range(1, max_m + 1):
             whole = _enriched_set(d, m)
-            pieces = [
-                _enriched_set(Dag.from_word(w), m) for w in linear_extensions(d)
-            ]
-            union: set = set()
-            for p in pieces:
-                union |= p
-            if union != whole or sum(len(p) for p in pieces) != len(whole):
-                linear_bad += 1
-            if delta_dag(d).specialize_ones(m) != len(whole):
-                spec_bad += 1
+            pieces = [_enriched_set(Dag.from_word(w), m) for w in linear_extensions(d)]
+            linear_bad += not _is_disjoint_cover(whole, pieces)
+            spec_bad += delta_dag(d).specialize_ones(m) != len(whole)
         tc = _toric_of(d)
-        if (tc.canonical, max_m) in toric_done:
+        if tc in toric_done:
             continue
-        toric_done.add((tc.canonical, max_m))
+        toric_done.add(tc)
         for m in range(1, max_m + 1):
-            whole = _toric_enriched_set(d, m)
+            whole = _toric_enriched_set(tc, m)
             pieces = [
-                _toric_enriched_set(Dag.from_word(w), m)
+                _toric_enriched_set(_toric_of(Dag.from_word(w)), m)
                 for w in toric_extensions(d)
             ]
-            union = set()
-            for p in pieces:
-                union |= p
-            if union != whole or sum(len(p) for p in pieces) != len(whole):
-                toric_bad += 1
-            if _delta_toric_of(d).specialize_ones(m) != len(whole):
-                spec_bad += 1
+            toric_bad += not _is_disjoint_cover(whole, pieces)
+            spec_bad += _delta_toric(tc).specialize_ones(m) != len(whole)
     _check(
         checks,
         f"linear decomposition, {len(dags)} DAGs, m<={max_m}",
@@ -422,7 +392,7 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
                 for m in range(1, max_m + 1):
                     if omega_toric(tc, m) != cyc[m]:
                         cyc_bad += 1
-                    if len(_toric_enriched_set(Dag.from_word(w), m)) != cyc[m]:
+                    if len(_toric_enriched_set(tc, m)) != cyc[m]:
                         cyc_bad += 1
     _check(checks, f"omega == brute force, n<={max_n}, m<={max_m}", formula_bad == 0)
     _check(checks, f"omega == series coefficients, m<={series_m}", series_bad == 0)
@@ -569,9 +539,10 @@ def suite_closure(max_total: int = 6, **_) -> dict:
                 for T in cyclic_peak_sets(nT):
                     pairs += 1
                     lhs, decomposition = cyclic_peak_product(U, mU, T, nT)
-                    rhs = CQSym.zero(mU + nT)
-                    for S, c in decomposition.items():
-                        rhs = rhs + kcyc(S, mU + nT).scale(c)
+                    rhs = sum(
+                        (kcyc(S, mU + nT).scale(c) for S, c in decomposition.items()),
+                        CQSym.zero(mU + nT),
+                    )
                     if lhs != rhs:
                         bad += 1
     _check(checks, f"{pairs} witness products, degrees <= {max_total}", bad == 0)
@@ -598,8 +569,8 @@ def suite_closure(max_total: int = 6, **_) -> dict:
         if a.vertices & b.vertices:
             continue
         total += 1
-        prod = _delta_toric_of(a) * _delta_toric_of(b)
-        if prod != _delta_toric_of(disjoint_union(a, b)):
+        prod = _delta_toric(_toric_of(a)) * _delta_toric(_toric_of(b))
+        if prod != _delta_toric(_toric_of(disjoint_union(a, b))):
             bad += 1
     _check(
         checks,
@@ -622,9 +593,11 @@ def suite_shuffle(max_total: int = 6, **_) -> dict:
                     pairs += 1
                     lhs = _k_peak(peak_set(pi), a) * _k_peak(peak_set(sig0), b)
                     taus = shuffle_set(pi, sig)
-                    rhs = QSym.zero(a + b)
-                    for S, c in Counter(peak_set(tau) for tau in taus).items():
-                        rhs = rhs + _k_peak(S, a + b).scale(c)
+                    counts = Counter(peak_set(tau) for tau in taus)
+                    rhs = sum(
+                        (_k_peak(S, a + b).scale(c) for S, c in counts.items()),
+                        QSym.zero(a + b),
+                    )
                     if lhs != rhs or len(taus) != math.comb(a + b, a):
                         bad += 1
     _check(checks, f"{pairs} shuffle products, degrees <= {max_total}", bad == 0)
@@ -646,8 +619,9 @@ SUITES = {
 
 
 def run_suite(name: str, **kwargs) -> dict:
+    passed = {k: v for k, v in kwargs.items() if v is not None}
     if name == "all":
-        reports = [run_suite(s, **kwargs) for s in SUITES]
+        reports = [fn(**passed) for fn in SUITES.values()]
         return {
             "suite": "all",
             "reports": reports,
@@ -655,8 +629,4 @@ def run_suite(name: str, **kwargs) -> dict:
         }
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    fn = SUITES[name]
-    passed = {
-        k: v for k, v in kwargs.items() if v is not None
-    }
-    return fn(**passed)
+    return SUITES[name](**passed)

@@ -98,6 +98,7 @@ def test_expand_without_degree_is_one_line_error():
         ("order-poly", "12", "--m", "-1"),
         ("series", "12", "--order", "-1"),
         ("verify", "order-poly", "--n", "-1"),
+        ("stats", ""),
     ],
 )
 def test_bad_input_is_one_line_error(argv):
@@ -105,6 +106,12 @@ def test_bad_input_is_one_line_error(argv):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_missing_dag_file_is_named(tmp_path):
+    missing = str(tmp_path / "nosuch.json")
+    with pytest.raises(SystemExit, match="no such file, and not inline JSON"):
+        main(["extensions", "toric", "--dag", missing])
 
 
 def test_zero_bounds_stay_valid(capsys):
@@ -160,8 +167,9 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "table1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and out.strip().endswith("OK")
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
+    assert exc.value.code.startswith("unknown suite 'no-such-suite'; choose from [")
 
 
 def test_deterministic_output(capsys):
