@@ -7,9 +7,11 @@ All output is deterministic; structured data is JSON, tables are TSV.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
+from typing import Collection
 
 from . import dag as dagmod
 from . import enriched, orderpoly, permstat, qsym, verify
@@ -128,17 +130,39 @@ def cmd_extensions(args) -> int:
     return 0
 
 
+# ``enumerate enriched`` refuses to produce more assignments than this.
+MAX_ENUMERATED = 10**6
+
+
+def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> None:
+    """Exit 1 when the n-vertex members have more than ``MAX_ENUMERATED``
+    enriched partitions in all, counted per member (a toric union has no
+    more).
+
+    The count is skipped when (2m)^n candidates per member cannot exceed
+    the limit, and otherwise stops one past it, so a refusal takes no
+    longer than the largest listing allowed.
+    """
+    if len(members) * (2 * m) ** n <= MAX_ENUMERATED:
+        return
+    found = itertools.chain.from_iterable(enriched.iter_enriched(e, m) for e in members)
+    if sum(1 for _ in itertools.islice(found, MAX_ENUMERATED + 1)) > MAX_ENUMERATED:
+        raise SystemExit(
+            f"enumerate enriched would produce more than {MAX_ENUMERATED}"
+            " assignments, the limit"
+        )
+
+
 def cmd_enumerate(args) -> int:
     if args.what == "enriched":
         d = load_dag(args)
-        if args.toric:
-            frozen = sorted(
-                enriched.enumerate_enriched_toric(dagmod.toric_class(d), args.m),
-                key=sorted,
-            )
+        tc = dagmod.toric_class(d) if args.toric else None
+        _refuse_huge_listing(tc.members if tc else [d], len(d.vertices), args.m)
+        if tc:
+            frozen = sorted(enriched.enumerate_enriched_toric(tc, args.m), key=sorted)
             rows = [dict(sorted(f)) for f in frozen]
         else:
-            rows = [f for f in enriched.enumerate_enriched(d, args.m)]
+            rows = enriched.enumerate_enriched(d, args.m)
         if args.ndjson:
             for f in rows:
                 print(enriched.assignment_to_json(f))

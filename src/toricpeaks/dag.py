@@ -62,21 +62,27 @@ class Dag:
 
 
 def _has_cycle(vertices: frozenset[int], arcs: frozenset[Arc]) -> bool:
+    return len(_topological_order(vertices, arcs)) != len(vertices)
+
+
+def _topological_order(vertices: frozenset[int], arcs: frozenset[Arc]) -> list[int]:
+    """Some topological order, by Kahn's algorithm; on a digraph with a
+    cycle it stops short and misses the vertices on or after a cycle."""
     indeg = {v: 0 for v in vertices}
     succ: dict[int, list[int]] = {v: [] for v in vertices}
     for i, j in arcs:
         succ[i].append(j)
         indeg[j] += 1
     queue = [v for v in vertices if indeg[v] == 0]
-    seen = 0
+    order = []
     while queue:
         v = queue.pop()
-        seen += 1
+        order.append(v)
         for u in succ[v]:
             indeg[u] -= 1
             if indeg[u] == 0:
                 queue.append(u)
-    return seen != len(vertices)
+    return order
 
 
 def transitive_closure(d: Dag) -> Dag:
@@ -186,8 +192,13 @@ def toric_extensions(d: Dag) -> list[Word]:
     Computed as the union of linear extensions over the flip closure,
     grouped into rotation classes.
     """
+    return _toric_extensions(toric_class(d).members)
+
+
+def _toric_extensions(members: Iterable[Dag]) -> list[Word]:
+    """``toric_extensions`` of a class whose members are already known."""
     classes = set()
-    for member in toric_class(d).members:
+    for member in members:
         for w in linear_extensions(member):
             classes.add(canonical_rotation(w))
     return sorted(classes)

@@ -3,20 +3,27 @@ the (cyclic) peak functions they generate.
 
 Values live in the nonzero integers ordered -1 < 1 < -2 < 2 < ...; an
 assignment is a dict from vertex labels to such values. Weight enumerators
-expand in the monomial bases of qsym via the peak-set formulas; the
-brute-force enumerations here are the combinatorial side of every
-identity the test suite checks.
+expand in the monomial bases of qsym, via the peak-set formulas for total
+orders and cyclic classes and via a DP over down-sets for a DAG; the
+enumerations here are the combinatorial side of every identity the test
+suite checks.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .dag import Dag, ToricClass, disjoint_union, linear_extensions, toric_extensions
+from .dag import (
+    Dag,
+    ToricClass,
+    _topological_order,
+    _toric_extensions,
+    disjoint_union,
+    toric_extensions,
+)
 from .permstat import (
     Word,
     cpeak_set,
@@ -73,19 +80,51 @@ def freeze(f: Mapping[int, int]) -> FrozenAssignment:
 
 
 def enumerate_enriched(d: Dag, m: int) -> list[Assignment]:
-    """All enriched partitions of d with absolute value at most m.
+    """All enriched partitions of d with absolute value at most m, ordered by
+    their sorted item lists (the order of ``iter_enriched``)."""
+    return list(iter_enriched(d, m))
 
-    Brute force over (2m)^n candidate assignments; canonical sorted order.
+
+def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
+    """The enriched partitions of d with absolute value at most m, one at a
+    time, ordered by their sorted item lists.
+
+    Backtracking: the vertices take values in label order, each trying
+    -m, ..., -1, 1, ..., m in integer order, and an arc is checked as soon
+    as both of its ends have values, so a branch dies at its first broken
+    arc. Depth-first order is then the sorted order.
     """
     verts = sorted(d.vertices)
-    values = [v for k in range(1, m + 1) for v in (-k, k)]
-    out = []
-    for combo in itertools.product(values, repeat=len(verts)):
-        f = dict(zip(verts, combo))
-        if is_enriched(f, d):
-            out.append(f)
-    out.sort(key=lambda f: sorted(f.items()))
-    return out
+    n = len(verts)
+    index = {v: k for k, v in enumerate(verts)}
+    # Arcs from vertex k back to earlier (smaller) labels: ``tails[k]`` are
+    # the tails of arcs e -> k, ``heads[k]`` the heads of arcs k -> e.
+    tails: list[list[int]] = [[] for _ in verts]
+    heads: list[list[int]] = [[] for _ in verts]
+    for i, j in d.arcs:
+        if i < j:
+            tails[index[j]].append(index[i])
+        else:
+            heads[index[i]].append(index[j])
+    # With rank 2|x| - (x < 0), i.e. -1 < 1 < -2 < 2 < ..., an arc into a
+    # larger label may tie only at a positive value and an arc into a
+    # smaller label only at a negative one.
+    values = [(x, 2 * abs(x) - (x < 0)) for x in [*range(-m, 0), *range(1, m + 1)]]
+    rank = [0] * n
+    combo = [0] * n
+
+    def extend(k: int) -> Iterator[Assignment]:
+        if k == n:
+            yield dict(zip(verts, combo))
+            return
+        lo = max((rank[e] for e in tails[k]), default=0)
+        hi = min((rank[e] for e in heads[k]), default=2 * m + 1)
+        for x, r in values:
+            if lo <= r - (x < 0) and r + (x > 0) <= hi:
+                combo[k], rank[k] = x, r
+                yield from extend(k + 1)
+
+    yield from extend(0)
 
 
 def enumerate_enriched_word(w: Sequence[int], m: int) -> list[Assignment]:
@@ -127,11 +166,81 @@ def delta_perm(w: Sequence[int]) -> QSym:
 
 
 def delta_dag(d: Dag) -> QSym:
-    """Weight enumerator of d: sum over its linear extensions."""
-    out = QSym.zero(len(d.vertices))
-    for w in linear_extensions(d):
-        out = out + delta_perm(w)
-    return out
+    """Weight enumerator of d, by a DP over the down-sets of d.
+
+    An enriched partition assigns the absolute levels 1, 2, ... in turn; a
+    level k takes a block A- ∪ A+ (values -k and +k) and the vertices
+    assigned so far always form a down-set. With the levels used packed to
+    1..j, the sizes of the down-sets reached give the M-basis key E, so the
+    coefficient of M_E counts the chains of down-sets with those sizes,
+    each step weighted by its number of legal blocks (``_down_steps``).
+    """
+    n = len(d.vertices)
+    if n == 0:
+        return QSym.unit(1)
+    pred, lower = _bit_order(d)
+    # The state of a down-set D maps each key E inside [|D| - 1], as a mask
+    # with bit p - 1 for p in E, to its count.
+    layers: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
+    layers[0][0] = {0: 1}
+    for size in range(n):
+        for D, state in layers[size].items():
+            if size:  # |D| joins E
+                state = {E | 1 << (size - 1): c for E, c in state.items()}
+            for D2, ways in _down_steps(D, pred, lower):
+                target = layers[D2.bit_count()].setdefault(D2, {})
+                for E, c in state.items():
+                    target[E] = target.get(E, 0) + c * ways
+        layers[size] = {}
+    return QSym._make(n, {
+        frozenset(p for p in range(1, n) if E >> (p - 1) & 1): c
+        for E, c in layers[n][(1 << n) - 1].items()
+    })
+
+
+def _bit_order(d: Dag) -> tuple[list[int], list[int]]:
+    """Vertex bit masks for ``delta_dag``: bit k is the k-th vertex of a
+    topological order of d. Returns, per bit, the mask of the vertex's
+    predecessors and the mask of the vertices with smaller labels."""
+    order = _topological_order(d.vertices, d.arcs)
+    bit = {v: 1 << k for k, v in enumerate(order)}
+    pred = dict.fromkeys(order, 0)
+    for i, j in d.arcs:
+        pred[j] |= bit[i]
+    lower = [sum(bit[u] for u in order if u < v) for v in order]
+    return [pred[v] for v in order], lower
+
+
+def _down_steps(
+    D: int, pred: list[int], lower: list[int]
+) -> Iterator[tuple[int, int]]:
+    """Each down-set D' above the down-set D with its number of legal blocks.
+
+    A block B = D' minus D splits into A- and A+. An arc inside B into a
+    larger label forces its head into A+, and one into a smaller label
+    forces its tail into A-; no arc then runs from A+ to A-, so every split
+    that respects the forced vertices is legal, and there are none when a
+    vertex is forced both ways. Vertices join B in topological order, so a
+    vertex is added only after all of its predecessors.
+    """
+    free = [k for k in range(len(pred)) if not D >> k & 1]
+    stack = [(0, 0, 0, 0)]  # (position in free, B, forced +, forced -)
+    while stack:
+        t, B, plus, minus = stack.pop()
+        if t == len(free):
+            if B:
+                yield D | B, 1 << (B.bit_count() - (plus | minus).bit_count())
+            continue
+        stack.append((t + 1, B, plus, minus))
+        k = free[t]
+        if pred[k] & ~(D | B):
+            continue
+        inner = pred[k] & B
+        if inner & lower[k]:
+            plus |= 1 << k
+        minus |= inner & ~lower[k]
+        if not plus & minus:
+            stack.append((t + 1, B | 1 << k, plus, minus))
 
 
 def delta_fundamental_expansion(w: Sequence[int]) -> dict[frozenset, int]:
@@ -188,7 +297,7 @@ def delta_toric(tc: ToricClass) -> CQSym:
     """Cyclic weight enumerator of a toric class: the sum of Kcyc_{cPk w}
     over its toric extensions w, one ``kcyc`` call per distinct cPk set."""
     n = len(tc.canonical.vertices)
-    counts = Counter(cpeak_set(w) for w in toric_extensions(tc.canonical))
+    counts = Counter(cpeak_set(w) for w in _toric_extensions(tc.members))
     out = CQSym.zero(n)
     for S, c in counts.items():
         out = out + kcyc(S, n).scale(c)
@@ -206,7 +315,7 @@ def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
 
     n = len(tc.canonical.vertices)
     out = QSym.zero(n)
-    for w in toric_extensions(tc.canonical):
+    for w in _toric_extensions(tc.members):
         for v in rotations(w):
             out = out + delta_perm(v)
     return from_qsym(out)

@@ -87,7 +87,8 @@ def omega(w: Sequence[int], m: int) -> int:
 
 
 def omega_dag(d: Dag, m: int) -> int:
-    """Order polynomial of a DAG via its weight enumerator."""
+    """Number of enriched partitions of d with values at most m: its weight
+    enumerator, from the down-set DP of ``delta_dag``, at m ones."""
     return delta_dag(d).specialize_ones(m)
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from toricpeaks import cli
 from toricpeaks.cli import main
 from toricpeaks.dag import Dag
 
@@ -106,6 +107,34 @@ def test_bad_input_is_one_line_error(argv):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_enumerate_enriched_refuses_a_huge_listing():
+    antichain = Dag.make(range(1, 13), []).to_json()
+    proc = run_subprocess("enumerate", "enriched", "--dag", antichain, "--m", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "enumerate enriched would produce more than 1000000 assignments, the limit"
+    ]
+
+
+@pytest.mark.parametrize("toric", [[], ["--toric"]])
+def test_enumerate_enriched_lists_a_wide_antichain(capsys, toric):
+    # 2^12 rows: within the limit, so listed whatever the (2m)^n candidates.
+    antichain = Dag.make(range(1, 13), []).to_json()
+    _, out = run(capsys, "enumerate", "enriched", "--dag", antichain, "--m", "1", *toric)
+    assert json.loads(out)["count"] == 4096
+
+
+def test_enumerate_enriched_toric_counts_before_listing(monkeypatch, capsys):
+    # The five members of D3's toric class have 4 enriched partitions in all
+    # at m = 1 and 80 at m = 2.
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 4)
+    _, out = run(capsys, "enumerate", "enriched", "--dag", D3_JSON, "--m", "1", "--toric")
+    assert json.loads(out)["count"] == 4
+    with pytest.raises(SystemExit, match="would produce more than 4 assignments"):
+        main(["enumerate", "enriched", "--dag", D3_JSON, "--m", "2", "--toric"])
 
 
 def test_missing_dag_file_is_named(tmp_path):

@@ -1,8 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from toricpeaks.dag import Dag, toric_class
+from toricpeaks.dag import Dag, disjoint_union, toric_class
 from toricpeaks.enriched import (
     cyclic_peak_product,
     delta_dag,
@@ -23,6 +25,7 @@ from toricpeaks.enriched import (
 )
 from toricpeaks.permstat import cyclic_peak_sets, peak_sets, peak_witness
 from toricpeaks.qsym import CQSym, QSym, cyclic_monomial
+from toricpeaks.verify import _brute_enriched, _delta_by_extensions
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
@@ -70,6 +73,50 @@ def test_delta_of_2431():
 
 def test_delta_dag_sums_linear_extensions():
     assert delta_dag(D3) == delta_perm((2, 4, 1, 3)) + delta_perm((2, 4, 3, 1))
+
+
+@st.composite
+def dags(draw, max_n):
+    """A random arc subset of the transitive tournament of a random order."""
+    n = draw(st.integers(0, max_n))
+    w = draw(st.permutations(range(1, n + 1)))
+    pairs = list(itertools.combinations(w, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Dag.make(w, [arc for arc, k in zip(pairs, keep) if k])
+
+
+@settings(deadline=None)
+@given(dags(6))
+def test_delta_dag_matches_linear_extensions(d):
+    assert delta_dag(d) == _delta_by_extensions(d)
+
+
+@settings(deadline=None)
+@given(dags(5), st.integers(0, 2))
+def test_enumerate_enriched_matches_brute_force(d, m):
+    assert enumerate_enriched(d, m) == _brute_enriched(d, m)
+
+
+def test_down_set_dp_edge_cases():
+    empty = Dag.make([], [])
+    assert delta_dag(empty) == QSym.unit(1)
+    assert enumerate_enriched(empty, 0) == enumerate_enriched(empty, 2) == [{}]
+    assert enumerate_enriched(D3, 0) == []
+    antichain = Dag.make([1, 2, 3, 4], [])
+    assert delta_dag(antichain) == _delta_by_extensions(antichain)
+    assert len(enumerate_enriched(antichain, 2)) == 4**4
+    for w in [(1, 2, 3, 4, 5), (5, 4, 3, 2, 1)]:
+        chain = Dag.make(w, zip(w, w[1:]))
+        assert delta_dag(chain) == delta_perm(w)
+        for m in (1, 2, 3):
+            assert enumerate_enriched(chain, m) == _brute_enriched(chain, m)
+
+
+def test_delta_dag_of_two_five_chains():
+    left = Dag.make([3, 1, 5, 2, 4], [(3, 1), (1, 5), (5, 2), (2, 4)])
+    right = Dag.make([6, 9, 7, 10, 8], [(6, 9), (9, 7), (7, 10), (10, 8)])
+    d = disjoint_union(left, right)
+    assert delta_dag(d) == _delta_by_extensions(d)
 
 
 def test_fundamental_expansion_matches_basis_change():
