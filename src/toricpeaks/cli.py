@@ -19,8 +19,11 @@ from .setcomp import phi, psi
 
 
 def parse_word(text: str) -> tuple[int, ...]:
-    """A word given either as digits ("3124") or comma-separated ("3,1,2,4")."""
+    """A nonempty word given either as digits ("3124") or comma-separated
+    ("3,1,2,4")."""
     try:
+        if not text:
+            raise ValueError("the word is empty")
         if "," in text:
             word = tuple(int(x) for x in text.split(","))
         else:
@@ -45,7 +48,10 @@ def load_dag(args) -> dagmod.Dag:
         path = Path(args.dag)
         payload = path.read_text() if path.is_file() else args.dag
         try:
-            return dagmod.Dag.from_json(payload)
+            d = dagmod.Dag.from_json(payload)
+            if min(d.vertices, default=0) < 1:
+                raise ValueError("vertices must be a nonempty set of positive labels")
+            return d
         except (ValueError, KeyError, TypeError) as exc:
             reason = str(exc)
             if isinstance(exc, json.JSONDecodeError) and not path.is_file():
@@ -62,8 +68,6 @@ def emit(data) -> None:
 
 def cmd_stats(args) -> int:
     w = parse_word(args.word)
-    if not w:
-        raise SystemExit("stats needs a nonempty word")
     data = {
         "word": list(w),
         "des": sorted(permstat.des_set(w)),
@@ -136,8 +140,8 @@ MAX_ENUMERATED = 10**6
 
 def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> None:
     """Exit 1 when the n-vertex members have more than ``MAX_ENUMERATED``
-    enriched partitions in all, counted per member (a toric union has no
-    more).
+    enriched partitions in all. Counted per member, this is exact for a
+    toric class too, as its members' enriched sets are disjoint.
 
     The count is skipped when (2m)^n candidates per member cannot exceed
     the limit, and otherwise stops one past it, so a refusal takes no
@@ -159,8 +163,7 @@ def cmd_enumerate(args) -> int:
         tc = dagmod.toric_class(d) if args.toric else None
         _refuse_huge_listing(tc.members if tc else [d], len(d.vertices), args.m)
         if tc:
-            frozen = sorted(enriched.enumerate_enriched_toric(tc, args.m), key=sorted)
-            rows = [dict(sorted(f)) for f in frozen]
+            rows = enriched.enumerate_enriched_toric(tc, args.m)
         else:
             rows = enriched.enumerate_enriched(d, args.m)
         if args.ndjson:

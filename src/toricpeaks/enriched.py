@@ -3,14 +3,17 @@ the (cyclic) peak functions they generate.
 
 Values live in the nonzero integers ordered -1 < 1 < -2 < 2 < ...; an
 assignment is a dict from vertex labels to such values. Weight enumerators
-expand in the monomial bases of qsym, via the peak-set formulas for total
-orders and cyclic classes and via a DP over down-sets for a DAG; the
-enumerations here are the combinatorial side of every identity the test
-suite checks.
+expand in the monomial bases of qsym: via the peak-set formulas for total
+orders and cyclic peak sets, and via a DP over down-sets for a DAG. An
+enriched toric partition of [D] is an enriched partition of exactly one
+member of [D], so Δ_[D] is the folded sum of the members' down-set DPs.
+The enumerations here are the combinatorial side of every identity the
+test suite checks.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from collections import Counter
 from fractions import Fraction
@@ -33,7 +36,7 @@ from .permstat import (
     is_peak_set,
     peak_set,
 )
-from .qsym import CQSym, QSym, _add_fcyc
+from .qsym import CQSym, QSym, _add_fcyc, from_qsym
 from .setcomp import (
     _class_set,
     _class_table,
@@ -131,12 +134,16 @@ def enumerate_enriched_word(w: Sequence[int], m: int) -> list[Assignment]:
     return enumerate_enriched(Dag.from_word(w), m)
 
 
-def enumerate_enriched_toric(tc: ToricClass, m: int) -> set[FrozenAssignment]:
-    """Deduplicated union of enriched partitions over all class members."""
-    out: set[FrozenAssignment] = set()
-    for member in tc.members:
-        out.update(freeze(f) for f in enumerate_enriched(member, m))
-    return out
+def enumerate_enriched_toric(tc: ToricClass, m: int) -> list[Assignment]:
+    """The enriched partitions of all class members with absolute value at
+    most m, in the order of ``enumerate_enriched``.
+
+    Each one fixes the direction of every arc (the values order its ends,
+    and on a tie the sign does), so it belongs to exactly one member and
+    the members' sorted streams merge without duplicates.
+    """
+    streams = [iter_enriched(member, m) for member in tc.members]
+    return list(heapq.merge(*streams, key=lambda f: sorted(f.items())))
 
 
 def assignment_to_json(f: Mapping[int, int]) -> str:
@@ -294,14 +301,10 @@ def kcyc(S: Iterable[int], n: int) -> CQSym:
 
 
 def delta_toric(tc: ToricClass) -> CQSym:
-    """Cyclic weight enumerator of a toric class: the sum of Kcyc_{cPk w}
-    over its toric extensions w, one ``kcyc`` call per distinct cPk set."""
+    """Cyclic weight enumerator of a toric class: the members' enriched
+    sets are disjoint, so it is the folded sum of their ``delta_dag``."""
     n = len(tc.canonical.vertices)
-    counts = Counter(cpeak_set(w) for w in _toric_extensions(tc.members))
-    out = CQSym.zero(n)
-    for S, c in counts.items():
-        out = out + kcyc(S, n).scale(c)
-    return out
+    return from_qsym(sum(map(delta_dag, tc.members), QSym.zero(n)))
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
@@ -311,7 +314,6 @@ def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
     folds the result into the cyclic monomial basis.
     """
     from .permstat import rotations
-    from .qsym import from_qsym
 
     n = len(tc.canonical.vertices)
     out = QSym.zero(n)

@@ -41,21 +41,6 @@ def phi(E: Iterable[int], n: int) -> Composition:
     return tuple(points[i + 1] - points[i] for i in range(len(points) - 1))
 
 
-def phi_inv(alpha: Composition) -> tuple[frozenset[int], int]:
-    """Partial sums of a composition; inverse of :func:`phi`.
-
-    Returns the subset of [n-1] and the ambient n = sum of parts.
-    """
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"parts must be positive: {alpha}")
-    n = sum(alpha)
-    sums, acc = [], 0
-    for a in alpha[:-1]:
-        acc += a
-        sums.append(acc)
-    return frozenset(sums), n
-
-
 def psi(E: Iterable[int], n: int) -> Composition:
     """Cyclic gaps (e_2-e_1, ..., e_k-e_{k-1}, e_1-e_k+n) of nonempty E in [n]."""
     elems = sorted(E)
@@ -70,37 +55,6 @@ def psi(E: Iterable[int], n: int) -> Composition:
     )
 
 
-def psi_preimage(alpha: Composition) -> tuple[frozenset[int], int]:
-    """Some subset E of [n] with psi(E) = alpha (the one containing n)."""
-    if any(a < 1 for a in alpha):
-        raise ValueError(f"parts must be positive: {alpha}")
-    n = sum(alpha)
-    elems, acc = [n], 0
-    for a in reversed(alpha[:-1]):
-        acc += a
-        elems.append(n - acc)
-    return frozenset(elems), n
-
-
-def composition_shifts(alpha: Composition) -> list[Composition]:
-    """All cyclic shifts of a composition."""
-    k = len(alpha)
-    if k == 0:
-        return [()]
-    return [alpha[i:] + alpha[:i] for i in range(k)]
-
-
-def canonical_composition_class(alpha: Composition) -> Composition:
-    """Least cyclic shift; all shifts share a length so this is plain lex."""
-    return min(composition_shifts(alpha))
-
-
-def subset_class_members(E: Iterable[int], n: int) -> set[frozenset[int]]:
-    """All cyclic shifts of E in [n]."""
-    E = frozenset(E)
-    return {shift_set(E, n, i) for i in range(n)}
-
-
 def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
     """Shift of E whose sorted element list is lexicographically least.
 
@@ -112,11 +66,6 @@ def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
     if not E:
         raise ValueError("the empty set has no cyclic class in [n]")
     return _class_set(_canonical_mask(_mask(E, n), n), n)
-
-
-def psi_class(E: Iterable[int], n: int) -> Composition:
-    """Canonical cyclic composition of the class of psi(E)."""
-    return canonical_composition_class(psi(E, n))
 
 
 # --- bitmask internals -------------------------------------------------------

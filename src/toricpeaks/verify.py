@@ -53,6 +53,7 @@ from .orderpoly import (
     runs,
 )
 from .permstat import (
+    Word,
     canonical_rotation,
     cpeak_set,
     cyclic_peak_sets,
@@ -110,6 +111,11 @@ def _delta_toric(tc: ToricClass) -> CQSym:
 
 
 @functools.cache
+def _toric_extensions_of(tc: ToricClass) -> list[Word]:
+    return _toric_extensions(tc.members)
+
+
+@functools.cache
 def _k_peak(S: frozenset, n: int) -> QSym:
     return k_peak(S, n)
 
@@ -132,6 +138,8 @@ def small_dags(max_n: int = 4) -> list[Dag]:
 
 def random_dags(count: int, max_n: int = 4, seed: int = 0) -> list[Dag]:
     """Seeded random DAGs: random arc subsets of random tournaments."""
+    if max_n < 2:  # every sample has 2 to max_n vertices
+        return []
     rng = random.Random(seed)
     out = []
     for _ in range(count):
@@ -161,6 +169,14 @@ def _delta_by_extensions(d: Dag) -> QSym:
     """Oracle for ``delta_dag``: the sum of ``delta_perm`` over the linear
     extensions of d (the fundamental lemma)."""
     return sum(map(delta_perm, linear_extensions(d)), QSym.zero(len(d.vertices)))
+
+
+def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:
+    """Oracle for ``delta_toric``: the sum of Kcyc_{cPk w} over the toric
+    extensions w of the class, one ``kcyc`` call per distinct cPk set."""
+    n = len(tc.canonical.vertices)
+    counts = Counter(cpeak_set(w) for w in _toric_extensions_of(tc))
+    return sum((kcyc(S, n).scale(c) for S, c in counts.items()), CQSym.zero(n))
 
 
 def _count_enriched_word(w: tuple[int, ...], m: int) -> int:
@@ -300,16 +316,23 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> dict:
     """Cyclic weight enumerator of the example, two ways, plus oracles."""
     checks: list = []
     tc = _toric_of(D3)
-    via_cpk = delta_toric(tc)
+    delta = delta_toric(tc)
+    via_cpk = _delta_toric_by_cpk(tc)
     via_rot = delta_toric_by_rotations(tc)
-    _check(checks, "delta-cyc via cPk formula", via_cpk == DELTA_CYC_D3, repr(via_cpk))
+    # The member sum and its cPk oracle share one line.
+    _check(
+        checks,
+        "delta-cyc via cPk formula",
+        delta == via_cpk == DELTA_CYC_D3,
+        f"member sum {delta!r}, cPk route {via_cpk!r}",
+    )
     _check(checks, "delta-cyc via rotation sums", via_rot == DELTA_CYC_D3, repr(via_rot))
     for m in range(1, max_m + 1):
         brute = _weight_poly(_toric_enriched_set(tc, m), m)
         _check(
             checks,
             f"delta-cyc brute-force weights m={m}",
-            brute == via_cpk.truncate(m),
+            brute == delta.truncate(m),
         )
     # Linear enumerators against brute force, and the F-expansion shortcut.
     bad = 0
@@ -366,9 +389,14 @@ def suite_fundamental_lemma(
         if tc in toric_done:
             continue
         toric_done.add(tc)
-        extensions = _toric_extensions(tc.members)
+        # The member sum against its cPk oracle, and the disjoint member
+        # sets it rests on, count as toric failures.
+        toric_bad += _delta_toric(tc) != _delta_toric_by_cpk(tc)
+        extensions = _toric_extensions_of(tc)
         for m in range(1, max_m + 1):
             whole = _toric_enriched_set(tc, m)
+            members = [_enriched_set(member, m) for member in tc.members]
+            toric_bad += not _is_disjoint_cover(whole, members)
             pieces = [
                 _toric_enriched_set(_toric_of(Dag.from_word(w)), m) for w in extensions
             ]

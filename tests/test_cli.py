@@ -100,6 +100,11 @@ def test_expand_without_degree_is_one_line_error():
         ("series", "12", "--order", "-1"),
         ("verify", "order-poly", "--n", "-1"),
         ("stats", ""),
+        ("order-poly", ""),
+        ("enumerate", "markings", "--word", "", "--m", "2"),
+        ("series", ""),
+        ("extensions", "toric", "--dag", '{"vertices":[],"arcs":[]}'),
+        ("extensions", "toric", "--dag", '{"vertices":[0,1],"arcs":[[0,1]]}'),
     ],
 )
 def test_bad_input_is_one_line_error(argv):

@@ -15,6 +15,7 @@ from toricpeaks.enriched import (
     delta_toric_by_rotations,
     enumerate_enriched,
     enumerate_enriched_toric,
+    freeze,
     is_enriched,
     k_peak,
     kcyc,
@@ -25,7 +26,7 @@ from toricpeaks.enriched import (
 )
 from toricpeaks.permstat import cyclic_peak_sets, peak_sets, peak_witness
 from toricpeaks.qsym import CQSym, QSym, cyclic_monomial
-from toricpeaks.verify import _brute_enriched, _delta_by_extensions
+from toricpeaks.verify import _brute_enriched, _delta_by_extensions, _delta_toric_by_cpk
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
@@ -181,7 +182,22 @@ def test_delta_toric_two_ways():
 def test_toric_enumeration_counts():
     tc = toric_class(D3)
     for m in (1, 2, 3):
-        assert len(enumerate_enriched_toric(tc, m)) == delta_toric(tc).specialize_ones(m)
+        rows = enumerate_enriched_toric(tc, m)
+        assert len(rows) == delta_toric(tc).specialize_ones(m)
+        assert rows == sorted(rows, key=lambda f: sorted(f.items()))
+
+
+@settings(deadline=None, max_examples=50)
+@given(dags(6).filter(lambda d: d.vertices))
+def test_delta_toric_is_the_member_sum(d):
+    tc = toric_class(d)
+    assert delta_toric(tc) == _delta_toric_by_cpk(tc) == delta_toric_by_rotations(tc)
+    for m in (1, 2):
+        sets = [{freeze(f) for f in enumerate_enriched(e, m)} for e in tc.members]
+        union = set().union(*sets)
+        assert sum(map(len, sets)) == len(union)
+        old = [dict(sorted(f)) for f in sorted(union, key=sorted)]
+        assert enumerate_enriched_toric(tc, m) == old
 
 
 def test_kcyc_fund_expansion_reproduces_kcyc_for_n_at_least_2():

@@ -1,6 +1,6 @@
 """The verify suites catch what they claim to check, and share their memos."""
 
-from toricpeaks import verify
+from toricpeaks import enriched, verify
 from toricpeaks.dag import Dag, toric_class
 from toricpeaks.qsym import cyclic_monomial
 
@@ -17,6 +17,32 @@ def test_enumerator_catches_a_wrong_kcyc(monkeypatch):
     report = verify.run_suite("enumerator", max_m=1)
     failed = [c["name"] for c in report["checks"] if not c["pass"]]
     assert failed == ["enumerators depend only on peak data, n<=6"]
+
+
+def test_fundamental_lemma_catches_a_wrong_delta_dag(monkeypatch):
+    # delta_toric sums delta_dag over the class members; doubling it in
+    # degree 3 keeps the sum cyclic but breaks it against the cPk oracle.
+    delta_dag = enriched.delta_dag
+
+    def doubled_in_degree_3(d):
+        delta = delta_dag(d)
+        return delta.scale(2) if len(d.vertices) == 3 else delta
+
+    monkeypatch.setattr(enriched, "delta_dag", doubled_in_degree_3)
+    verify._delta_toric.cache_clear()
+    try:
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+    finally:
+        verify._delta_toric.cache_clear()
+    failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
+    assert failed == ["toric decomposition", "specialization counts"]
+
+
+def test_small_degree_bounds_draw_no_random_dags():
+    assert verify.random_dags(5, max_n=1) == []
+    assert verify.random_dags(5, max_n=0) == []
+    for suite, max_n in [("fundamental-lemma", 1), ("all", 0)]:
+        assert verify.run_suite(suite, max_n=max_n, max_m=1)["pass"]
 
 
 def test_is_disjoint_cover():
