@@ -12,7 +12,7 @@ import dataclasses
 import json
 from typing import Iterable, Iterator, Sequence
 
-from .permstat import Word, canonical_rotation, check_word
+from .permstat import Word, check_word
 
 Arc = tuple[int, int]
 
@@ -141,67 +141,71 @@ class ToricClass:
 
 
 def toric_class(d: Dag) -> ToricClass:
-    """Breadth-first closure of d under all legal flips."""
-    members = {d}
-    frontier = [d]
+    """Closure of d under flips at sources and sinks. Such a flip leaves a
+    DAG acyclic, so the search flips plain arc sets and builds each member
+    as a checked ``Dag`` once."""
+    seen = {d.arcs}
+    frontier = [d.arcs]
     while frontier:
-        cur = frontier.pop()
-        for v in sources(cur) | sinks(cur):
-            nxt = flip(cur, v)
-            if nxt not in members:
-                members.add(nxt)
+        arcs = frontier.pop()
+        tails = {i for i, _ in arcs}
+        heads = {j for _, j in arcs}
+        for v in tails ^ heads:  # the sources and sinks with an arc
+            nxt = frozenset((j, i) if v in (i, j) else (i, j) for i, j in arcs)
+            if nxt not in seen:
+                seen.add(nxt)
                 frontier.append(nxt)
-    canonical = min(members, key=lambda m: sorted(m.arcs))
-    return ToricClass(frozenset(members), canonical)
+    members = {arcs: Dag(d.vertices, arcs) for arcs in seen}
+    return ToricClass(frozenset(members.values()), members[min(seen, key=sorted)])
 
 
 def linear_extensions(d: Dag) -> list[Word]:
-    """All topological orderings of d, sorted lexicographically."""
-    succ: dict[int, list[int]] = {v: [] for v in d.vertices}
-    indeg = {v: 0 for v in d.vertices}
+    """All topological orderings of d, sorted lexicographically: a
+    depth-first search over bitmasks of placed vertices that tries, in label
+    order, each vertex whose predecessor mask lies inside the placed mask."""
+    return _extensions(d, least_first=False)
+
+
+def _extensions(d: Dag, least_first: bool) -> list[Word]:
+    """``linear_extensions`` of d or, with ``least_first``, those of them
+    that start with the least label (none unless it is a source)."""
+    verts = sorted(d.vertices)
+    bit = {v: 1 << k for k, v in enumerate(verts)}
+    pred = dict.fromkeys(verts, 0)
     for i, j in d.arcs:
-        succ[i].append(j)
-        indeg[j] += 1
+        pred[j] |= bit[i]
+    choices = [(v, bit[v], pred[v]) for v in verts]
+    full = (1 << len(verts)) - 1
     out: list[Word] = []
-    prefix: list[int] = []
 
-    def rec():
-        avail = sorted(v for v in d.vertices if indeg[v] == 0 and v not in used)
-        if len(prefix) == len(d.vertices):
-            out.append(tuple(prefix))
+    def rec(placed: int, prefix: tuple[int, ...]) -> None:
+        if placed == full:
+            out.append(prefix)
             return
-        for v in avail:
-            used.add(v)
-            prefix.append(v)
-            for u in succ[v]:
-                indeg[u] -= 1
-            rec()
-            for u in succ[v]:
-                indeg[u] += 1
-            prefix.pop()
-            used.remove(v)
+        for v, b, p in choices:
+            if not placed & b and not p & ~placed:
+                rec(placed | b, prefix + (v,))
 
-    used: set[int] = set()
-    rec()
+    head = verts[:1] if least_first else []
+    if not any(pred[v] for v in head):
+        rec(sum(bit[v] for v in head), tuple(head))
     return out
 
 
 def toric_extensions(d: Dag) -> list[Word]:
     """Cyclic classes torically extending [d], as canonical rotations.
 
-    Computed as the union of linear extensions over the flip closure,
-    grouped into rotation classes.
+    Each is listed once, cut at its least label: there it is a linear
+    extension of exactly one member of the class.
     """
     return _toric_extensions(toric_class(d).members)
 
 
 def _toric_extensions(members: Iterable[Dag]) -> list[Word]:
-    """``toric_extensions`` of a class whose members are already known."""
-    classes = set()
-    for member in members:
-        for w in linear_extensions(member):
-            classes.add(canonical_rotation(w))
-    return sorted(classes)
+    """``toric_extensions`` of a class whose members are already known. Cut
+    at its least label v, a toric extension is a linear extension of the
+    one member whose arcs it induces, and v is a source of that member."""
+    return sorted(w for member in members for w in _extensions(member, least_first=True))
 
 
 def _paths(succ: dict[int, list[int]], a: int, b: int) -> Iterator[tuple[int, ...]]:

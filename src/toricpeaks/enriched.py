@@ -310,17 +310,18 @@ def delta_toric(tc: ToricClass) -> CQSym:
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
     """Independent route: fold the linear enumerators of every rotation.
 
-    Sums delta_perm over all representatives of all toric extensions and
-    folds the result into the cyclic monomial basis.
+    Sums delta_perm over all n rotations of every toric extension, one
+    ``delta_from_peak_set`` call per distinct peak set, and folds the
+    result into the cyclic monomial basis.
     """
-    from .permstat import rotations
-
     n = len(tc.canonical.vertices)
-    out = QSym.zero(n)
-    for w in _toric_extensions(tc.members):
-        for v in rotations(w):
-            out = out + delta_perm(v)
-    return from_qsym(out)
+    if n == 0:
+        return CQSym.unit(1)
+    counts = Counter(
+        peak_set(w[i:] + w[:i]) for w in _toric_extensions(tc.members) for i in range(n)
+    )
+    deltas = (delta_from_peak_set(S, n).scale(c) for S, c in counts.items())
+    return from_qsym(sum(deltas, QSym.zero(n)))
 
 
 def kcyc_fund_expansion(S: Iterable[int], n: int) -> tuple[dict[frozenset, int], CQSym]:

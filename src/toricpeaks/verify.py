@@ -18,13 +18,17 @@ from .dag import (
     ToricClass,
     _toric_extensions,
     disjoint_union,
+    flip,
     linear_extensions,
+    sinks,
+    sources,
     toric_class,
     toric_extensions,
 )
 from .enriched import (
     cyclic_peak_product,
     delta_dag,
+    delta_from_peak_set,
     delta_fundamental_expansion,
     delta_perm,
     delta_toric,
@@ -167,8 +171,33 @@ def _brute_enriched(d: Dag, m: int) -> list[dict[int, int]]:
 
 def _delta_by_extensions(d: Dag) -> QSym:
     """Oracle for ``delta_dag``: the sum of ``delta_perm`` over the linear
-    extensions of d (the fundamental lemma)."""
-    return sum(map(delta_perm, linear_extensions(d)), QSym.zero(len(d.vertices)))
+    extensions of d (the fundamental lemma), one ``delta_from_peak_set``
+    call per distinct peak set."""
+    n, counts = len(d.vertices), Counter(map(peak_set, linear_extensions(d)))
+    return sum((delta_from_peak_set(S, n).scale(c) for S, c in counts.items()), QSym.zero(n))
+
+
+def _toric_class_by_flips(d: Dag) -> frozenset[Dag]:
+    """Oracle for ``toric_class``: its members, by the checked ``flip`` of
+    every member found at every source and sink."""
+    members = {d}
+    frontier = [d]
+    while frontier:
+        cur = frontier.pop()
+        for v in sources(cur) | sinks(cur):
+            nxt = flip(cur, v)
+            if nxt not in members:
+                members.add(nxt)
+                frontier.append(nxt)
+    return frozenset(members)
+
+
+def _toric_extensions_by_rotation(tc: ToricClass) -> list[Word]:
+    """Oracle for ``toric_extensions``: the canonical rotation of every
+    linear extension of every member, deduplicated and sorted."""
+    return sorted(
+        {canonical_rotation(w) for member in tc.members for w in linear_extensions(member)}
+    )
 
 
 def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:
@@ -389,10 +418,13 @@ def suite_fundamental_lemma(
         if tc in toric_done:
             continue
         toric_done.add(tc)
-        # The member sum against its cPk oracle, and the disjoint member
-        # sets it rests on, count as toric failures.
-        toric_bad += _delta_toric(tc) != _delta_toric_by_cpk(tc)
+        # The class and its toric extensions against their flip and
+        # rotation oracles, the member sum against its cPk oracle, and the
+        # disjoint member sets it rests on, count as toric failures.
         extensions = _toric_extensions_of(tc)
+        toric_bad += tc.members != _toric_class_by_flips(d)
+        toric_bad += extensions != _toric_extensions_by_rotation(tc)
+        toric_bad += _delta_toric(tc) != _delta_toric_by_cpk(tc)
         for m in range(1, max_m + 1):
             whole = _toric_enriched_set(tc, m)
             members = [_enriched_set(member, m) for member in tc.members]

@@ -1,4 +1,8 @@
+import itertools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricpeaks.dag import (
     Dag,
@@ -13,7 +17,11 @@ from toricpeaks.dag import (
     toric_extensions,
     transitive_closure,
 )
-from toricpeaks.verify import small_dags
+from toricpeaks.verify import (
+    _toric_class_by_flips,
+    _toric_extensions_by_rotation,
+    small_dags,
+)
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
@@ -107,3 +115,34 @@ def test_json_roundtrip():
     assert Dag.from_json(D3.to_json()) == D3
     tc = toric_class(D3)
     assert '"size": 5' in tc.to_json()
+
+
+@st.composite
+def labeled_dags(draw, max_n):
+    """A random arc subset of the transitive tournament of a random order
+    of 1 to max_n distinct labels, not necessarily consecutive."""
+    w = draw(st.lists(st.integers(1, 20), min_size=1, max_size=max_n, unique=True))
+    pairs = list(itertools.combinations(w, 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Dag.make(w, [arc for arc, k in zip(pairs, keep) if k])
+
+
+@settings(deadline=None)
+@given(labeled_dags(6))
+def test_extension_routes_match_their_oracles(d):
+    tc = toric_class(d)
+    assert tc.members == _toric_class_by_flips(d)
+    assert tc.canonical == min(tc.members, key=lambda m: sorted(m.arcs))
+    assert toric_extensions(d) == _toric_extensions_by_rotation(tc)
+    assert linear_extensions(d) == [
+        w
+        for w in itertools.permutations(sorted(d.vertices))
+        if all(w.index(i) < w.index(j) for i, j in d.arcs)
+    ]
+
+
+def test_empty_dag_extensions():
+    empty = Dag.make([], [])
+    assert linear_extensions(empty) == [()]
+    assert toric_extensions(empty) == [()]
+    assert toric_class(empty).members == frozenset({empty})

@@ -179,6 +179,13 @@ def test_delta_toric_two_ways():
     assert delta_toric_by_rotations(tc) == expected
 
 
+def test_routes_agree_on_the_empty_class():
+    tc = toric_class(Dag.make([], []))
+    assert delta_toric(tc) == CQSym.unit(1)
+    assert delta_toric_by_rotations(tc) == CQSym.unit(1)
+    assert _delta_toric_by_cpk(tc) == CQSym.unit(1)
+
+
 def test_toric_enumeration_counts():
     tc = toric_class(D3)
     for m in (1, 2, 3):

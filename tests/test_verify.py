@@ -38,6 +38,22 @@ def test_fundamental_lemma_catches_a_wrong_delta_dag(monkeypatch):
     assert failed == ["toric decomposition", "specialization counts"]
 
 
+def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
+    toric_extensions = verify._toric_extensions
+
+    def one_short(members):
+        return toric_extensions(members)[1:]
+
+    monkeypatch.setattr(verify, "_toric_extensions", one_short)
+    verify._toric_extensions_of.cache_clear()
+    try:
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+    finally:
+        verify._toric_extensions_of.cache_clear()
+    failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
+    assert failed == ["toric decomposition"]
+
+
 def test_small_degree_bounds_draw_no_random_dags():
     assert verify.random_dags(5, max_n=1) == []
     assert verify.random_dags(5, max_n=0) == []
