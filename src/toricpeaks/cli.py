@@ -94,31 +94,29 @@ def cmd_expand(args) -> int:
     if args.n is None and kind not in ("delta", "delta-cyc"):
         raise SystemExit(f"expand {kind} needs a degree n")
     try:
-        if kind in ("M", "F"):
-            n, E = args.n, parse_subset(args.set)
-            elem = qsym.monomial(n, E) if kind == "M" else qsym.fundamental(n, E)
-            print(elem.to_json(basis=args.basis))
-        elif kind == "Mcyc":
-            print(qsym.cyclic_monomial(args.n, parse_subset(args.set)).to_json())
-        elif kind == "Fcyc":
-            elem = qsym.cyclic_fundamental(args.n, parse_subset(args.set))
-            if args.basis == "M":
-                print(elem.as_qsym().to_json(basis="M"))
-            else:
-                print(elem.to_json())
-        elif kind == "K":
-            elem = enriched.k_peak(parse_subset(args.set), args.n)
-            print(elem.to_json(basis=args.basis))
-        elif kind == "Kcyc":
-            print(enriched.kcyc(parse_subset(args.set), args.n).to_json())
-        elif kind == "delta":
+        if kind == "delta":
             elem = enriched.delta_dag(load_dag(args))
-            print(elem.to_json(basis=args.basis))
         elif kind == "delta-cyc":
-            tc = dagmod.toric_class(load_dag(args))
-            print(enriched.delta_toric(tc).to_json())
+            elem = enriched.delta_toric(dagmod.toric_class(load_dag(args)))
         else:
-            raise SystemExit(f"unknown expansion kind {kind!r}")
+            n, S = args.n, parse_subset(args.set)
+            if kind == "M":
+                elem = qsym.monomial(n, S)
+            elif kind == "F":
+                elem = qsym.fundamental(n, S)
+            elif kind == "Mcyc":
+                elem = qsym.cyclic_monomial(n, S)
+            elif kind == "Fcyc":
+                elem = qsym.cyclic_fundamental(n, S)
+            elif kind == "K":
+                elem = enriched.k_peak(S, n)
+            else:
+                elem = enriched.kcyc(S, n)
+        basis = args.basis or ("Mcyc" if kind in ("Mcyc", "Kcyc", "delta-cyc") else "M")
+        if isinstance(elem, qsym.CQSym):
+            print(elem.to_json() if basis == "Mcyc" else elem.as_qsym().to_json(basis))
+        else:
+            print(elem.to_json(basis))  # ValueError on Mcyc, which a QSym lacks
     except ValueError as exc:
         raise SystemExit(str(exc))
     return 0
@@ -257,7 +255,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("kind", choices=["M", "F", "Mcyc", "Fcyc", "K", "Kcyc", "delta", "delta-cyc"])
     sp.add_argument("n", nargs="?", type=int)
     sp.add_argument("set", nargs="?", default="")
-    sp.add_argument("--basis", choices=["M", "F", "Mcyc"], default="M")
+    sp.add_argument(
+        "--basis",
+        choices=["M", "F", "Mcyc"],
+        help="basis to print in (default: Mcyc for Mcyc, Kcyc and delta-cyc, else M)",
+    )
     sp.add_argument("--dag", help="DAG as a JSON file path or inline JSON")
     sp.add_argument("--word", help="total order given as a word")
     sp.set_defaults(fn=cmd_expand)

@@ -38,7 +38,7 @@ from .permstat import (
 )
 from .qsym import CQSym, QSym, _add_fcyc, from_qsym
 from .setcomp import (
-    _class_set,
+    _canonical_mask,
     _class_table,
     _fill_orbit,
     _mask,
@@ -160,10 +160,10 @@ def delta_from_peak_set(S: frozenset[int], n: int) -> QSym:
     # Masks in degree n hold e at bit n - e, so E + 1 is mask >> 1; the
     # subsets of [n-1] are the even masks.
     peaks = _mask(S, n)
-    terms: dict[frozenset, int] = {}
+    terms: dict[int, int] = {}
     for E in range(0, 1 << n, 2):
         if not peaks & ~(E | E >> 1):
-            terms[_set(E, n)] = 2 << E.bit_count()
+            terms[E] = 2 << E.bit_count()
     return QSym._make(n, terms)
 
 
@@ -187,22 +187,19 @@ def delta_dag(d: Dag) -> QSym:
         return QSym.unit(1)
     pred, lower = _bit_order(d)
     # The state of a down-set D maps each key E inside [|D| - 1], as a mask
-    # with bit p - 1 for p in E, to its count.
+    # of degree n, to its count.
     layers: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
     layers[0][0] = {0: 1}
     for size in range(n):
         for D, state in layers[size].items():
             if size:  # |D| joins E
-                state = {E | 1 << (size - 1): c for E, c in state.items()}
+                state = {E | 1 << (n - size): c for E, c in state.items()}
             for D2, ways in _down_steps(D, pred, lower):
                 target = layers[D2.bit_count()].setdefault(D2, {})
                 for E, c in state.items():
                     target[E] = target.get(E, 0) + c * ways
         layers[size] = {}
-    return QSym._make(n, {
-        frozenset(p for p in range(1, n) if E >> (p - 1) & 1): c
-        for E, c in layers[n][(1 << n) - 1].items()
-    })
+    return QSym._make(n, layers[n][(1 << n) - 1])
 
 
 def _bit_order(d: Dag) -> tuple[list[int], list[int]]:
@@ -297,7 +294,7 @@ def kcyc(S: Iterable[int], n: int) -> CQSym:
         if not peaks & ~(E | E >> 1 | (E & 1) << top):
             key = table[E] or _fill_orbit(table, E, n)
             terms[key] = terms.get(key, 0) + (1 << E.bit_count())
-    return CQSym._make(n, {_class_set(k, n): c for k, c in terms.items()})
+    return CQSym._make(n, terms)
 
 
 def delta_toric(tc: ToricClass) -> CQSym:
@@ -345,10 +342,7 @@ def kcyc_fund_expansion(S: Iterable[int], n: int) -> tuple[dict[frozenset, int],
             key = table[E] or _fill_orbit(table, E, n)
             coeffs[key] = coeffs.get(key, 0) + weight
             _add_fcyc(elem, E, n, weight)
-    return (
-        {_class_set(k, n): c for k, c in coeffs.items()},
-        CQSym._make(n, {_class_set(k, n): c for k, c in elem.items()}),
-    )
+    return {_set(k, n): c for k, c in coeffs.items()}, CQSym._make(n, elem)
 
 
 def kcyc_index_map(S: frozenset[int]) -> frozenset[int]:
@@ -368,12 +362,9 @@ def kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int]
     if n < 2:
         raise ValueError("need n >= 2")
     sets = cyclic_peak_sets(n)
-    cols = [canonical_subset_class(kcyc_index_map(S), n) for S in sets]
-    matrix = []
-    for S in sets:
-        row_elem = kcyc(S, n)
-        matrix.append([row_elem.terms.get(c, 0) for c in cols])
-    return sets, matrix
+    cols = [_canonical_mask(_mask(kcyc_index_map(S), n), n) for S in sets]
+    rows = [kcyc(S, n).masks for S in sets]
+    return sets, [[row.get(c, 0) for c in cols] for row in rows]
 
 
 def matrix_rank(rows: list[list[int]]) -> int:

@@ -267,25 +267,16 @@ def partition_to_marking(f: Mapping[int, int], w: Sequence[int], m: int) -> Mark
 
     bars_before = []
     marks_so_far = 0
-    prev_total = None
     for k in range(1, n + 1):
-        total = prefix_total(k)
-        if prev_total is not None and total < prev_total:
-            raise ValueError("prefix counts are not monotone")
-        bars = total - marks_so_far
-        bars_before.append(bars)
+        bars_before.append(prefix_total(k) - marks_so_far)
         if k in marked:
             marks_so_far += 1
-        prev_total = total
     bars_list = []
     prev = 0
     for g, cur in enumerate(bars_before):
         bars_list.extend([g] * (cur - prev))
         prev = cur
-    trailing = budget - len(marked) - prev
-    if trailing < 0:
-        raise ValueError("negative trailing bar count")
-    bars_list.extend([n] * trailing)
+    bars_list.extend([n] * (budget - len(marked) - prev))
     return Marking(word, tuple(bars_list), marked)
 
 

@@ -177,18 +177,31 @@ def cyclic_peak_sets(n: int) -> list[frozenset[int]]:
 
 
 def peak_witness(S: frozenset[int] | set[int], n: int) -> Word:
-    """Lexicographically first w in S_n with Pk w = S."""
+    """A w in S_n with Pk w = S, built by ``_witness``."""
     S = frozenset(S)
-    for w in itertools.permutations(range(1, n + 1)):
-        if peak_set(w) == S:
-            return w
-    raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
+    if not is_peak_set(S, n):
+        raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
+    return _witness(S, n, 0)
 
 
 def cyclic_peak_witness(S: frozenset[int] | set[int], n: int) -> Word:
-    """Lexicographically first w in S_n with cPk w = S."""
+    """A w in S_n with cPk w = S, built by ``_witness``."""
     S = frozenset(S)
-    for w in itertools.permutations(range(1, n + 1)):
-        if cpeak_set(w) == S:
-            return w
-    raise ValueError(f"{sorted(S)} is not a cyclic peak set in [{n}]")
+    if not is_cyclic_peak_set(S, n):
+        raise ValueError(f"{sorted(S)} is not a cyclic peak set in [{n}]")
+    return _witness(S, n, max(S, default=0))
+
+
+def _witness(S: frozenset[int], n: int, start: int) -> Word:
+    """The word whose positions in S hold the |S| largest values and whose
+    other positions hold 1, ..., n - |S| in position order, beginning just
+    after position ``start`` (mod n). With no two elements of S (cyclically)
+    adjacent, a position in S lies above both neighbours, and any other
+    position below its successor, except the last in that order: n in the
+    linear case, with no successor, or start = max(S), in S.
+    """
+    peaks, valleys = iter(range(n - len(S) + 1, n + 1)), iter(range(1, n + 1))
+    w = [0] * n
+    for i in range(start, start + n):
+        w[i % n] = next(peaks if i % n + 1 in S else valleys)
+    return tuple(w)

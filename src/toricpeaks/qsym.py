@@ -3,8 +3,11 @@
 The monomial basis is the canonical internal representation. A ``QSym``
 of degree n stores a sparse map from subsets of [n-1] to integer
 coefficients; a ``CQSym`` maps canonical cyclic subset classes in [n] to
-integers. Fundamental bases, cyclic bases and the truncated-polynomial
-oracle are views and constructors on top of these.
+integers. Both key their maps by the bitmasks of setcomp (element e at
+bit n - e) and show frozenset keys only at the API edge: the ``terms``
+view, the public constructors, JSON and ``repr``. Fundamental bases,
+cyclic bases and the truncated-polynomial oracle are views and
+constructors on top of these.
 
 All coefficients are exact Python integers.
 """
@@ -15,20 +18,18 @@ import itertools
 import json
 from collections import Counter
 from math import comb
+from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
 
 from .setcomp import (
     Composition,
     _canonical_mask,
-    _class_set,
     _class_table,
     _fill_orbit,
     _mask,
     _orbit,
     _set,
     _submasks,
-    canonical_subset_class,
-    phi,
     shift_set,
 )
 
@@ -61,68 +62,75 @@ class _Homogeneous:
     """Homogeneous element of a fixed degree: a sparse map from keys to
     nonzero integers, shared by :class:`QSym` and :class:`CQSym`.
 
-    Subclasses supply ``_check_key``, the basis name ``_symbol`` and the
-    classmethods ``zero`` and ``unit``. The public constructor validates
-    every key; results the library builds itself come from ``_make``,
-    which skips that check. Elements of different subclasses never compare
-    equal or add.
+    ``masks`` maps each key, as a bitmask of degree ``degree``, to its
+    coefficient. Subclasses supply ``_key``, which validates a subset and
+    returns its mask, the basis name ``_symbol`` and the classmethods
+    ``zero`` and ``unit``. The public constructor validates every key;
+    results the library builds itself come from ``_make``, which takes
+    masks already known to be valid. Elements of different subclasses
+    never compare equal or add.
     """
 
-    __slots__ = ("degree", "terms")
+    __slots__ = ("degree", "masks")
 
     def __init__(self, degree: int, terms: Mapping[frozenset, int]):
-        for E in terms:
-            self._check_key(degree, E)
         self.degree = degree
-        self.terms = _clean(terms)
+        self.masks = _clean({self._key(degree, E): c for E, c in terms.items()})
 
     @classmethod
-    def _make(cls, degree: int, terms: Mapping[frozenset, int]):
-        """An element from keys already known to be valid."""
+    def _make(cls, degree: int, masks: Mapping[int, int]):
+        """An element from masks already known to be valid keys."""
         out = object.__new__(cls)
         out.degree = degree
-        out.terms = _clean(terms)
+        out.masks = _clean(masks)
         return out
+
+    @property
+    def terms(self) -> Mapping[frozenset, int]:
+        """Read-only view of the coefficients keyed by frozensets, built
+        on each access."""
+        n = self.degree
+        return MappingProxyType({_set(k, n): c for k, c in self.masks.items()})
 
     def __eq__(self, other) -> bool:
         return (
             type(other) is type(self)
             and self.degree == other.degree
-            and self.terms == other.terms
+            and self.masks == other.masks
         )
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.masks)
 
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
         if self.degree != other.degree:
-            if not self.terms:
+            if not self.masks:
                 return other
-            if not other.terms:
+            if not other.masks:
                 return self
             raise ValueError("cannot add elements of different degrees")
-        out = dict(self.terms)
-        for E, c in other.terms.items():
-            out[E] = out.get(E, 0) + c
+        out = dict(self.masks)
+        for k, c in other.masks.items():
+            out[k] = out.get(k, 0) + c
         return self._make(self.degree, out)
 
     def __neg__(self):
-        return self._make(self.degree, {E: -c for E, c in self.terms.items()})
+        return self._make(self.degree, {k: -c for k, c in self.masks.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def scale(self, c: int):
-        return self._make(self.degree, {E: c * v for E, v in self.terms.items()})
+        return self._make(self.degree, {k: c * v for k, v in self.masks.items()})
 
     def __rmul__(self, c: int):
         return self.scale(c)
 
     def __repr__(self) -> str:
         name = type(self).__name__
-        if not self.terms:
+        if not self.masks:
             return f"{name}({self.degree}, 0)"
         parts = [
             f"{c}*{self._symbol}{{{','.join(map(str, sorted(E)))}}}"
@@ -160,12 +168,14 @@ class QSym(_Homogeneous):
 
     @classmethod
     def unit(cls, coeff: int = 1) -> "QSym":
-        return cls._make(0, {frozenset(): coeff})
+        return cls._make(0, {0: coeff})
 
     @staticmethod
-    def _check_key(degree: int, E: frozenset) -> None:
+    def _key(degree: int, E: Iterable[int]) -> int:
+        E = frozenset(E)
         if not E <= frozenset(range(1, degree)):
             raise ValueError(f"subset {sorted(E)} not inside [{degree - 1}]")
+        return _mask(E, degree)
 
     def __mul__(self, other: "QSym") -> "QSym":
         """Product via the quasi-shuffle of indexing compositions.
@@ -179,23 +189,22 @@ class QSym(_Homogeneous):
         if isinstance(other, int):
             return self.scale(other)
         n = self.degree + other.degree
-        lefts = [(_partial_sums(E, self.degree), a) for E, a in self.terms.items()]
-        rights = [(_partial_sums(L, other.degree), b) for L, b in other.terms.items()]
+        lefts = [(_partial_sums(E, self.degree), a) for E, a in self.masks.items()]
+        rights = [(_partial_sums(L, other.degree), b) for L, b in other.masks.items()]
         out: dict[int, int] = {}
         for A, a in lefts:
             for B, b in rights:
                 ab = a * b
                 for mask, count in _shuffle_masks(A, B, n).items():
                     out[mask] = out.get(mask, 0) + ab * count
-        return QSym._make(n, {_set(mask, n): c for mask, c in out.items()})
+        return QSym._make(n, out)
 
     def to_fundamental(self) -> dict[frozenset, int]:
         """F-basis coefficients by inclusion-exclusion over supersets."""
         n = self.degree
         ambient = _mask(range(1, n), n)
         out: dict[int, int] = {}
-        for E, c in self.terms.items():
-            mask = _mask(E, n)
+        for mask, c in self.masks.items():
             for extra in _submasks(ambient ^ mask):
                 L = mask | extra
                 out[L] = out.get(L, 0) + (-c if extra.bit_count() & 1 else c)
@@ -210,17 +219,16 @@ class QSym(_Homogeneous):
 
     def specialize_ones(self, m: int) -> int:
         """Value at x_1 = ... = x_m = 1, all other variables 0."""
-        total = 0
-        for E, c in self.terms.items():
-            parts = len(phi(E, self.degree))
-            total += c * comb(m, parts)
-        return total
+        # A key E of degree n >= 1 has |E| + 1 parts; degree 0 has none.
+        extra = 1 if self.degree else 0
+        return sum(c * comb(m, E.bit_count() + extra) for E, c in self.masks.items())
 
     def truncate(self, m: int) -> "TruncPoly":
         """Exact polynomial in m variables; the independent oracle format."""
         out: Counter = Counter()
-        for E, c in self.terms.items():
-            alpha = phi(E, self.degree)
+        for E, c in self.masks.items():
+            sums = _partial_sums(E, self.degree)
+            alpha = [b - a for a, b in zip(sums, sums[1:])]
             for idx in itertools.combinations(range(m), len(alpha)):
                 expo = [0] * m
                 for pos, a in zip(idx, alpha):
@@ -246,9 +254,10 @@ class QSym(_Homogeneous):
         raise ValueError(f"unknown basis {data['basis']!r}")
 
 
-def _partial_sums(E: frozenset[int], n: int) -> list[int]:
-    """Partial sums 0, a_1, a_1 + a_2, ..., n of the composition phi(E, n)."""
-    return [0, *sorted(E), n] if n else [0]
+def _partial_sums(mask: int, n: int) -> list[int]:
+    """Partial sums 0, a_1, a_1 + a_2, ..., n of the composition phi(E, n),
+    for the mask of E inside [n-1]."""
+    return [0, *(n - b for b in range(n - 1, 0, -1) if mask >> b & 1), n] if n else [0]
 
 
 def _shuffle_masks(A: list[int], B: list[int], n: int) -> dict[int, int]:
@@ -280,25 +289,22 @@ def _shuffle_masks(A: list[int], B: list[int], n: int) -> dict[int, int]:
 
 def monomial(n: int, E: Iterable[int]) -> QSym:
     """M_{n,E} for E inside [n-1]."""
-    E = frozenset(E)
-    phi(E, n)  # range check
-    return QSym(n, {E: 1})
+    return QSym._make(n, {QSym._key(n, E): 1})
 
 
 def fundamental(n: int, E: Iterable[int]) -> QSym:
     """F_{n,E} = sum of M_{n,L} over supersets L of E in [n-1]."""
-    E = frozenset(E)
-    phi(E, n)  # range check
-    mask = _mask(E, n)
+    mask = QSym._key(n, E)
     rest = _mask(range(1, n), n) ^ mask
-    return QSym._make(n, {_set(mask | extra, n): 1 for extra in _submasks(rest)})
+    return QSym._make(n, {mask | extra: 1 for extra in _submasks(rest)})
 
 
 class CQSym(_Homogeneous):
     """Homogeneous cyclic quasi-symmetric function in the cyclic monomial basis.
 
-    Term keys are canonical cyclic subset classes in [n] (degree 0 uses the
-    empty frozenset as the unit key).
+    Term keys are canonical cyclic subset classes in [n], as the largest
+    mask of their rotation orbit (degree 0 uses mask 0, the empty set, as
+    the unit key).
     """
 
     __slots__ = ()
@@ -310,17 +316,19 @@ class CQSym(_Homogeneous):
 
     @classmethod
     def unit(cls, coeff: int = 1) -> "CQSym":
-        return cls._make(0, {frozenset(): coeff})
+        return cls._make(0, {0: coeff})
 
     @staticmethod
-    def _check_key(degree: int, E: frozenset) -> None:
+    def _key(degree: int, E: Iterable[int]) -> int:
+        E = frozenset(E)
         if degree == 0:
             if E:
                 raise ValueError("degree-0 element admits only the unit term")
-            return
+            return 0
         mask = _mask(E, degree)
         if not mask or _canonical_mask(mask, degree) != mask:
             raise ValueError(f"{sorted(E)} is not a canonical class key")
+        return mask
 
     def __mul__(self, other: "CQSym") -> "CQSym":
         """Product in cQSym, computed in QSym and folded back.
@@ -336,12 +344,12 @@ class CQSym(_Homogeneous):
         """Expansion into the monomial basis of QSym."""
         n = self.degree
         if n == 0:
-            return QSym.unit(self.terms.get(frozenset(), 0))
+            return QSym.unit(self.masks.get(0, 0))
         out: dict[int, int] = {}
-        for E, c in self.terms.items():
-            for L, mult in _class_expansion(_mask(E, n), n).items():
+        for E, c in self.masks.items():
+            for L, mult in _class_expansion(E, n).items():
                 out[L] = out.get(L, 0) + c * mult
-        return QSym._make(n, {_set(L, n): c for L, c in out.items()})
+        return QSym._make(n, out)
 
     def specialize_ones(self, m: int) -> int:
         return self.as_qsym().specialize_ones(m)
@@ -373,10 +381,8 @@ def _class_expansion(mask: int, n: int) -> Counter:
 
 def cyclic_monomial(n: int, E: Iterable[int]) -> CQSym:
     """Mcyc_{n,E}; the empty set gives the zero element."""
-    E = frozenset(E)
-    if not E:
-        return CQSym.zero(n)
-    return CQSym(n, {canonical_subset_class(E, n): 1})
+    mask = _mask(frozenset(E), n)
+    return CQSym._make(n, {_canonical_mask(mask, n): 1} if mask else {})
 
 
 def cyclic_monomial_as_qsym(n: int, E: Iterable[int]) -> QSym:
@@ -394,7 +400,7 @@ def cyclic_fundamental(n: int, E: Iterable[int]) -> CQSym:
         raise ValueError("Fcyc requires a nonempty index set")
     out: dict[int, int] = {}
     _add_fcyc(out, _mask(E, n), n, 1)
-    return CQSym._make(n, {_class_set(k, n): c for k, c in out.items()})
+    return CQSym._make(n, out)
 
 
 def _add_fcyc(out: dict[int, int], mask: int, n: int, weight: int) -> None:
@@ -426,27 +432,24 @@ def from_qsym(a: QSym) -> CQSym:
     """
     n = a.degree
     if n == 0:
-        return CQSym.unit(a.terms.get(frozenset(), 0))
+        return CQSym.unit(a.masks.get(0, 0))
     # M_{n,L} occurs in Mcyc_{n,E} exactly when L ∪ {n} lies in the class of
     # E; n is bit 0.
-    terms = {_mask(L, n): c for L, c in a.terms.items()}
-    class_keys = {_canonical_mask(L | 1, n) for L in terms}
-    coeffs: dict[frozenset, int] = {}
+    coeffs: dict[int, int] = {}
     reconstructed: dict[int, int] = {}
-    for key in class_keys:
+    for key in {_canonical_mask(L | 1, n) for L in a.masks}:
         expansion = _class_expansion(key, n)
         L0, mult0 = next(iter(expansion.items()))
-        c0 = terms.get(L0, 0)
+        c0 = a.masks.get(L0, 0)
         if c0 % mult0 != 0:
             raise NotCyclicError(
                 f"coefficient {c0} of M_{{{n},{sorted(_set(L0, n))}}} is not "
                 f"divisible by its class multiplicity {mult0}"
             )
-        c = c0 // mult0
-        coeffs[_class_set(key, n)] = c
+        c = coeffs[key] = c0 // mult0
         for L, mult in expansion.items():
             reconstructed[L] = reconstructed.get(L, 0) + c * mult
-    if _clean(reconstructed) != terms:
+    if _clean(reconstructed) != a.masks:
         raise NotCyclicError("coefficients are inconsistent across a cyclic class")
     return CQSym._make(n, coeffs)
 

@@ -6,10 +6,10 @@ ambient size n; a composition is a tuple of positive parts. Residue 0 is
 always stored as n, so shifted sets stay inside [n].
 
 Internally a subset E of [n] is also an int bitmask with element e at bit
-n - e. A cyclic shift by +1 is then a rotation right by one bit, and
-within one cardinality the lex-least sorted element list is the largest
-mask, so the canonical cyclic class of E is the largest mask in its
-rotation orbit.
+n - e; the elements of qsym store their keys this way. A cyclic shift by
++1 is then a rotation right by one bit, and within one cardinality the
+lex-least sorted element list is the largest mask, so the canonical
+cyclic class of E is the largest mask in its rotation orbit.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
     E = frozenset(E)
     if not E:
         raise ValueError("the empty set has no cyclic class in [n]")
-    return _class_set(_canonical_mask(_mask(E, n), n), n)
+    return _set(_canonical_mask(_mask(E, n), n), n)
 
 
 # --- bitmask internals -------------------------------------------------------
@@ -77,9 +77,6 @@ def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
 # work.
 _TABLE_MAX_N = 16
 _TABLES: dict[int, array] = {}
-# Frozensets of canonical masks only, per degree; the same key object is
-# handed out for every member of a class.
-_CLASS_SETS: dict[int, dict[int, frozenset[int]]] = {}
 
 
 def _mask(E: Iterable[int], n: int) -> int:
@@ -94,7 +91,12 @@ def _mask(E: Iterable[int], n: int) -> int:
 
 def _set(mask: int, n: int) -> frozenset[int]:
     """Inverse of :func:`_mask`."""
-    return frozenset(n - b for b in range(n) if mask >> b & 1)
+    elems = []
+    while mask:
+        low = mask & -mask  # bit b holds element n - b
+        elems.append(n + 1 - low.bit_length())
+        mask ^= low
+    return frozenset(elems)
 
 
 def _submasks(mask: int) -> Iterator[int]:
@@ -147,11 +149,3 @@ def _canonical_mask(mask: int, n: int) -> int:
     table = _class_table(n)
     return table[mask] or _fill_orbit(table, mask, n)
 
-
-def _class_set(cmask: int, n: int) -> frozenset[int]:
-    """The interned frozenset of a canonical mask."""
-    sets = _CLASS_SETS.setdefault(n, {})
-    key = sets.get(cmask)
-    if key is None:
-        key = sets[cmask] = _set(cmask, n)
-    return key

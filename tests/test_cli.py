@@ -9,6 +9,7 @@ import pytest
 from toricpeaks import cli
 from toricpeaks.cli import main
 from toricpeaks.dag import Dag
+from toricpeaks.qsym import CQSym
 
 D3_JSON = Dag.make(
     [1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)]
@@ -46,6 +47,36 @@ def test_expand_fcyc_monomial_basis(capsys):
     assert code == 0
     terms = {tuple(t["set"]): t["coeff"] for t in json.loads(out)["terms"]}
     assert terms == {(2,): 2, (1, 2): 2, (1, 3): 2, (2, 3): 2, (1, 2, 3): 4}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("Kcyc", "4", "1,3"),
+        ("Mcyc", "4", "1,3"),
+        ("Fcyc", "4", "1,3"),
+        ("delta-cyc", "--dag", D3_JSON),
+    ],
+)
+@pytest.mark.parametrize("basis", ["M", "F"])
+def test_expand_cyclic_kinds_honour_basis(capsys, argv, basis):
+    _, cyclic = run(capsys, "expand", *argv, "--basis", "Mcyc")
+    code, out = run(capsys, "expand", *argv, "--basis", basis)
+    assert code == 0
+    assert out == CQSym.from_json(cyclic).as_qsym().to_json(basis) + "\n"
+
+
+def test_expand_default_basis_per_kind(capsys):
+    for kind, basis in [("M", "M"), ("K", "M"), ("Fcyc", "M"), ("Mcyc", "Mcyc"), ("Kcyc", "Mcyc")]:
+        _, out = run(capsys, "expand", kind, "4", "3" if kind == "K" else "1,3")
+        assert json.loads(out)["basis"] == basis
+
+
+def test_expand_linear_kind_has_no_cyclic_basis():
+    proc = run_subprocess("expand", "K", "4", "3", "--basis", "Mcyc")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == ["unknown basis 'Mcyc'"]
 
 
 def test_expand_single_monomial(capsys):
@@ -210,3 +241,16 @@ def test_deterministic_output(capsys):
     _, first = run(capsys, "expand", "Kcyc", "5", "1,3")
     _, second = run(capsys, "expand", "Kcyc", "5", "1,3")
     assert first == second
+
+
+# Recorded stdout and exit code of CLI commands covering every expand kind
+# with and without --basis; a refactor must keep them byte-identical.
+GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
+
+
+@pytest.mark.parametrize(
+    "case", GOLDEN, ids=[f"{i:02d}-{'-'.join(c['argv'][:2])}" for i, c in enumerate(GOLDEN)]
+)
+def test_golden_cli_output(capsys, case):
+    code, out = run(capsys, *case["argv"])
+    assert (code, out) == (case["exit"], case["stdout"])

@@ -155,3 +155,14 @@ def test_interpolation_reproduces_polynomial_values():
     pts = [(m, omega(w, m)) for m in range(1, 5)]
     for m in range(5, 8):
         assert interpolate(pts, m) == Fraction(omega(w, m))
+
+
+def test_marking_image_and_fibers_on_five_letter_words():
+    # partition_to_marking does not check its own output; this does, on
+    # every word of S_5, beyond the S_4 of the markings verify suite.
+    for w in itertools.permutations(range(1, 6)):
+        pk = len(peak_set(w))
+        for m in (1, 2):
+            fibers = marking_fibers(w, m)
+            assert set(fibers) == set(enumerate_markings(w, m))
+            assert set(fibers.values()) <= {2 ** (2 * pk + 1)}

@@ -100,16 +100,24 @@ def test_peak_set_enumerations():
 
 
 def test_witnesses_attain_their_sets():
-    for n in range(1, 6):
-        for S in peak_sets(n):
-            assert peak_set(peak_witness(S, n)) == S
-        for S in cyclic_peak_sets(n):
-            assert cpeak_set(cyclic_peak_witness(S, n)) == S
+    # Every peak set and every cyclic peak set with n <= 12, not only the
+    # canonical ones.
+    for n in range(0, 13):
+        for k in range(0, n // 2 + 1):
+            for S in map(frozenset, itertools.combinations(range(1, n + 1), k)):
+                if is_peak_set(S, n):
+                    w = peak_witness(S, n)
+                    assert sorted(w) == list(range(1, n + 1)) and peak_set(w) == S
+                if is_cyclic_peak_set(S, n):
+                    w = cyclic_peak_witness(S, n)
+                    assert sorted(w) == list(range(1, n + 1)) and cpeak_set(w) == S
 
 
 def test_witness_rejects_invalid_set():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="not a peak set"):
         peak_witness(frozenset({2, 3}), 4)
+    with pytest.raises(ValueError, match="not a cyclic peak set"):
+        cyclic_peak_witness(frozenset({1, 4}), 4)
 
 
 def test_shuffle_set_size_and_membership():

@@ -8,6 +8,7 @@ from toricpeaks.qsym import (
     CQSym,
     NotCyclicError,
     QSym,
+    TruncPoly,
     cyclic_fundamental,
     cyclic_fundamental_via_F,
     cyclic_monomial,
@@ -221,3 +222,51 @@ def test_pair_oracle_small_cases():
         elem = cyclic_fundamental(n, E)
         for m in (1, 2, 3):
             assert fcyc_pair_oracle(n, E, m) == elem.truncate(m)
+
+
+@st.composite
+def cqsym_elements(draw, max_degree=8):
+    n = draw(st.integers(0, max_degree))
+    if n == 0:
+        return CQSym.unit(draw(st.integers(-3, 3)))
+    subsets = st.frozensets(st.integers(1, n), min_size=1)
+    terms = draw(st.lists(st.tuples(subsets, st.integers(-3, 3)), max_size=4))
+    return sum((cyclic_monomial(n, E).scale(c) for E, c in terms), CQSym.zero(n))
+
+
+@settings(deadline=None)
+@given(cqsym_elements())
+def test_cqsym_roundtrips(x):
+    assert from_qsym(x.as_qsym()) == x
+    assert CQSym.from_json(x.to_json()) == x
+    assert CQSym(x.degree, x.terms) == x
+
+
+@settings(deadline=None)
+@given(st.integers(0, 8).flatmap(qsym_elements))
+def test_qsym_roundtrips(x):
+    assert QSym.from_json(x.to_json("M")) == x
+    assert QSym.from_json(x.to_json("F")) == x
+    assert QSym(x.degree, x.terms) == x
+
+
+def test_keys_are_masks_and_terms_a_read_only_view():
+    # Element e of a degree-n key sits at bit n - e.
+    x = monomial(4, {1, 3}).scale(5)
+    assert x.masks == {0b1010: 5}
+    assert x.terms == {frozenset({1, 3}): 5}
+    assert cyclic_monomial(4, {2, 4}).masks == {0b1010: 1}
+    with pytest.raises(TypeError):
+        x.terms[frozenset()] = 1
+    with pytest.raises(AttributeError):
+        x.terms = {}
+
+
+def test_degree_zero_units():
+    for unit in (QSym.unit(3), CQSym.unit(3)):
+        assert unit.masks == {0: 3} and unit.terms == {frozenset(): 3}
+        assert unit.specialize_ones(4) == 3  # no parts: C(4, 0) = 1
+        assert unit.truncate(2) == TruncPoly(2, {(0, 0): 3})
+    assert monomial(0, ()) == QSym.unit(1)
+    assert from_qsym(QSym.unit(2)) == CQSym.unit(2)
+    assert CQSym.unit(2).as_qsym() == QSym.unit(2)

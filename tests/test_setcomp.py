@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from toricpeaks.setcomp import canonical_subset_class, phi, psi, shift_set
 
@@ -81,3 +83,16 @@ def test_canonical_subset_class_matches_lex_least_member():
                 subset_class_members(E, n), key=sorted
             )
 
+
+
+@given(
+    st.integers(1, 20).flatmap(
+        lambda n: st.tuples(st.just(n), st.frozensets(st.integers(1, n), min_size=1))
+    )
+)
+def test_canonical_subset_class_is_idempotent(case):
+    # Degrees above 16 take the path without a class table.
+    n, E = case
+    key = canonical_subset_class(E, n)
+    assert canonical_subset_class(key, n) == key
+    assert key in subset_class_members(E, n)
