@@ -213,7 +213,7 @@ def cmd_table(args) -> int:
             {
                 "class": sorted(key),
                 "composition": list(psi(key, 4)),
-                "expansion": json.loads(qsym.cyclic_monomial_as_qsym(4, key).to_json()),
+                "expansion": json.loads(qsym.cyclic_monomial(4, key).as_qsym().to_json()),
             }
         )
     emit({"degree": 4, "rows": rows})

@@ -1,16 +1,17 @@
 """DAGs on finite label sets, flips, toric classes and extensions.
 
 A ``Dag`` is an immutable labeled digraph, validated acyclic on
-construction. A toric class is the closure of a DAG under flips at
-sources and sinks; its canonical member is the one with lexicographically
-least sorted arc list.
+construction. Every DAG algorithm reads one bit index, ``_index``: bit k
+stands for the k-th smallest label. A toric class is the closure of a DAG
+under flips at sources and sinks; its canonical member is the one with
+lexicographically least sorted arc list.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .permstat import Word, check_word
 
@@ -28,7 +29,8 @@ class Dag:
                 raise ValueError(f"self loop at {i}")
             if i not in self.vertices or j not in self.vertices:
                 raise ValueError(f"arc ({i},{j}) leaves the vertex set")
-        if _has_cycle(self.vertices, self.arcs):
+        _, pred = _index(self.vertices, self.arcs)
+        if len(_topological_order(pred)) != len(pred):
             raise ValueError("digraph contains a directed cycle")
 
     @classmethod
@@ -56,50 +58,66 @@ class Dag:
         data = json.loads(payload)
         if not isinstance(data, dict):
             raise ValueError("expected a JSON object with vertices and arcs")
+        for key in ("vertices", "arcs"):
+            if key not in data:
+                raise ValueError(f"missing key {key!r}")
         if any(type(v) is not int for v in data["vertices"]):
             raise ValueError("vertices must be integers")
+        if any(type(v) is not int for arc in data["arcs"] for v in arc):
+            raise ValueError("arc endpoints must be integers")
         return cls.make(data["vertices"], data["arcs"])
 
 
-def _has_cycle(vertices: frozenset[int], arcs: frozenset[Arc]) -> bool:
-    return len(_topological_order(vertices, arcs)) != len(vertices)
-
-
-def _topological_order(vertices: frozenset[int], arcs: frozenset[Arc]) -> list[int]:
-    """Some topological order, by Kahn's algorithm; on a digraph with a
-    cycle it stops short and misses the vertices on or after a cycle."""
-    indeg = {v: 0 for v in vertices}
-    succ: dict[int, list[int]] = {v: [] for v in vertices}
+def _index(vertices: Iterable[int], arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
+    """The bit index every DAG algorithm reads: bit k stands for the k-th
+    smallest label, and ``pred[k]`` is the mask of its predecessors."""
+    labels = sorted(vertices)
+    bit = {v: 1 << k for k, v in enumerate(labels)}
+    pred = dict.fromkeys(labels, 0)
     for i, j in arcs:
-        succ[i].append(j)
-        indeg[j] += 1
-    queue = [v for v in vertices if indeg[v] == 0]
-    order = []
-    while queue:
-        v = queue.pop()
-        order.append(v)
-        for u in succ[v]:
-            indeg[u] -= 1
-            if indeg[u] == 0:
-                queue.append(u)
+        pred[j] |= bit[i]
+    return labels, list(pred.values())
+
+
+def _topological_order(pred: list[int]) -> list[int]:
+    """Some topological order of the bits: sweeps over the unplaced bits,
+    in label order, place each bit whose predecessors are all placed. On a
+    digraph with a cycle a sweep places nothing, and the order stops short."""
+    order, placed, todo = [], 0, range(len(pred))
+    while todo:
+        rest = []
+        for k in todo:
+            if pred[k] & ~placed:
+                rest.append(k)
+            else:
+                placed |= 1 << k
+                order.append(k)
+        if len(rest) == len(todo):
+            break
+        todo = rest
     return order
 
 
+def _ancestors(pred: list[int]) -> list[int]:
+    """Per bit, the mask of the bits with a directed path to it."""
+    anc = list(pred)
+    for k in _topological_order(pred):
+        for j in range(len(pred)):
+            if pred[k] >> j & 1:
+                anc[k] |= anc[j]
+    return anc
+
+
 def transitive_closure(d: Dag) -> Dag:
-    """Unique transitive closure, by reachability along arcs."""
-    succ: dict[int, set[int]] = {v: set() for v in d.vertices}
-    for i, j in d.arcs:
-        succ[i].add(j)
-    closed = set(d.arcs)
-    for v in d.vertices:
-        stack, reach = list(succ[v]), set()
-        while stack:
-            u = stack.pop()
-            if u not in reach:
-                reach.add(u)
-                stack.extend(succ[u])
-        closed.update((v, u) for u in reach)
-    return Dag(d.vertices, frozenset(closed))
+    """Unique transitive closure: an arc to each vertex from each ancestor."""
+    labels, pred = _index(d.vertices, d.arcs)
+    arcs = frozenset(
+        (labels[j], v)
+        for v, anc in zip(labels, _ancestors(pred))
+        for j in range(len(labels))
+        if anc >> j & 1
+    )
+    return Dag(d.vertices, arcs)
 
 
 def sources(d: Dag) -> frozenset[int]:
@@ -169,13 +187,9 @@ def linear_extensions(d: Dag) -> list[Word]:
 def _extensions(d: Dag, least_first: bool) -> list[Word]:
     """``linear_extensions`` of d or, with ``least_first``, those of them
     that start with the least label (none unless it is a source)."""
-    verts = sorted(d.vertices)
-    bit = {v: 1 << k for k, v in enumerate(verts)}
-    pred = dict.fromkeys(verts, 0)
-    for i, j in d.arcs:
-        pred[j] |= bit[i]
-    choices = [(v, bit[v], pred[v]) for v in verts]
-    full = (1 << len(verts)) - 1
+    labels, pred = _index(d.vertices, d.arcs)
+    choices = [(v, 1 << k, p) for k, (v, p) in enumerate(zip(labels, pred))]
+    full = (1 << len(labels)) - 1
     out: list[Word] = []
 
     def rec(placed: int, prefix: tuple[int, ...]) -> None:
@@ -186,9 +200,9 @@ def _extensions(d: Dag, least_first: bool) -> list[Word]:
             if not placed & b and not p & ~placed:
                 rec(placed | b, prefix + (v,))
 
-    head = verts[:1] if least_first else []
-    if not any(pred[v] for v in head):
-        rec(sum(bit[v] for v in head), tuple(head))
+    head = labels[:1] if least_first else []
+    if not any(pred[: len(head)]):
+        rec((1 << len(head)) - 1, tuple(head))
     return out
 
 
@@ -208,33 +222,23 @@ def _toric_extensions(members: Iterable[Dag]) -> list[Word]:
     return sorted(w for member in members for w in _extensions(member, least_first=True))
 
 
-def _paths(succ: dict[int, list[int]], a: int, b: int) -> Iterator[tuple[int, ...]]:
-    """All simple directed paths from a to b with at least one interior vertex."""
-    stack: list[tuple[int, tuple[int, ...]]] = [(a, (a,))]
-    while stack:
-        v, path = stack.pop()
-        for u in succ[v]:
-            if u in path:
-                continue
-            if u == b:
-                if len(path) >= 2:
-                    yield path + (u,)
-            else:
-                stack.append((u, path + (u,)))
-
-
 def is_toric_transitive(d: Dag) -> bool:
-    """Every chorded directed path i_1 -> ... -> i_k has all its chords."""
-    succ: dict[int, list[int]] = {v: [] for v in d.vertices}
-    for i, j in d.arcs:
-        succ[i].append(j)
-    for a, b in d.arcs:
-        for path in _paths(succ, a, b):
-            k = len(path)
-            for x in range(k):
-                for y in range(x + 1, k):
-                    if (path[x], path[y]) not in d.arcs:
-                        return False
+    """Every chorded directed path i_1 -> ... -> i_k has all its chords.
+
+    The vertices on the paths along an arc a -> b are a, b and the
+    descendants of a that are ancestors of b; each of them needs an arc
+    from every one of them that reaches it.
+    """
+    _, pred = _index(d.vertices, d.arcs)
+    anc = _ancestors(pred)
+    bits = range(len(pred))
+    for b in bits:
+        for a in bits:
+            if pred[b] >> a & 1:
+                on = 1 << a | 1 << b
+                on |= sum(1 << v for v in bits if anc[b] >> v & 1 and anc[v] >> a & 1)
+                if any(anc[v] & on & ~pred[v] for v in bits if on >> v & 1):
+                    return False
     return True
 
 

@@ -22,6 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .dag import (
     Dag,
     ToricClass,
+    _index,
     _topological_order,
     _toric_extensions,
     disjoint_union,
@@ -36,7 +37,7 @@ from .permstat import (
     is_peak_set,
     peak_set,
 )
-from .qsym import CQSym, QSym, _add_fcyc, from_qsym
+from .qsym import CQSym, QSym, from_qsym
 from .setcomp import (
     _canonical_mask,
     _class_table,
@@ -97,18 +98,13 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
     as both of its ends have values, so a branch dies at its first broken
     arc. Depth-first order is then the sorted order.
     """
-    verts = sorted(d.vertices)
-    n = len(verts)
-    index = {v: k for k, v in enumerate(verts)}
-    # Arcs from vertex k back to earlier (smaller) labels: ``tails[k]`` are
-    # the tails of arcs e -> k, ``heads[k]`` the heads of arcs k -> e.
-    tails: list[list[int]] = [[] for _ in verts]
-    heads: list[list[int]] = [[] for _ in verts]
-    for i, j in d.arcs:
-        if i < j:
-            tails[index[j]].append(index[i])
-        else:
-            heads[index[i]].append(index[j])
+    labels, pred = _index(d.vertices, d.arcs)
+    n = len(labels)
+    # Arcs between bit k and the earlier bits e < k (smaller labels):
+    # ``tails[k]`` are the tails of arcs e -> k, ``heads[k]`` the heads of
+    # arcs k -> e.
+    tails = [[e for e in range(k) if pred[k] >> e & 1] for k in range(n)]
+    heads = [[e for e in range(k) if pred[e] >> k & 1] for k in range(n)]
     # With rank 2|x| - (x < 0), i.e. -1 < 1 < -2 < 2 < ..., an arc into a
     # larger label may tie only at a positive value and an arc into a
     # smaller label only at a negative one.
@@ -118,7 +114,7 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
 
     def extend(k: int) -> Iterator[Assignment]:
         if k == n:
-            yield dict(zip(verts, combo))
+            yield dict(zip(labels, combo))
             return
         lo = max((rank[e] for e in tails[k]), default=0)
         hi = min((rank[e] for e in heads[k]), default=2 * m + 1)
@@ -128,10 +124,6 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
                 yield from extend(k + 1)
 
     yield from extend(0)
-
-
-def enumerate_enriched_word(w: Sequence[int], m: int) -> list[Assignment]:
-    return enumerate_enriched(Dag.from_word(w), m)
 
 
 def enumerate_enriched_toric(tc: ToricClass, m: int) -> list[Assignment]:
@@ -185,7 +177,8 @@ def delta_dag(d: Dag) -> QSym:
     n = len(d.vertices)
     if n == 0:
         return QSym.unit(1)
-    pred, lower = _bit_order(d)
+    _, pred = _index(d.vertices, d.arcs)
+    order = _topological_order(pred)
     # The state of a down-set D maps each key E inside [|D| - 1], as a mask
     # of degree n, to its count.
     layers: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
@@ -194,7 +187,7 @@ def delta_dag(d: Dag) -> QSym:
         for D, state in layers[size].items():
             if size:  # |D| joins E
                 state = {E | 1 << (n - size): c for E, c in state.items()}
-            for D2, ways in _down_steps(D, pred, lower):
+            for D2, ways in _down_steps(D, pred, order):
                 target = layers[D2.bit_count()].setdefault(D2, {})
                 for E, c in state.items():
                     target[E] = target.get(E, 0) + c * ways
@@ -202,32 +195,18 @@ def delta_dag(d: Dag) -> QSym:
     return QSym._make(n, layers[n][(1 << n) - 1])
 
 
-def _bit_order(d: Dag) -> tuple[list[int], list[int]]:
-    """Vertex bit masks for ``delta_dag``: bit k is the k-th vertex of a
-    topological order of d. Returns, per bit, the mask of the vertex's
-    predecessors and the mask of the vertices with smaller labels."""
-    order = _topological_order(d.vertices, d.arcs)
-    bit = {v: 1 << k for k, v in enumerate(order)}
-    pred = dict.fromkeys(order, 0)
-    for i, j in d.arcs:
-        pred[j] |= bit[i]
-    lower = [sum(bit[u] for u in order if u < v) for v in order]
-    return [pred[v] for v in order], lower
-
-
-def _down_steps(
-    D: int, pred: list[int], lower: list[int]
-) -> Iterator[tuple[int, int]]:
+def _down_steps(D: int, pred: list[int], order: list[int]) -> Iterator[tuple[int, int]]:
     """Each down-set D' above the down-set D with its number of legal blocks.
 
     A block B = D' minus D splits into A- and A+. An arc inside B into a
     larger label forces its head into A+, and one into a smaller label
     forces its tail into A-; no arc then runs from A+ to A-, so every split
     that respects the forced vertices is legal, and there are none when a
-    vertex is forced both ways. Vertices join B in topological order, so a
-    vertex is added only after all of its predecessors.
+    vertex is forced both ways. Bit k is the k-th smallest label, and bits
+    join B in the topological ``order``, so a vertex is added only after
+    all of its predecessors.
     """
-    free = [k for k in range(len(pred)) if not D >> k & 1]
+    free = [k for k in order if not D >> k & 1]
     stack = [(0, 0, 0, 0)]  # (position in free, B, forced +, forced -)
     while stack:
         t, B, plus, minus = stack.pop()
@@ -239,10 +218,10 @@ def _down_steps(
         k = free[t]
         if pred[k] & ~(D | B):
             continue
-        inner = pred[k] & B
-        if inner & lower[k]:
+        inner, lower = pred[k] & B, (1 << k) - 1
+        if inner & lower:
             plus |= 1 << k
-        minus |= inner & ~lower[k]
+        minus |= inner & ~lower
         if not plus & minus:
             stack.append((t + 1, B | 1 << k, plus, minus))
 
@@ -319,30 +298,6 @@ def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
     )
     deltas = (delta_from_peak_set(S, n).scale(c) for S, c in counts.items())
     return from_qsym(sum(deltas, QSym.zero(n)))
-
-
-def kcyc_fund_expansion(S: Iterable[int], n: int) -> tuple[dict[frozenset, int], CQSym]:
-    """Expansion of Kcyc_S over fundamental cyclic functions.
-
-    Returns the coefficient of each canonical class (2^{|S|} per
-    qualifying E, accumulated over class members) and the resulting
-    element. Qualification: S inside E △ (E+1), shifts cyclic in [n].
-    The n = 1 degenerate case follows the literal definition and does not
-    reproduce Kcyc.
-    """
-    S = frozenset(S)
-    if not is_cyclic_peak_set(S, n):
-        raise ValueError(f"{sorted(S)} is not a cyclic peak set in [{n}]")
-    weight = 2 ** len(S)
-    peaks, table, top = _mask(S, n), _class_table(n), n - 1
-    coeffs: dict[int, int] = {}
-    elem: dict[int, int] = {}
-    for E in range(1, 1 << n):
-        if not peaks & ~(E ^ (E >> 1 | (E & 1) << top)):
-            key = table[E] or _fill_orbit(table, E, n)
-            coeffs[key] = coeffs.get(key, 0) + weight
-            _add_fcyc(elem, E, n, weight)
-    return {_set(k, n): c for k, c in coeffs.items()}, CQSym._make(n, elem)
 
 
 def kcyc_index_map(S: frozenset[int]) -> frozenset[int]:

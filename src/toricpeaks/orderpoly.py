@@ -15,7 +15,7 @@ from math import comb
 from typing import Mapping, Sequence
 
 from .dag import Dag, ToricClass
-from .enriched import delta_dag, delta_toric, is_enriched
+from .enriched import delta_dag, delta_toric, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
 Poly = list[int]
@@ -282,10 +282,8 @@ def partition_to_marking(f: Mapping[int, int], w: Sequence[int], m: int) -> Mark
 
 def marking_fibers(w: Sequence[int], m: int) -> Counter:
     """Sizes of the fibers of partition_to_marking over all markings."""
-    from .enriched import enumerate_enriched_word
-
     out: Counter = Counter()
-    for f in enumerate_enriched_word(w, m):
+    for f in enumerate_enriched(Dag.from_word(w), m):
         out[partition_to_marking(f, w, m)] += 1
     return out
 

@@ -82,16 +82,6 @@ def cyclic_stat_multiset(w: Sequence[int], stat: str) -> Counter:
     return Counter(fn(v) for v in rotations(w))
 
 
-def shifted_stat_multiset(w: Sequence[int], stat: str) -> Counter:
-    """The same multiset computed as {{ i + stat(w) : i in [n] }}."""
-    from .setcomp import shift_set
-
-    fn = {"cdes": cdes_set, "cpeak": cpeak_set}[stat]
-    n = len(w)
-    base = fn(w)
-    return Counter(shift_set(base, n, i) for i in range(1, n + 1))
-
-
 def shuffle_set(p: Sequence[int], s: Sequence[int]) -> set[Word]:
     """All interleavings of p and s.  Label sets must be disjoint.
 
@@ -143,19 +133,6 @@ def is_cyclic_peak_set(S: frozenset[int] | set[int], n: int) -> bool:
     if not S or not S <= frozenset(range(1, n + 1)):
         return False
     return all((i % n) + 1 not in S for i in S)
-
-
-def peak_sets(n: int) -> list[frozenset[int]]:
-    """All linear peak sets in [n], sorted by (cardinality, elements)."""
-    out = [
-        frozenset(S)
-        for k in range(0, n // 2 + 1)
-        for S in itertools.combinations(range(2, n), k)
-        if is_peak_set(frozenset(S), n)
-    ]
-    if n >= 0 and frozenset() not in out:
-        out.insert(0, frozenset())
-    return sorted(set(out), key=lambda S: (len(S), sorted(S)))
 
 
 def cyclic_peak_sets(n: int) -> list[frozenset[int]]:

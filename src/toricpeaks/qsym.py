@@ -19,10 +19,9 @@ import json
 from collections import Counter
 from math import comb
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 from .setcomp import (
-    Composition,
     _canonical_mask,
     _class_table,
     _fill_orbit,
@@ -40,22 +39,6 @@ class NotCyclicError(ValueError):
 
 def _clean(terms: Mapping) -> dict:
     return {k: v for k, v in terms.items() if v != 0}
-
-
-def quasi_shuffle(alpha: Composition, beta: Composition) -> Iterator[Composition]:
-    """Overlapping shuffles of two compositions, with multiplicity."""
-    if not alpha:
-        yield beta
-        return
-    if not beta:
-        yield alpha
-        return
-    for tail in quasi_shuffle(alpha[1:], beta):
-        yield (alpha[0],) + tail
-    for tail in quasi_shuffle(alpha, beta[1:]):
-        yield (beta[0],) + tail
-    for tail in quasi_shuffle(alpha[1:], beta[1:]):
-        yield (alpha[0] + beta[0],) + tail
 
 
 class _Homogeneous:
@@ -385,11 +368,6 @@ def cyclic_monomial(n: int, E: Iterable[int]) -> CQSym:
     return CQSym._make(n, {_canonical_mask(mask, n): 1} if mask else {})
 
 
-def cyclic_monomial_as_qsym(n: int, E: Iterable[int]) -> QSym:
-    """Expansion of Mcyc_{n,E} into monomial quasi-symmetric functions."""
-    return cyclic_monomial(n, E).as_qsym()
-
-
 def cyclic_fundamental(n: int, E: Iterable[int]) -> CQSym:
     """Fcyc_{n,E}: sum of Mcyc_{n,L} over supersets L of E in [n].
 
@@ -398,18 +376,13 @@ def cyclic_fundamental(n: int, E: Iterable[int]) -> CQSym:
     E = frozenset(E)
     if not E:
         raise ValueError("Fcyc requires a nonempty index set")
+    mask, table = _mask(E, n), _class_table(n)
     out: dict[int, int] = {}
-    _add_fcyc(out, _mask(E, n), n, 1)
-    return CQSym._make(n, out)
-
-
-def _add_fcyc(out: dict[int, int], mask: int, n: int, weight: int) -> None:
-    """Add weight * Fcyc_{n,E} to out, keyed by canonical masks."""
-    table = _class_table(n)
     for extra in _submasks(((1 << n) - 1) ^ mask):
         L = mask | extra
         key = table[L] or _fill_orbit(table, L, n)
-        out[key] = out.get(key, 0) + weight
+        out[key] = out.get(key, 0) + 1
+    return CQSym._make(n, out)
 
 
 def cyclic_fundamental_via_F(n: int, E: Iterable[int]) -> QSym:

@@ -71,7 +71,7 @@ from .qsym import (
     TruncPoly,
     cyclic_fundamental,
     cyclic_fundamental_via_F,
-    cyclic_monomial_as_qsym,
+    cyclic_monomial,
     fcyc_pair_oracle,
 )
 
@@ -274,7 +274,7 @@ def suite_table1(**_) -> dict:
     """The five degree-4 cyclic monomial expansions."""
     checks: list = []
     for key, expected in TABLE1.items():
-        got = cyclic_monomial_as_qsym(4, key)
+        got = cyclic_monomial(4, key).as_qsym()
         _check(
             checks,
             f"Mcyc class {sorted(key)} expansion",

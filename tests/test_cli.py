@@ -136,6 +136,9 @@ def test_expand_without_degree_is_one_line_error():
         ("series", ""),
         ("extensions", "toric", "--dag", '{"vertices":[],"arcs":[]}'),
         ("extensions", "toric", "--dag", '{"vertices":[0,1],"arcs":[[0,1]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[true,2]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[2,1.0]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2]}'),
     ],
 )
 def test_bad_input_is_one_line_error(argv):

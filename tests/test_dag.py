@@ -75,6 +75,25 @@ def test_toric_extensions_of_example():
     assert toric_extensions(D3) == [(1, 2, 4, 3), (1, 3, 2, 4)]
 
 
+def is_toric_transitive_by_paths(d):
+    """Oracle for ``is_toric_transitive``: list every simple directed path
+    with an interior vertex along each arc a -> b, and look up its chords."""
+    succ = {v: [] for v in d.vertices}
+    for i, j in d.arcs:
+        succ[i].append(j)
+    for a, b in d.arcs:
+        stack = [(a, (a,))]
+        while stack:
+            v, path = stack.pop()
+            for u in succ[v]:
+                if u == b and len(path) >= 2:
+                    if any(arc not in d.arcs for arc in itertools.combinations(path + (b,), 2)):
+                        return False
+                elif u != b and u not in path:
+                    stack.append((u, path + (u,)))
+    return True
+
+
 def test_total_orders_are_toric_posets():
     for w in [(1, 2, 3), (3, 1, 2), (2, 4, 1, 3)]:
         assert is_toric_transitive(Dag.from_word(w))
@@ -90,6 +109,7 @@ def test_toric_transitivity_is_a_class_invariant():
     for tc in classes.values():
         values = {is_toric_transitive(member) for member in tc.members}
         assert values == {is_toric_poset(tc)}
+        assert values == {is_toric_transitive_by_paths(member) for member in tc.members}
 
 
 def test_non_toric_transitive_example():
@@ -113,6 +133,11 @@ def test_disjoint_union():
 
 def test_json_roundtrip():
     assert Dag.from_json(D3.to_json()) == D3
+    for payload in ('{"vertices":[1,2],"arcs":[[true,2]]}', '{"vertices":[1,2],"arcs":[[2,1.0]]}'):
+        with pytest.raises(ValueError, match="arc endpoints must be integers"):
+            Dag.from_json(payload)
+    with pytest.raises(ValueError, match="missing key 'arcs'"):
+        Dag.from_json('{"vertices":[1,2]}')
     tc = toric_class(D3)
     assert '"size": 5' in tc.to_json()
 
@@ -134,11 +159,19 @@ def test_extension_routes_match_their_oracles(d):
     assert tc.members == _toric_class_by_flips(d)
     assert tc.canonical == min(tc.members, key=lambda m: sorted(m.arcs))
     assert toric_extensions(d) == _toric_extensions_by_rotation(tc)
-    assert linear_extensions(d) == [
+    linear = [
         w
         for w in itertools.permutations(sorted(d.vertices))
         if all(w.index(i) < w.index(j) for i, j in d.arcs)
     ]
+    assert linear_extensions(d) == linear
+    # A poset is the intersection of its linear extensions.
+    assert transitive_closure(d).arcs == {
+        (i, j)
+        for i, j in itertools.permutations(d.vertices, 2)
+        if all(w.index(i) < w.index(j) for w in linear)
+    }
+    assert is_toric_transitive(d) == is_toric_transitive_by_paths(d)
 
 
 def test_empty_dag_extensions():

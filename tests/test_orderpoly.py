@@ -21,7 +21,7 @@ from toricpeaks.orderpoly import (
     runs,
 )
 from toricpeaks.dag import Dag, toric_class
-from toricpeaks.enriched import enumerate_enriched_word
+from toricpeaks.enriched import enumerate_enriched
 from toricpeaks.permstat import peak_set, rotations
 
 
@@ -49,7 +49,7 @@ def test_omega_closed_forms():
 def test_omega_matches_enumeration():
     for w in [(1,), (2, 1), (1, 3, 2), (2, 1, 4, 3)]:
         for m in (1, 2, 3):
-            assert omega(w, m) == len(enumerate_enriched_word(w, m))
+            assert omega(w, m) == len(enumerate_enriched(Dag.from_word(w), m))
 
 
 def test_omega_dag_and_toric():

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -14,12 +15,33 @@ from toricpeaks.permstat import (
     is_cyclic_peak_set,
     is_peak_set,
     peak_set,
-    peak_sets,
     peak_witness,
     rotations,
-    shifted_stat_multiset,
     shuffle_set,
 )
+from toricpeaks.setcomp import shift_set
+
+
+def shifted_stat_multiset(w, stat):
+    """The multiset of ``cyclic_stat_multiset`` computed as
+    {{ i + stat(w) : i in [n] }}."""
+    fn = {"cdes": cdes_set, "cpeak": cpeak_set}[stat]
+    n = len(w)
+    base = fn(w)
+    return Counter(shift_set(base, n, i) for i in range(1, n + 1))
+
+
+def peak_sets(n):
+    """All linear peak sets in [n], sorted by (cardinality, elements)."""
+    out = [
+        frozenset(S)
+        for k in range(0, n // 2 + 1)
+        for S in itertools.combinations(range(2, n), k)
+        if is_peak_set(frozenset(S), n)
+    ]
+    if n >= 0 and frozenset() not in out:
+        out.insert(0, frozenset())
+    return sorted(set(out), key=lambda S: (len(S), sorted(S)))
 
 
 def test_check_word_rejects_repeats_and_nonpositive():

@@ -12,12 +12,10 @@ from toricpeaks.qsym import (
     cyclic_fundamental,
     cyclic_fundamental_via_F,
     cyclic_monomial,
-    cyclic_monomial_as_qsym,
     fcyc_pair_oracle,
     from_qsym,
     fundamental,
     monomial,
-    quasi_shuffle,
 )
 from toricpeaks.setcomp import phi
 
@@ -40,6 +38,23 @@ def test_monomial_fundamental_roundtrip():
                 m = monomial(n, S)
                 back = QSym.from_fundamental(n, m.to_fundamental())
                 assert back == m
+
+
+def quasi_shuffle(alpha, beta):
+    """Overlapping shuffles of two compositions, with multiplicity: the
+    oracle for ``QSym.__mul__``."""
+    if not alpha:
+        yield beta
+        return
+    if not beta:
+        yield alpha
+        return
+    for tail in quasi_shuffle(alpha[1:], beta):
+        yield (alpha[0],) + tail
+    for tail in quasi_shuffle(alpha, beta[1:]):
+        yield (beta[0],) + tail
+    for tail in quasi_shuffle(alpha[1:], beta[1:]):
+        yield (alpha[0] + beta[0],) + tail
 
 
 def test_quasi_shuffle_counts():
@@ -138,9 +153,9 @@ def test_json_roundtrip_both_bases():
 
 
 def test_cyclic_monomial_expansions_of_degree_4():
-    assert cyclic_monomial_as_qsym(4, {4}) == QSym(4, {frozenset(): 1})
-    assert cyclic_monomial_as_qsym(4, {1, 3}) == QSym(4, {frozenset({2}): 2})
-    assert cyclic_monomial_as_qsym(4, {1, 2, 3, 4}) == QSym(
+    assert cyclic_monomial(4, {4}).as_qsym() == QSym(4, {frozenset(): 1})
+    assert cyclic_monomial(4, {1, 3}).as_qsym() == QSym(4, {frozenset({2}): 2})
+    assert cyclic_monomial(4, {1, 2, 3, 4}).as_qsym() == QSym(
         4, {frozenset({1, 2, 3}): 4}
     )
 
