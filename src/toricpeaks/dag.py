@@ -61,11 +61,21 @@ class Dag:
         for key in ("vertices", "arcs"):
             if key not in data:
                 raise ValueError(f"missing key {key!r}")
-        if any(type(v) is not int for v in data["vertices"]):
+        vertices, arcs = data["vertices"], data["arcs"]
+        if type(vertices) is not list:
+            raise ValueError("vertices must be a list of integers")
+        if any(type(v) is not int for v in vertices):
             raise ValueError("vertices must be integers")
-        if any(type(v) is not int for arc in data["arcs"] for v in arc):
+        if type(arcs) is not list:
+            raise ValueError("arcs must be a list of two-element lists of integers")
+        for arc in arcs:
+            if type(arc) is not list or len(arc) != 2:
+                raise ValueError(
+                    f"an arc must be a two-element list of integers, not {json.dumps(arc)}"
+                )
+        if any(type(v) is not int for arc in arcs for v in arc):
             raise ValueError("arc endpoints must be integers")
-        return cls.make(data["vertices"], data["arcs"])
+        return cls.make(vertices, arcs)
 
 
 def _index(vertices: Iterable[int], arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:

@@ -5,15 +5,23 @@ of degree n stores a sparse map from subsets of [n-1] to integer
 coefficients; a ``CQSym`` maps canonical cyclic subset classes in [n] to
 integers. Both key their maps by the bitmasks of setcomp (element e at
 bit n - e) and show frozenset keys only at the API edge: the ``terms``
-view, the public constructors, JSON and ``repr``. Fundamental bases,
-cyclic bases and the truncated-polynomial oracle are views and
-constructors on top of these.
+view and the public constructors. JSON and ``repr`` rows are sorted
+element lists read straight from the masks. Fundamental bases, cyclic
+bases and the truncated-polynomial oracle are views and constructors on
+top of these.
+
+Products walk the quasi-shuffle lattice paths one grid column at a time,
+sharing the columns that consecutive right terms have in common (see
+:meth:`QSym.__mul__`). A cyclic product goes through QSym, and the
+monomial expansion of each cyclic class is cached for the process.
+Multiplying a QSym by a CQSym, either way round, raises ``TypeError``.
 
 All coefficients are exact Python integers.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from collections import Counter
@@ -24,6 +32,7 @@ from typing import Iterable, Mapping
 from .setcomp import (
     _canonical_mask,
     _class_table,
+    _elements,
     _fill_orbit,
     _mask,
     _orbit,
@@ -51,7 +60,7 @@ class _Homogeneous:
     ``zero`` and ``unit``. The public constructor validates every key;
     results the library builds itself come from ``_make``, which takes
     masks already known to be valid. Elements of different subclasses
-    never compare equal or add.
+    never compare equal, add or multiply.
     """
 
     __slots__ = ("degree", "masks")
@@ -109,6 +118,8 @@ class _Homogeneous:
         return self._make(self.degree, {k: c * v for k, v in self.masks.items()})
 
     def __rmul__(self, c: int):
+        if not isinstance(c, int):
+            return NotImplemented
         return self.scale(c)
 
     def __repr__(self) -> str:
@@ -116,24 +127,26 @@ class _Homogeneous:
         if not self.masks:
             return f"{name}({self.degree}, 0)"
         parts = [
-            f"{c}*{self._symbol}{{{','.join(map(str, sorted(E)))}}}"
-            for E, c in sorted(self.terms.items(), key=lambda kv: sorted(kv[0]))
+            f"{c}*{self._symbol}{{{','.join(map(str, E))}}}"
+            for E, c in _rows(self.masks, self.degree)
         ]
         return f"{name}({self.degree}, {' + '.join(parts)})"
 
     def to_json(self) -> str:
-        return self._json(self._symbol, self.terms)
+        return self._json(self._symbol, self.masks)
 
-    def _json(self, basis: str, terms: Mapping[frozenset, int]) -> str:
+    def _json(self, basis: str, masks: Mapping[int, int]) -> str:
         payload = {
             "degree": self.degree,
             "basis": basis,
-            "terms": [
-                {"set": sorted(E), "coeff": c}
-                for E, c in sorted(terms.items(), key=lambda kv: sorted(kv[0]))
-            ],
+            "terms": [{"set": E, "coeff": c} for E, c in _rows(masks, self.degree)],
         }
         return json.dumps(payload, sort_keys=True)
+
+
+def _rows(masks: Mapping[int, int], n: int) -> list[tuple[list[int], int]]:
+    """(sorted elements, coefficient) per key, ordered by the element lists."""
+    return sorted((_elements(m, n), c) for m, c in masks.items())
 
 
 class QSym(_Homogeneous):
@@ -167,31 +180,45 @@ class QSym(_Homogeneous):
         to (len(alpha), len(beta)) with steps (1, 0), (0, 1) and (1, 1);
         its partial sums are A_i + B_j at the path's interior points, where
         A and B are the partial sums of alpha and beta. A DP over the grid
-        counts the paths per set of partial sums, as bitmasks.
+        counts the paths per set of partial sums, as bitmasks, one column
+        j at a time. Column j depends only on A and B_0, ..., B_j, so for
+        one left term the right terms are walked in order of their
+        partial-sum lists, and each recomputes only the columns past the
+        prefix it shares with the one before it.
+
+        Multiplying by an int scales; any type other than ``int`` and
+        ``QSym`` raises ``TypeError``.
         """
         if isinstance(other, int):
             return self.scale(other)
-        n = self.degree + other.degree
-        lefts = [(_partial_sums(E, self.degree), a) for E, a in self.masks.items()]
-        rights = [(_partial_sums(L, other.degree), b) for L, b in other.masks.items()]
+        if type(other) is not QSym:
+            return NotImplemented
+        p, q = self.degree, other.degree
+        if not p:
+            return other.scale(self.masks.get(0, 0))
+        if not q:
+            return self.scale(other.masks.get(0, 0))
+        n = p + q
+        rights = sorted((_partial_sums(L, q), b) for L, b in other.masks.items())
         out: dict[int, int] = {}
-        for A, a in lefts:
-            for B, b in rights:
-                ab = a * b
-                for mask, count in _shuffle_masks(A, B, n).items():
-                    out[mask] = out.get(mask, 0) + ab * count
+        for E, a in self.masks.items():
+            _shuffle_into(out, _partial_sums(E, p), a, rights, n)
         return QSym._make(n, out)
 
     def to_fundamental(self) -> dict[frozenset, int]:
         """F-basis coefficients by inclusion-exclusion over supersets."""
         n = self.degree
-        ambient = _mask(range(1, n), n)
+        return {_set(L, n): c for L, c in self._fundamental_masks().items()}
+
+    def _fundamental_masks(self) -> dict[int, int]:
+        """:meth:`to_fundamental` keyed by masks."""
+        ambient = _mask(range(1, self.degree), self.degree)
         out: dict[int, int] = {}
         for mask, c in self.masks.items():
             for extra in _submasks(ambient ^ mask):
                 L = mask | extra
                 out[L] = out.get(L, 0) + (-c if extra.bit_count() & 1 else c)
-        return {_set(L, n): c for L, c in out.items() if c}
+        return _clean(out)
 
     @classmethod
     def from_fundamental(cls, degree: int, coeffs: Mapping[frozenset, int]) -> "QSym":
@@ -221,9 +248,9 @@ class QSym(_Homogeneous):
 
     def to_json(self, basis: str = "M") -> str:
         if basis == "M":
-            return self._json(basis, self.terms)
+            return self._json(basis, self.masks)
         if basis == "F":
-            return self._json(basis, self.to_fundamental())
+            return self._json(basis, self._fundamental_masks())
         raise ValueError(f"unknown basis {basis!r}")
 
     @classmethod
@@ -243,31 +270,59 @@ def _partial_sums(mask: int, n: int) -> list[int]:
     return [0, *(n - b for b in range(n - 1, 0, -1) if mask >> b & 1), n] if n else [0]
 
 
-def _shuffle_masks(A: list[int], B: list[int], n: int) -> dict[int, int]:
-    """Quasi-shuffles of the compositions with partial sums A and B, counted
-    by the mask in degree n of their partial-sum set."""
-    k, last = len(A) - 1, len(B) - 1
-    prev: list[dict[int, int]] = []
-    for i in range(k + 1):
-        row: list[dict[int, int]] = []
-        for j in range(last + 1):
-            if not (i or j):
-                row.append({0: 1})
-                continue
-            bit = 0 if (i == k and j == last) else 1 << (n - A[i] - B[j])
-            sources = [row[j - 1]] if j else []
-            if i:
-                sources.append(prev[j])
-                if j:
-                    sources.append(prev[j - 1])
-            cell: dict[int, int] = {}
-            for src in sources:
-                for mask, c in src.items():
-                    mask |= bit
-                    cell[mask] = cell.get(mask, 0) + c
-            row.append(cell)
-        prev = row
-    return prev[last]
+def _shuffle_into(
+    out: dict[int, int], A: list[int], a: int, rights: list[tuple[list[int], int]], n: int
+) -> None:
+    """Add a * b * M_A * M_B into out for every right term (B, b).
+
+    A and each B are partial-sum lists of positive degree, and rights is
+    sorted by B. Cell (i, j) of the grid maps each partial-sum mask of the
+    paths from (0, 0) to (i, j) to their number; its own bit is that of
+    A_i + B_j. ``cols`` holds the columns of the current B before its last
+    one. The last column is rebuilt for every B, and its end cell, which
+    sets no bit (its sum is n), is never built: its three neighbours go
+    straight into out.
+    """
+    k = len(A) - 1
+    shifts = [n - x for x in A]
+    first, mask = [{0: 1}], 0
+    for s in shifts[1:]:
+        mask |= 1 << s
+        first.append({mask: 1})
+    cols, before = [first], [0]
+    for B, b in rights:
+        j = 1
+        while j < len(before) and B[j] == before[j]:
+            j += 1
+        del cols[j:]
+        for x in B[j:-1]:
+            cols.append(_column(cols[-1], shifts, x, k + 1))
+        prev = cols[-1]
+        last = _column(prev, shifts, B[-1], k)
+        ab = a * b
+        for src in (prev[k], last[k - 1], prev[k - 1]):
+            for m, c in src.items():
+                out[m] = out.get(m, 0) + ab * c
+        before = B
+
+
+def _column(
+    prev: list[dict[int, int]], shifts: list[int], x: int, rows: int
+) -> list[dict[int, int]]:
+    """Rows 0, ..., rows - 1 of the grid column with partial sum x, from
+    the column before it. No source mask holds the cell's own bit."""
+    bit = 1 << (shifts[0] - x)
+    cell = {m | bit: c for m, c in prev[0].items()}
+    col = [cell]
+    for i in range(1, rows):
+        bit = 1 << (shifts[i] - x)
+        cell = {m | bit: c for m, c in cell.items()}
+        for src in (prev[i], prev[i - 1]):
+            for m, c in src.items():
+                m |= bit
+                cell[m] = cell.get(m, 0) + c
+        col.append(cell)
+    return col
 
 
 def monomial(n: int, E: Iterable[int]) -> QSym:
@@ -317,10 +372,14 @@ class CQSym(_Homogeneous):
         """Product in cQSym, computed in QSym and folded back.
 
         A :class:`NotCyclicError` here signals an internal inconsistency:
-        products of cyclic elements are always cyclic.
+        products of cyclic elements are always cyclic. Multiplying by an
+        int scales; any type other than ``int`` and ``CQSym`` raises
+        ``TypeError``.
         """
         if isinstance(other, int):
             return self.scale(other)
+        if type(other) is not CQSym:
+            return NotImplemented
         return from_qsym(self.as_qsym() * other.as_qsym())
 
     def as_qsym(self) -> QSym:
@@ -330,7 +389,7 @@ class CQSym(_Homogeneous):
             return QSym.unit(self.masks.get(0, 0))
         out: dict[int, int] = {}
         for E, c in self.masks.items():
-            for L, mult in _class_expansion(E, n).items():
+            for L, mult in _class_expansion(E, n):
                 out[L] = out.get(L, 0) + c * mult
         return QSym._make(n, out)
 
@@ -351,15 +410,17 @@ class CQSym(_Homogeneous):
         )
 
 
-def _class_expansion(mask: int, n: int) -> Counter:
-    """Monomial expansion multiset of a cyclic monomial class, as masks.
+@functools.cache
+def _class_expansion(mask: int, n: int) -> tuple[tuple[int, int], ...]:
+    """Monomial expansion multiset of a cyclic monomial class, as
+    (mask, multiplicity) pairs in order of first occurrence.
 
     Mcyc_{n,E} is the sum of M_{n,(E-e) ∩ [n-1]} over e in E; equal subsets
     are collected with multiplicity. E - e is the shift by b = n - e, which
     moves e to n, at bit 0.
     """
     orbit = _orbit(mask, n)
-    return Counter(orbit[b] & ~1 for b in range(n) if mask >> b & 1)
+    return tuple(Counter(orbit[b] & ~1 for b in range(n) if mask >> b & 1).items())
 
 
 def cyclic_monomial(n: int, E: Iterable[int]) -> CQSym:
@@ -412,7 +473,7 @@ def from_qsym(a: QSym) -> CQSym:
     reconstructed: dict[int, int] = {}
     for key in {_canonical_mask(L | 1, n) for L in a.masks}:
         expansion = _class_expansion(key, n)
-        L0, mult0 = next(iter(expansion.items()))
+        L0, mult0 = expansion[0]
         c0 = a.masks.get(L0, 0)
         if c0 % mult0 != 0:
             raise NotCyclicError(
@@ -420,7 +481,7 @@ def from_qsym(a: QSym) -> CQSym:
                 f"divisible by its class multiplicity {mult0}"
             )
         c = coeffs[key] = c0 // mult0
-        for L, mult in expansion.items():
+        for L, mult in expansion:
             reconstructed[L] = reconstructed.get(L, 0) + c * mult
     if _clean(reconstructed) != a.masks:
         raise NotCyclicError("coefficients are inconsistent across a cyclic class")

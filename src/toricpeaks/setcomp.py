@@ -89,14 +89,19 @@ def _mask(E: Iterable[int], n: int) -> int:
     return mask
 
 
-def _set(mask: int, n: int) -> frozenset[int]:
-    """Inverse of :func:`_mask`."""
+def _elements(mask: int, n: int) -> list[int]:
+    """The elements of the subset of [n] with this mask, in increasing order."""
     elems = []
     while mask:
-        low = mask & -mask  # bit b holds element n - b
-        elems.append(n + 1 - low.bit_length())
-        mask ^= low
-    return frozenset(elems)
+        top = mask.bit_length()  # bit top - 1 holds element n + 1 - top
+        elems.append(n + 1 - top)
+        mask ^= 1 << (top - 1)
+    return elems
+
+
+def _set(mask: int, n: int) -> frozenset[int]:
+    """Inverse of :func:`_mask`."""
+    return frozenset(_elements(mask, n))
 
 
 def _submasks(mask: int) -> Iterator[int]:

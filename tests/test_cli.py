@@ -139,6 +139,11 @@ def test_expand_without_degree_is_one_line_error():
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[true,2]]}'),
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[2,1.0]]}'),
         ("extensions", "linear", "--dag", '{"vertices":[1,2]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[5]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[1,2,3]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[1]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":5,"arcs":[]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":{"1":2}}'),
     ],
 )
 def test_bad_input_is_one_line_error(argv):

@@ -138,6 +138,13 @@ def test_json_roundtrip():
             Dag.from_json(payload)
     with pytest.raises(ValueError, match="missing key 'arcs'"):
         Dag.from_json('{"vertices":[1,2]}')
+    for arcs in ("[5]", "[[1,2,3]]", "[[1]]", '["12"]'):
+        with pytest.raises(ValueError, match="an arc must be a two-element list of integers"):
+            Dag.from_json(f'{{"vertices":[1,2],"arcs":{arcs}}}')
+    with pytest.raises(ValueError, match="vertices must be a list of integers"):
+        Dag.from_json('{"vertices":5,"arcs":[]}')
+    with pytest.raises(ValueError, match="arcs must be a list of two-element lists"):
+        Dag.from_json('{"vertices":[1,2],"arcs":{"1":2}}')
     tc = toric_class(D3)
     assert '"size": 5' in tc.to_json()
 

@@ -17,7 +17,8 @@ from toricpeaks.qsym import (
     fundamental,
     monomial,
 )
-from toricpeaks.setcomp import phi
+from toricpeaks.enriched import kcyc
+from toricpeaks.setcomp import _mask, phi
 
 
 def test_fundamental_is_superset_sum():
@@ -99,6 +100,67 @@ def test_product_matches_quasi_shuffle(pair):
     assert a * b == _quasi_shuffle_product(a, b)
 
 
+def _descending(x: QSym) -> QSym:
+    """x rebuilt with its masks dict filled from the largest mask down."""
+    order = sorted(x.terms, key=lambda E: _mask(E, x.degree), reverse=True)
+    out = QSym(x.degree, {E: x.terms[E] for E in order})
+    assert list(out.masks) == sorted(out.masks, reverse=True)
+    return out
+
+
+# Right factors whose terms share long partial-sum prefixes, or none.
+_DENSE = fundamental(4, ())  # every subset of [3]
+_KCYC = kcyc({1, 3}, 5).as_qsym()
+_CANCEL = monomial(2, {1}) - monomial(2, ())  # M_1 times it cancels M_12, M_21
+_KERNEL_CASES = [
+    (monomial(3, {1}), _DENSE),
+    (fundamental(3, ()), _DENSE),
+    (_DENSE, fundamental(2, {1})),
+    (fundamental(2, ()) - 2 * monomial(2, {1}), _KCYC),
+    (_KCYC, monomial(1, ())),
+    (monomial(3, ()), _KCYC),  # one-part factors on either side
+    (_DENSE, monomial(4, ())),
+    (QSym.unit(3), _DENSE),  # degree 0 on either side
+    (_KCYC, QSym.unit(-2)),
+    (QSym.zero(0), monomial(2, {1})),
+    (QSym.unit(1), QSym.unit(5)),
+    (monomial(1, ()), _CANCEL),
+    (_CANCEL, 3 * _CANCEL),
+    (monomial(2, {1}), _descending(_DENSE)),
+    (fundamental(2, ()), _descending(_KCYC)),
+]
+
+
+@pytest.mark.parametrize("a, b", _KERNEL_CASES)
+def test_product_kernel_cases(a, b):
+    assert a * b == _quasi_shuffle_product(a, b)
+    assert b * a == _quasi_shuffle_product(b, a)
+
+
+def test_product_cancels_signed_terms():
+    assert monomial(1, ()) * _CANCEL == QSym(3, {frozenset({1, 2}): 3, frozenset(): -1})
+
+
+@st.composite
+def qsym_factors(draw, max_degree=3):
+    """a, b, b2 and c, with b and b2 of one degree, all degrees at most
+    max_degree."""
+    p, q, r = (draw(st.integers(0, max_degree)) for _ in range(3))
+    return tuple(draw(qsym_elements(d)) for d in (p, q, q, r))
+
+
+@settings(deadline=None)
+@given(qsym_factors())
+def test_product_ring_axioms(factors):
+    a, b, b2, c = factors
+    m = 3
+    assert (a * b).truncate(m) == a.truncate(m) * b.truncate(m)
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + b2) == a * b + a * b2
+    assert (b + b2) * a == b * a + b2 * a
+
+
 def test_product_matches_truncated_polynomial_oracle():
     m = 4
     cases = [
@@ -129,6 +191,11 @@ def test_qsym_and_cqsym_never_mix():
     assert a != b and b != a
     with pytest.raises(TypeError):
         a + b
+    # A CQSym key keeps element n at bit 0, which a QSym product would drop.
+    mixed = [(monomial(2, {1}), cyclic_monomial(3, {1, 2, 3})), (b, a)]
+    for x, y in mixed + [(a, 1.5), (b, 1.5), (1.5, a)]:
+        with pytest.raises(TypeError):
+            x * y
 
 
 def test_public_constructors_reject_bad_keys():
