@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import json
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
@@ -31,7 +30,6 @@ from .dag import (
 from .permstat import (
     Word,
     cpeak_set,
-    cyclic_peak_sets,
     cyclic_peak_witness,
     is_cyclic_peak_set,
     is_peak_set,
@@ -39,16 +37,13 @@ from .permstat import (
 )
 from .qsym import CQSym, QSym, from_qsym
 from .setcomp import (
-    _canonical_mask,
     _class_table,
     _fill_orbit,
     _mask,
-    _set,
     canonical_subset_class,
 )
 
 Assignment = dict[int, int]
-FrozenAssignment = frozenset[tuple[int, int]]
 
 
 def signed_key(v: int) -> tuple[int, int]:
@@ -77,10 +72,6 @@ def is_enriched(f: Mapping[int, int], d: Dag) -> bool:
             if a < 0 and not i > j:
                 return False
     return True
-
-
-def freeze(f: Mapping[int, int]) -> FrozenAssignment:
-    return frozenset(f.items())
 
 
 def enumerate_enriched(d: Dag, m: int) -> list[Assignment]:
@@ -226,28 +217,12 @@ def _down_steps(D: int, pred: list[int], order: list[int]) -> Iterator[tuple[int
             stack.append((t + 1, B | 1 << k, plus, minus))
 
 
-def delta_fundamental_expansion(w: Sequence[int]) -> dict[frozenset, int]:
-    """F-basis coefficients of delta_perm(w).
-
-    Coefficient 2^{pk+1} on each D in [n-1] with Pk w inside D △ (D+1).
-    """
-    n = len(w)
-    S = peak_set(w)
-    coeff = 2 ** (len(S) + 1)
-    peaks = _mask(S, n)
-    return {
-        _set(D, n): coeff
-        for D in range(0, 1 << n, 2)
-        if not peaks & ~(D ^ D >> 1)
-    }
-
-
 def k_peak(S: Iterable[int], n: int) -> QSym:
     """K_S, the peak function of a valid linear peak set S in [n].
 
     Stembridge's formula gives it from S alone, as the weight enumerator of
-    any permutation with peak set S; tests compare it with ``delta_perm``
-    of ``peak_witness(S, n)``.
+    any permutation with peak set S; the tests compare it with ``delta_perm``
+    of a witness built by ``permstat._witness``.
     """
     S = frozenset(S)
     if not is_peak_set(S, n):
@@ -298,49 +273,6 @@ def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
     )
     deltas = (delta_from_peak_set(S, n).scale(c) for S, c in counts.items())
     return from_qsym(sum(deltas, QSym.zero(n)))
-
-
-def kcyc_index_map(S: frozenset[int]) -> frozenset[int]:
-    """The column index f(S) = {s_1} ∪ {s_i - 1 : i >= 2} of a canonical S."""
-    elems = sorted(S)
-    return frozenset([elems[0]] + [s - 1 for s in elems[1:]])
-
-
-def kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int]]]:
-    """Matrix of Kcyc over the classes of the mapped index sets.
-
-    Rows and columns follow the canonical cyclic peak sets in
-    cardinality-then-lex order; entry (i, j) is the coefficient of the
-    class of f(S_j) in Kcyc_{S_i}. The ``triangularity`` verify suite
-    checks that it is upper triangular with a nonzero diagonal.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    sets = cyclic_peak_sets(n)
-    cols = [_canonical_mask(_mask(kcyc_index_map(S), n), n) for S in sets]
-    rows = [kcyc(S, n).masks for S in sets]
-    return sets, [[row.get(c, 0) for c in cols] for row in rows]
-
-
-def matrix_rank(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank, col = 0, 0
-    ncols = len(work[0]) if work else 0
-    while rank < len(work) and col < ncols:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                factor = work[r][col] / lead
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
 
 
 def standardize(w: Sequence[int], offset: int) -> Word:

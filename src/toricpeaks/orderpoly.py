@@ -10,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import Counter
-from fractions import Fraction
 from math import comb
 from typing import Mapping, Sequence
 
@@ -287,14 +286,3 @@ def marking_fibers(w: Sequence[int], m: int) -> Counter:
         out[partition_to_marking(f, w, m)] += 1
     return out
 
-
-def interpolate(points: Sequence[tuple[int, int]], x: int) -> Fraction:
-    """Lagrange interpolation at integer nodes, exact rationals."""
-    total = Fraction(0)
-    for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
-        for j, (xj, _) in enumerate(points):
-            if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
-    return total

@@ -153,14 +153,6 @@ def cyclic_peak_sets(n: int) -> list[frozenset[int]]:
     return sorted(seen, key=lambda S: (len(S), sorted(S)))
 
 
-def peak_witness(S: frozenset[int] | set[int], n: int) -> Word:
-    """A w in S_n with Pk w = S, built by ``_witness``."""
-    S = frozenset(S)
-    if not is_peak_set(S, n):
-        raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
-    return _witness(S, n, 0)
-
-
 def cyclic_peak_witness(S: frozenset[int] | set[int], n: int) -> Word:
     """A w in S_n with cPk w = S, built by ``_witness``."""
     S = frozenset(S)

@@ -7,8 +7,8 @@ integers. Both key their maps by the bitmasks of setcomp (element e at
 bit n - e) and show frozenset keys only at the API edge: the ``terms``
 view and the public constructors. JSON and ``repr`` rows are sorted
 element lists read straight from the masks. Fundamental bases, cyclic
-bases and the truncated-polynomial oracle are views and constructors on
-top of these.
+bases and truncation to finitely many variables are views and
+constructors on top of these.
 
 Products walk the quasi-shuffle lattice paths one grid column at a time,
 sharing the columns that consecutive right terms have in common (see
@@ -38,7 +38,6 @@ from .setcomp import (
     _orbit,
     _set,
     _submasks,
-    shift_set,
 )
 
 
@@ -98,10 +97,6 @@ class _Homogeneous:
         if type(other) is not type(self):
             return NotImplemented
         if self.degree != other.degree:
-            if not self.masks:
-                return other
-            if not other.masks:
-                return self
             raise ValueError("cannot add elements of different degrees")
         out = dict(self.masks)
         for k, c in other.masks.items():
@@ -212,20 +207,13 @@ class QSym(_Homogeneous):
 
     def _fundamental_masks(self) -> dict[int, int]:
         """:meth:`to_fundamental` keyed by masks."""
-        ambient = _mask(range(1, self.degree), self.degree)
-        out: dict[int, int] = {}
-        for mask, c in self.masks.items():
-            for extra in _submasks(ambient ^ mask):
-                L = mask | extra
-                out[L] = out.get(L, 0) + (-c if extra.bit_count() & 1 else c)
-        return _clean(out)
+        return _clean(_superset_sum(self.masks, self.degree, signed=True))
 
     @classmethod
     def from_fundamental(cls, degree: int, coeffs: Mapping[frozenset, int]) -> "QSym":
-        out = cls.zero(degree)
-        for E, c in coeffs.items():
-            out = out + fundamental(degree, E).scale(c)
-        return out
+        """The sum of c F_{degree,E} over the items (E, c) of coeffs."""
+        masks = {cls._key(degree, E): c for E, c in coeffs.items()}
+        return cls._make(degree, _superset_sum(masks, degree, signed=False))
 
     def specialize_ones(self, m: int) -> int:
         """Value at x_1 = ... = x_m = 1, all other variables 0."""
@@ -234,7 +222,7 @@ class QSym(_Homogeneous):
         return sum(c * comb(m, E.bit_count() + extra) for E, c in self.masks.items())
 
     def truncate(self, m: int) -> "TruncPoly":
-        """Exact polynomial in m variables; the independent oracle format."""
+        """Exact polynomial in m variables: x_{m+1} = x_{m+2} = ... = 0."""
         out: Counter = Counter()
         for E, c in self.masks.items():
             sums = _partial_sums(E, self.degree)
@@ -262,6 +250,19 @@ class QSym(_Homogeneous):
         if data["basis"] == "F":
             return cls.from_fundamental(data["degree"], coeffs)
         raise ValueError(f"unknown basis {data['basis']!r}")
+
+
+def _superset_sum(masks: Mapping[int, int], n: int, signed: bool) -> dict[int, int]:
+    """Add each coefficient c of a key E inside [n-1] to every superset L of
+    E, negated when signed and |L - E| is odd: F to M unsigned, and its
+    inverse, M to F, signed."""
+    ambient, odd = _mask(range(1, n), n), int(signed)
+    out: dict[int, int] = {}
+    for mask, c in masks.items():
+        for extra in _submasks(ambient ^ mask):
+            L = mask | extra
+            out[L] = out.get(L, 0) + (-c if extra.bit_count() & odd else c)
+    return out
 
 
 def _partial_sums(mask: int, n: int) -> list[int]:
@@ -332,9 +333,7 @@ def monomial(n: int, E: Iterable[int]) -> QSym:
 
 def fundamental(n: int, E: Iterable[int]) -> QSym:
     """F_{n,E} = sum of M_{n,L} over supersets L of E in [n-1]."""
-    mask = QSym._key(n, E)
-    rest = _mask(range(1, n), n) ^ mask
-    return QSym._make(n, {mask | extra: 1 for extra in _submasks(rest)})
+    return QSym.from_fundamental(n, {frozenset(E): 1})
 
 
 class CQSym(_Homogeneous):
@@ -446,18 +445,6 @@ def cyclic_fundamental(n: int, E: Iterable[int]) -> CQSym:
     return CQSym._make(n, out)
 
 
-def cyclic_fundamental_via_F(n: int, E: Iterable[int]) -> QSym:
-    """Fcyc_{n,E} as a sum of shifted fundamental quasi-symmetric functions."""
-    E = frozenset(E)
-    if not E:
-        raise ValueError("Fcyc requires a nonempty index set")
-    out = QSym.zero(n)
-    for i in range(1, n + 1):
-        shifted = frozenset(x for x in shift_set(E, n, -i) if x != n)
-        out = out + fundamental(n, shifted)
-    return out
-
-
 def from_qsym(a: QSym) -> CQSym:
     """Fold a QSym element lying in cQSym into the cyclic monomial basis.
 
@@ -504,11 +491,6 @@ class TruncPoly:
             and self.terms == other.terms
         )
 
-    def __add__(self, other: "TruncPoly") -> "TruncPoly":
-        out = Counter(self.terms)
-        out.update(other.terms)
-        return TruncPoly(self.m, out)
-
     def __mul__(self, other: "TruncPoly") -> "TruncPoly":
         out: Counter = Counter()
         for ka, va in self.terms.items():
@@ -519,29 +501,3 @@ class TruncPoly:
     def __repr__(self) -> str:
         return f"TruncPoly(m={self.m}, {len(self.terms)} terms)"
 
-
-def fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> TruncPoly:
-    """Brute-force Fcyc_{n,E} in m variables from its defining pair set.
-
-    Enumerates all (w, k) with w in [m]^n cyclically weakly increasing from
-    index k and strict rises at positions of E other than k-1 (mod n).
-    """
-    E = frozenset(E)
-    if m < 1:
-        raise ValueError("need at least one variable")
-    out: Counter = Counter()
-    for w in itertools.product(range(1, m + 1), repeat=n):
-        for k in range(1, n + 1):
-            seq = w[k - 1:] + w[: k - 1]
-            if any(seq[i] > seq[i + 1] for i in range(n - 1)):
-                continue
-            skip = k - 1 if k >= 2 else n
-            if any(
-                w[i - 1] >= w[i % n] for i in E if i != skip
-            ):
-                continue
-            expo = [0] * m
-            for x in w:
-                expo[x - 1] += 1
-            out[tuple(expo)] += 1
-    return TruncPoly(m, out)

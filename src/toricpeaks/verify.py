@@ -12,6 +12,8 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
+from typing import Iterable, Mapping, Sequence
 
 from .dag import (
     Dag,
@@ -29,17 +31,13 @@ from .enriched import (
     cyclic_peak_product,
     delta_dag,
     delta_from_peak_set,
-    delta_fundamental_expansion,
     delta_perm,
     delta_toric,
     delta_toric_by_rotations,
     enumerate_enriched,
-    freeze,
     is_enriched,
     k_peak,
     kcyc,
-    kcyc_triangular_matrix,
-    matrix_rank,
     standardize,
 )
 from .orderpoly import (
@@ -47,7 +45,6 @@ from .orderpoly import (
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
-    interpolate,
     marking_fibers,
     multiset_coeff,
     omega,
@@ -65,15 +62,8 @@ from .permstat import (
     rotations,
     shuffle_set,
 )
-from .qsym import (
-    CQSym,
-    QSym,
-    TruncPoly,
-    cyclic_fundamental,
-    cyclic_fundamental_via_F,
-    cyclic_monomial,
-    fcyc_pair_oracle,
-)
+from .qsym import CQSym, QSym, TruncPoly, cyclic_fundamental, cyclic_monomial
+from .setcomp import _canonical_mask, _mask, _set, shift_set
 
 
 def _check(checks: list, name: str, ok: bool, detail: str = "") -> None:
@@ -88,6 +78,10 @@ def _report(suite: str, checks: list) -> dict:
     }
 
 
+def _freeze(f: Mapping[int, int]) -> frozenset[tuple[int, int]]:
+    return frozenset(f.items())
+
+
 # Process-wide memos of pure results. They fill across suites, as ``verify
 # all`` runs them in one process. A ToricClass hashes and compares by its
 # canonical member, so all members of a class share one toric entry. The
@@ -95,7 +89,7 @@ def _report(suite: str, checks: list) -> dict:
 # patches those names still sees the calls.
 @functools.cache
 def _enriched_set(d: Dag, m: int) -> frozenset:
-    return frozenset(freeze(f) for f in enumerate_enriched(d, m))
+    return frozenset(_freeze(f) for f in enumerate_enriched(d, m))
 
 
 @functools.cache
@@ -231,6 +225,113 @@ def _count_enriched_word(w: tuple[int, ...], m: int) -> int:
     return count
 
 
+def _cyclic_fundamental_via_F(n: int, E: Iterable[int]) -> QSym:
+    """Oracle for ``cyclic_fundamental``: Fcyc_{n,E} as the sum over i in
+    [n] of F_{n,L} with L the shift of E by -i, less n."""
+    E = frozenset(E)
+    if not E:
+        raise ValueError("Fcyc requires a nonempty index set")
+    shifted = Counter(shift_set(E, n, -i) - {n} for i in range(1, n + 1))
+    return QSym.from_fundamental(n, shifted)
+
+
+def _fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> TruncPoly:
+    """Brute-force Fcyc_{n,E} in m variables from its defining pair set.
+
+    Enumerates all (w, k) with w in [m]^n cyclically weakly increasing from
+    index k and strict rises at positions of E other than k-1 (mod n).
+    """
+    E = frozenset(E)
+    if m < 1:
+        raise ValueError("need at least one variable")
+    out: Counter = Counter()
+    for w in itertools.product(range(1, m + 1), repeat=n):
+        for k in range(1, n + 1):
+            seq = w[k - 1:] + w[: k - 1]
+            if any(seq[i] > seq[i + 1] for i in range(n - 1)):
+                continue
+            skip = k - 1 if k >= 2 else n
+            if any(w[i - 1] >= w[i % n] for i in E if i != skip):
+                continue
+            expo = [0] * m
+            for x in w:
+                expo[x - 1] += 1
+            out[tuple(expo)] += 1
+    return TruncPoly(m, out)
+
+
+def _delta_fundamental_expansion(w: Sequence[int]) -> dict[frozenset, int]:
+    """Oracle for ``delta_perm(w).to_fundamental()``, Stembridge's peak-set
+    expansion: coefficient 2^{pk+1} on each D in [n-1] with Pk w inside
+    D △ (D+1)."""
+    n = len(w)
+    S = peak_set(w)
+    coeff = 2 ** (len(S) + 1)
+    peaks = _mask(S, n)
+    return {_set(D, n): coeff for D in range(0, 1 << n, 2) if not peaks & ~(D ^ D >> 1)}
+
+
+def _kcyc_triangular_matrix(
+    n: int,
+) -> tuple[list[frozenset[int]], list[list[int]], list[list[int]]]:
+    """The Kcyc of the canonical cyclic peak sets S_1, S_2, ... in [n], in
+    cardinality-then-lex order, as two matrices with one row per set.
+
+    Entry (i, j) of the first is the coefficient in Kcyc_{S_i} of the class
+    of f(S_j), where f(S) = {s_1} ∪ {s_k - 1 : k >= 2} for S = {s_1 < s_2 <
+    ...}; the ``triangularity`` suite checks that it is upper triangular
+    with a nonzero diagonal. The second has one column per class that
+    occurs in any row, for the rank.
+    """
+    if n < 2:
+        raise ValueError("need n >= 2")
+    sets = cyclic_peak_sets(n)
+    rows = [kcyc(S, n).masks for S in sets]
+    mapped = []
+    for S in sets:
+        first, *rest = sorted(S)
+        mapped.append(_canonical_mask(_mask([first, *(s - 1 for s in rest)], n), n))
+    classes = sorted(set().union(*rows))
+    return (
+        sets,
+        [[row.get(c, 0) for c in mapped] for row in rows],
+        [[row.get(c, 0) for c in classes] for row in rows],
+    )
+
+
+def _matrix_rank(rows: list[list[int]]) -> int:
+    """Exact rank over the rationals by Gaussian elimination."""
+    work = [[Fraction(x) for x in row] for row in rows]
+    rank, col = 0, 0
+    ncols = len(work[0]) if work else 0
+    while rank < len(work) and col < ncols:
+        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        work[rank], work[pivot] = work[pivot], work[rank]
+        lead = work[rank][col]
+        for r in range(rank + 1, len(work)):
+            if work[r][col]:
+                factor = work[r][col] / lead
+                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _interpolate(points: Sequence[tuple[int, int]], x: int) -> Fraction:
+    """Lagrange interpolation at integer nodes, exact rationals."""
+    total = Fraction(0)
+    for i, (xi, yi) in enumerate(points):
+        term = Fraction(yi)
+        for j, (xj, _) in enumerate(points):
+            if i != j:
+                term *= Fraction(x - xj, xi - xj)
+        total += term
+    return total
+
+
 def _weight_poly(assignments, m: int) -> TruncPoly:
     """Brute-force weight enumerator: sum of products of x_{|f(i)|}."""
     out: Counter = Counter()
@@ -303,13 +404,13 @@ def suite_cyclic_f(max_m: int = 5, **_) -> dict:
     _check(
         checks,
         "Fcyc_{4,{1,3}} via shifted fundamentals",
-        cyclic_fundamental_via_F(4, E) == expected,
+        _cyclic_fundamental_via_F(4, E) == expected,
     )
     for m in range(1, max_m + 1):
         _check(
             checks,
             f"pair oracle m={m}",
-            fcyc_pair_oracle(4, E, m) == elem.truncate(m),
+            _fcyc_pair_oracle(4, E, m) == elem.truncate(m),
         )
     return _report("cyclic-f", checks)
 
@@ -371,7 +472,7 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> dict:
                 for m in range(1, max_m + 1):
                     brute = _weight_poly(_enriched_set(Dag.from_word(w), m), m)
                     bad += brute != dperm.truncate(m)
-            bad += delta_fundamental_expansion(w) != dperm.to_fundamental()
+            bad += _delta_fundamental_expansion(w) != dperm.to_fundamental()
     _check(checks, f"delta oracles all words n<={max_n}", bad == 0, f"{bad} failures")
     # Kcyc of the cyclic peak set against the rotation route, which sums
     # the linear enumerators of all n rotations of the cyclic order w.
@@ -411,7 +512,7 @@ def suite_fundamental_lemma(
             pieces = [_enriched_set(Dag.from_word(w), m) for w in words]
             linear_bad += not _is_disjoint_cover(whole, pieces)
             if m <= 2:
-                linear_bad += whole != frozenset(map(freeze, _brute_enriched(d, m)))
+                linear_bad += whole != frozenset(map(_freeze, _brute_enriched(d, m)))
             spec_bad += delta.specialize_ones(m) != len(whole)
         tc = _toric_of(d)
         if tc in toric_done:
@@ -505,7 +606,7 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
             if n <= 4:
                 pts = [(m, omega(w, m)) for m in range(1, n + 2)]
                 for m in range(n + 2, n + 5):
-                    if interpolate(pts, m) != omega(w, m):
+                    if _interpolate(pts, m) != omega(w, m):
                         poly_bad += 1
     _check(checks, "run invariants, n<=7", run_bad == 0)
     _check(checks, "rotation peak-count structure, n<=6", rot_bad == 0)
@@ -581,7 +682,7 @@ def suite_triangularity(max_n: int = 6, **_) -> dict:
     """Kcyc against mapped cyclic monomial classes: triangular, full rank."""
     checks: list = []
     for n in range(2, max_n + 1):
-        sets, matrix = kcyc_triangular_matrix(n)
+        sets, matrix, full = _kcyc_triangular_matrix(n)
         bad = [
             (i, j)
             for i, row in enumerate(matrix)
@@ -592,20 +693,16 @@ def suite_triangularity(max_n: int = 6, **_) -> dict:
             _check(checks, f"triangularity n={n}", False, f"bad entry at {bad[0]}")
             continue
         # Columns that are zero in every row do not change the rank.
-        rows = [kcyc(S, n).masks for S in sets]
-        classes = sorted(set().union(*rows))
-        full = [[row.get(c, 0) for c in classes] for row in rows]
         _check(
             checks,
             f"triangularity and rank n={n}",
-            matrix_rank(full) == len(sets),
+            _matrix_rank(full) == len(sets),
             f"{len(sets)} classes",
         )
-    sets4, _ = kcyc_triangular_matrix(4)
     _check(
         checks,
         "n=4 cyclic peak sets are {1} and {1,3}",
-        sets4 == [frozenset({1}), frozenset({1, 3})],
+        cyclic_peak_sets(4) == [frozenset({1}), frozenset({1, 3})],
     )
     return _report("triangularity", checks)
 

@@ -9,27 +9,31 @@ from toricpeaks.enriched import (
     cyclic_peak_product,
     delta_dag,
     delta_from_peak_set,
-    delta_fundamental_expansion,
     delta_perm,
     delta_toric,
     delta_toric_by_rotations,
     enumerate_enriched,
     enumerate_enriched_toric,
-    freeze,
     is_enriched,
     k_peak,
     kcyc,
-    kcyc_triangular_matrix,
-    matrix_rank,
     signed_key,
 )
-from toricpeaks.permstat import cyclic_peak_sets, peak_witness
+from toricpeaks.permstat import cyclic_peak_sets
 from toricpeaks.qsym import CQSym, QSym, cyclic_fundamental, cyclic_monomial
 from toricpeaks.setcomp import shift_set
-from toricpeaks.verify import _brute_enriched, _delta_by_extensions, _delta_toric_by_cpk
+from toricpeaks.verify import (
+    _brute_enriched,
+    _delta_by_extensions,
+    _delta_fundamental_expansion,
+    _delta_toric_by_cpk,
+    _freeze,
+    _kcyc_triangular_matrix,
+    _matrix_rank,
+)
 
 from test_dag import labeled_dags
-from test_permstat import peak_sets
+from test_permstat import peak_sets, peak_witness
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
@@ -116,7 +120,7 @@ def test_delta_dag_of_two_five_chains():
 def test_fundamental_expansion_matches_basis_change():
     for n in range(1, 6):
         for w in itertools.permutations(range(1, n + 1)):
-            assert delta_fundamental_expansion(w) == delta_perm(w).to_fundamental()
+            assert _delta_fundamental_expansion(w) == delta_perm(w).to_fundamental()
 
 
 def test_k_peak_square_identity():
@@ -193,7 +197,7 @@ def test_delta_toric_is_the_member_sum(d):
     tc = toric_class(d)
     assert delta_toric(tc) == _delta_toric_by_cpk(tc) == delta_toric_by_rotations(tc)
     for m in (1, 2):
-        sets = [{freeze(f) for f in enumerate_enriched(e, m)} for e in tc.members]
+        sets = [{_freeze(f) for f in enumerate_enriched(e, m)} for e in tc.members]
         union = set().union(*sets)
         assert sum(map(len, sets)) == len(union)
         old = [dict(sorted(f)) for f in sorted(union, key=sorted)]
@@ -227,15 +231,15 @@ def test_kcyc_fund_expansion_degenerates_at_n_1():
 
 
 def test_triangular_matrix_n4():
-    sets, matrix = kcyc_triangular_matrix(4)
+    sets, matrix, _ = _kcyc_triangular_matrix(4)
     assert sets == [frozenset({1}), frozenset({1, 3})]
     assert matrix[0][0] == 4 and matrix[1][0] == 0 and matrix[1][1] != 0
 
 
 def test_matrix_rank():
-    assert matrix_rank([[1, 2], [2, 4]]) == 1
-    assert matrix_rank([[1, 0], [3, 5]]) == 2
-    assert matrix_rank([]) == 0
+    assert _matrix_rank([[1, 2], [2, 4]]) == 1
+    assert _matrix_rank([[1, 0], [3, 5]]) == 2
+    assert _matrix_rank([]) == 0
 
 
 def test_cyclic_peak_product_small_cases():

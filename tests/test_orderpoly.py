@@ -9,7 +9,6 @@ from toricpeaks.orderpoly import (
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
-    interpolate,
     marking_fibers,
     multiset_coeff,
     omega,
@@ -23,6 +22,7 @@ from toricpeaks.orderpoly import (
 from toricpeaks.dag import Dag, toric_class
 from toricpeaks.enriched import enumerate_enriched
 from toricpeaks.permstat import peak_set, rotations
+from toricpeaks.verify import _interpolate
 
 
 def test_poly_helpers():
@@ -154,7 +154,7 @@ def test_interpolation_reproduces_polynomial_values():
     w = (2, 1, 3)
     pts = [(m, omega(w, m)) for m in range(1, 5)]
     for m in range(5, 8):
-        assert interpolate(pts, m) == Fraction(omega(w, m))
+        assert _interpolate(pts, m) == Fraction(omega(w, m))
 
 
 def test_marking_image_and_fibers_on_five_letter_words():

@@ -4,6 +4,7 @@ from collections import Counter
 import pytest
 
 from toricpeaks.permstat import (
+    _witness,
     canonical_rotation,
     cdes_set,
     check_word,
@@ -15,7 +16,6 @@ from toricpeaks.permstat import (
     is_cyclic_peak_set,
     is_peak_set,
     peak_set,
-    peak_witness,
     rotations,
     shuffle_set,
 )
@@ -42,6 +42,14 @@ def peak_sets(n):
     if n >= 0 and frozenset() not in out:
         out.insert(0, frozenset())
     return sorted(set(out), key=lambda S: (len(S), sorted(S)))
+
+
+def peak_witness(S, n):
+    """A w in S_n with Pk w = S, built by ``_witness``."""
+    S = frozenset(S)
+    if not is_peak_set(S, n):
+        raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
+    return _witness(S, n, 0)
 
 
 def test_check_word_rejects_repeats_and_nonpositive():

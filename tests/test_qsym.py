@@ -10,15 +10,14 @@ from toricpeaks.qsym import (
     QSym,
     TruncPoly,
     cyclic_fundamental,
-    cyclic_fundamental_via_F,
     cyclic_monomial,
-    fcyc_pair_oracle,
     from_qsym,
     fundamental,
     monomial,
 )
 from toricpeaks.enriched import kcyc
 from toricpeaks.setcomp import _mask, phi
+from toricpeaks.verify import _cyclic_fundamental_via_F, _fcyc_pair_oracle
 
 
 def test_fundamental_is_superset_sum():
@@ -180,8 +179,14 @@ def test_specialize_ones():
 
 
 def test_degree_mismatch_add_raises():
-    with pytest.raises(ValueError):
-        monomial(2, {1}) + monomial(3, {1})
+    mismatched = [
+        (monomial(2, {1}), monomial(3, {1})),
+        (QSym.zero(3), monomial(2, {1})),  # a zero has a degree too
+        (CQSym.zero(3), cyclic_monomial(2, {1})),
+    ]
+    for a, b in mismatched:
+        with pytest.raises(ValueError):
+            a + b
 
 
 def test_qsym_and_cqsym_never_mix():
@@ -211,12 +216,16 @@ def test_public_constructors_reject_bad_keys():
         QSym.from_json('{"basis": "M", "degree": 2, "terms": [{"set": [2], "coeff": 1}]}')
     with pytest.raises(ValueError):
         CQSym.from_json('{"basis": "Mcyc", "degree": 3, "terms": [{"set": [2], "coeff": 1}]}')
+    with pytest.raises(ValueError):
+        QSym.from_fundamental(3, {frozenset({3}): 1})
 
 
 def test_json_roundtrip_both_bases():
     a = 3 * fundamental(4, {2}) - monomial(4, {1, 3})
     assert QSym.from_json(a.to_json("M")) == a
     assert QSym.from_json(a.to_json("F")) == a
+    big = kcyc({1}, 12).as_qsym()  # 2048 F-terms
+    assert QSym.from_json(big.to_json("F")) == big
 
 
 def test_cyclic_monomial_expansions_of_degree_4():
@@ -250,7 +259,7 @@ def test_cyclic_fundamental_degree_4():
         },
     )
     assert elem.as_qsym() == expected
-    assert cyclic_fundamental_via_F(4, {1, 3}) == expected
+    assert _cyclic_fundamental_via_F(4, {1, 3}) == expected
 
 
 def test_cyclic_fundamental_shift_invariance():
@@ -303,7 +312,7 @@ def test_pair_oracle_small_cases():
     for n, E in [(2, {1}), (3, {1, 2}), (3, {2})]:
         elem = cyclic_fundamental(n, E)
         for m in (1, 2, 3):
-            assert fcyc_pair_oracle(n, E, m) == elem.truncate(m)
+            assert _fcyc_pair_oracle(n, E, m) == elem.truncate(m)
 
 
 @st.composite
