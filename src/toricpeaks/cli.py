@@ -45,8 +45,12 @@ def parse_subset(text: str) -> frozenset[int]:
 
 def load_dag(args) -> dagmod.Dag:
     if getattr(args, "dag", None):
-        path = Path(args.dag)
-        payload = path.read_text() if path.is_file() else args.dag
+        # A readable file wins; otherwise the text is inline JSON, and why
+        # the file could not be read goes into the error if that fails too.
+        try:
+            payload, unread = Path(args.dag).read_text(), None
+        except (OSError, ValueError) as exc:
+            payload, unread = args.dag, exc
         try:
             d = dagmod.Dag.from_json(payload)
             if min(d.vertices, default=0) < 1:
@@ -54,8 +58,11 @@ def load_dag(args) -> dagmod.Dag:
             return d
         except (ValueError, KeyError, TypeError) as exc:
             reason = str(exc)
-            if isinstance(exc, json.JSONDecodeError) and not path.is_file():
-                reason = f"no such file, and not inline JSON ({exc})"
+            if isinstance(exc, json.JSONDecodeError) and unread is not None:
+                why = getattr(unread, "strerror", None) or unread
+                if isinstance(unread, FileNotFoundError):
+                    why = "no such file"
+                reason = f"{why}, and not inline JSON ({exc})"
             raise SystemExit(f"cannot read DAG from {args.dag!r}: {reason}")
     if getattr(args, "word", None):
         return dagmod.Dag.from_word(parse_word(args.word))
@@ -132,7 +139,7 @@ def cmd_extensions(args) -> int:
     return 0
 
 
-# ``enumerate enriched`` refuses to produce more assignments than this.
+# ``enumerate`` refuses to list more assignments or markings than this.
 MAX_ENUMERATED = 10**6
 
 
@@ -172,7 +179,16 @@ def cmd_enumerate(args) -> int:
                 {str(k): v for k, v in sorted(f.items())} for f in rows
             ]})
     else:
+        if args.word is None:
+            raise SystemExit("enumerate markings needs --word")
         w = parse_word(args.word)
+        # Exact: the map from enriched partitions has fibres of size 2^(2pk+1).
+        pk = len(permstat.peak_set(w))
+        if orderpoly.omega(w, args.m) // 2 ** (2 * pk + 1) > MAX_ENUMERATED:
+            raise SystemExit(
+                f"enumerate markings would produce more than {MAX_ENUMERATED}"
+                " markings, the limit"
+            )
         marks = orderpoly.enumerate_markings(w, args.m)
         rows = [
             {"bars": list(mk.bars), "marked": sorted(mk.marked)} for mk in marks

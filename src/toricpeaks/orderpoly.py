@@ -62,13 +62,18 @@ def multiset_coeff(a: int, k: int) -> int:
     return comb(a + k - 1, k) if k >= 0 else 0
 
 
-def _binom(a: int, k: int) -> int:
-    """Binomial coefficient, zero outside the usual range.
+def _peak_sum(n: int, p: int, m: int) -> int:
+    """Sum over k < m - p of ((n+1 multichoose k)) * C(n - 2p - 1, m - 1 - p - k).
 
-    The cyclic closed formula produces a -1 upper argument exactly when
-    its prefactor n - 2 cpk vanishes, so zero is a safe value there.
+    The binomial is zero when n - 2p - 1 < 0. The cyclic closed formula
+    reaches that case exactly when its prefactor n - 2 cpk vanishes.
     """
-    return comb(a, k) if a >= 0 and k >= 0 else 0
+    if n - 2 * p - 1 < 0:
+        return 0
+    return sum(
+        multiset_coeff(n + 1, k) * comb(n - 2 * p - 1, m - 1 - p - k)
+        for k in range(m - p)
+    )
 
 
 def omega(w: Sequence[int], m: int) -> int:
@@ -77,12 +82,10 @@ def omega(w: Sequence[int], m: int) -> int:
     Closed form 2^{2pk+1} * sum over k of ((n+1 multichoose k)) *
     C(n - 2pk - 1, m - 1 - pk - k).
     """
-    n = len(w)
+    if not w:
+        raise ValueError("need a nonempty word")
     pk = len(peak_set(w))
-    total = 0
-    for k in range(0, m - pk):
-        total += multiset_coeff(n + 1, k) * comb(n - 2 * pk - 1, m - 1 - pk - k)
-    return 2 ** (2 * pk + 1) * total
+    return 2 ** (2 * pk + 1) * _peak_sum(len(w), pk, m)
 
 
 def omega_dag(d: Dag, m: int) -> int:
@@ -92,16 +95,14 @@ def omega_dag(d: Dag, m: int) -> int:
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
-    """Closed formula for the toric order polynomial of a cyclic class."""
-    first = sum(
-        multiset_coeff(n + 1, k) * _binom(n - 2 * cpk - 1, m - 1 - cpk - k)
-        for k in range(0, m - cpk)
+    """Closed formula for the toric order polynomial of a cyclic class.
+
+    Its second sum is the first taken at cpk - 1.
+    """
+    return (
+        (n - 2 * cpk) * 2 ** (2 * cpk + 1) * _peak_sum(n, cpk, m)
+        + cpk * 4 ** cpk * _peak_sum(n, cpk - 1, m)
     )
-    second = sum(
-        multiset_coeff(n + 1, k) * _binom(n - 2 * cpk + 1, m - cpk - k)
-        for k in range(0, m - cpk + 1)
-    )
-    return (n - 2 * cpk) * 2 ** (2 * cpk + 1) * first + cpk * 2 ** (2 * cpk) * second
 
 
 def omega_cyc(w: Sequence[int], m: int) -> int:
@@ -174,27 +175,17 @@ def runs(w: Sequence[int]) -> RunDecomposition:
         raise ValueError("need a nonempty word")
     sentinel = max(word) + 1
     seq = (sentinel,) + word + (sentinel,)
-    n = len(word)
-    factors: list[tuple[int, ...]] = []
-    index_sets: list[frozenset[int]] = []
-    pos = 0
-    decreasing = True
-    while pos < len(seq):
-        end = pos + 1
-        while end < len(seq) and (
-            seq[end] < seq[end - 1] if decreasing else seq[end] > seq[end - 1]
-        ):
-            end += 1
-        factors.append(seq[pos:end])
-        index_sets.append(frozenset(range(pos, end)))
-        pos = end
-        decreasing = not decreasing
-    markable = frozenset(
-        i
-        for i in range(1, n + 1)
-        if any(i in I and i + 1 in I for I in index_sets)
+    # A run ends at the first break in its trend; odd runs decrease.
+    starts = [0]
+    for j in range(1, len(seq)):
+        if (seq[j] < seq[j - 1]) != (len(starts) % 2 == 1):
+            starts.append(j)
+    bounds = list(zip(starts, starts[1:] + [len(seq)]))
+    return RunDecomposition(
+        tuple([seq[a:b] for a, b in bounds]),
+        tuple([frozenset(range(a, b)) for a, b in bounds]),
+        frozenset(range(1, len(word) + 1)).difference(b - 1 for _, b in bounds),
     )
-    return RunDecomposition(tuple(factors), tuple(index_sets), markable)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -233,8 +224,10 @@ def enumerate_markings(w: Sequence[int], m: int) -> list[Marking]:
 def partition_to_marking(f: Mapping[int, int], w: Sequence[int], m: int) -> Marking:
     """The marking associated to an enriched partition of w with |f| <= m.
 
-    Marks column k when its sign disagrees with the trend of its run;
-    bar counts come from the prefix formula |f(w_k)| - ceil(i/2) - delta_k.
+    One pass over the columns. Column k, in run i, is marked when its sign
+    disagrees with the trend of its run. The bars before it number
+    |f(w_k)| - ceil(i/2) - delta_k less the marks before k, where delta_k
+    flags a negative value in an increasing run.
     """
     word = check_word(w)
     n = len(word)
@@ -243,40 +236,18 @@ def partition_to_marking(f: Mapping[int, int], w: Sequence[int], m: int) -> Mark
     if any(abs(v) > m for v in f.values()):
         raise ValueError(f"absolute values exceed {m}")
     decomp = runs(word)
-    run_of = {}
-    for idx, I in enumerate(decomp.index_sets, start=1):
-        for i in I:
-            run_of[i] = idx
-    pk = len(peak_set(word))
-    budget = m - 1 - pk
-
-    delta, gamma = {}, {}
+    run_of = [i for i, run in enumerate(decomp.runs, start=1) for _ in run]
+    bars: list[int] = []
+    marked: list[int] = []
     for k in range(1, n + 1):
-        i = run_of[k]
-        val = f[word[k - 1]]
-        delta[k] = 1 if i % 2 == 0 and val < 0 else 0
-        gamma[k] = 1 if i % 2 == 1 and val > 0 else 0
-    marked = frozenset(
-        k for k in decomp.markable if delta[k] + gamma[k] == 1
-    )
-
-    def prefix_total(k: int) -> int:
-        i = run_of[k]
-        return abs(f[word[k - 1]]) - (i + 1) // 2 - delta[k]
-
-    bars_before = []
-    marks_so_far = 0
-    for k in range(1, n + 1):
-        bars_before.append(prefix_total(k) - marks_so_far)
-        if k in marked:
-            marks_so_far += 1
-    bars_list = []
-    prev = 0
-    for g, cur in enumerate(bars_before):
-        bars_list.extend([g] * (cur - prev))
-        prev = cur
-    bars_list.extend([n] * (budget - len(marked) - prev))
-    return Marking(word, tuple(bars_list), marked)
+        i, val = run_of[k], f[word[k - 1]]
+        increasing = i % 2 == 0
+        before = abs(val) - (i + 1) // 2 - (increasing and val < 0) - len(marked)
+        bars += [k - 1] * (before - len(bars))
+        if k in decomp.markable and increasing == (val < 0):
+            marked.append(k)
+    bars += [n] * (m - 1 - len(peak_set(word)) - len(marked) - len(bars))
+    return Marking(word, tuple(bars), frozenset(marked))
 
 
 def marking_fibers(w: Sequence[int], m: int) -> Counter:

@@ -31,9 +31,7 @@ from typing import Iterable, Mapping
 
 from .setcomp import (
     _canonical_mask,
-    _class_table,
     _elements,
-    _fill_orbit,
     _mask,
     _orbit,
     _set,
@@ -436,13 +434,9 @@ def cyclic_fundamental(n: int, E: Iterable[int]) -> CQSym:
     E = frozenset(E)
     if not E:
         raise ValueError("Fcyc requires a nonempty index set")
-    mask, table = _mask(E, n), _class_table(n)
-    out: dict[int, int] = {}
-    for extra in _submasks(((1 << n) - 1) ^ mask):
-        L = mask | extra
-        key = table[L] or _fill_orbit(table, L, n)
-        out[key] = out.get(key, 0) + 1
-    return CQSym._make(n, out)
+    mask = _mask(E, n)
+    free = ((1 << n) - 1) ^ mask
+    return CQSym._make(n, Counter(_canonical_mask(mask | x, n) for x in _submasks(free)))
 
 
 def from_qsym(a: QSym) -> CQSym:

@@ -707,12 +707,12 @@ def suite_triangularity(max_n: int = 6, **_) -> dict:
     return _report("triangularity", checks)
 
 
-def suite_closure(max_total: int = 6, **_) -> dict:
+def suite_closure(max_n: int = 6, **_) -> dict:
     """The cyclic peak functions form a subring: products decompose."""
     checks: list = []
     pairs = bad = 0
-    for mU in range(1, max_total):
-        for nT in range(1, max_total - mU + 1):
+    for mU in range(1, max_n):
+        for nT in range(1, max_n - mU + 1):
             for U in cyclic_peak_sets(mU):
                 for T in cyclic_peak_sets(nT):
                     pairs += 1
@@ -723,7 +723,7 @@ def suite_closure(max_total: int = 6, **_) -> dict:
                     )
                     if lhs != rhs:
                         bad += 1
-    _check(checks, f"{pairs} witness products, degrees <= {max_total}", bad == 0)
+    _check(checks, f"{pairs} witness products, degrees <= {max_n}", bad == 0)
     k1 = kcyc({1}, 2)
     _check(
         checks,
@@ -731,40 +731,37 @@ def suite_closure(max_total: int = 6, **_) -> dict:
         cyclic_peak_product(frozenset(), 0, frozenset({1}), 2)[0] == k1
         and cyclic_peak_product(frozenset({1}), 2, frozenset(), 0)[0] == k1,
     )
-    bad = total = 0
     rng = random.Random(1)
     left = small_dags(2)
     right = [d for d in small_dags(3) if len(d.vertices) == 3]
+    # Labels 4-6 on the right, at most 3 on the left: the unions are disjoint.
     shifted = [
         Dag.make([v + 3 for v in d.vertices], [(i + 3, j + 3) for i, j in d.arcs])
         for d in right
     ]
-    pairs_small = [(a, b) for a in left for b in shifted]
-    pairs_33 = [
+    unions = [(a, b) for a in left for b in shifted] + [
         (rng.choice(right), rng.choice(shifted)) for _ in range(20)
     ]
-    for a, b in pairs_small + pairs_33:
-        if a.vertices & b.vertices:
-            continue
-        total += 1
-        prod = _delta_toric(_toric_of(a)) * _delta_toric(_toric_of(b))
-        if prod != _delta_toric(_toric_of(disjoint_union(a, b))):
-            bad += 1
+    bad = sum(
+        _delta_toric(_toric_of(a)) * _delta_toric(_toric_of(b))
+        != _delta_toric(_toric_of(disjoint_union(a, b)))
+        for a, b in unions
+    )
     _check(
         checks,
-        f"delta-cyc product rule on {total} disjoint unions",
+        f"delta-cyc product rule on {len(unions)} disjoint unions",
         bad == 0,
         f"{bad} failures",
     )
     return _report("closure", checks)
 
 
-def suite_shuffle(max_total: int = 6, **_) -> dict:
+def suite_shuffle(max_n: int = 6, **_) -> dict:
     """K_{Pk pi} K_{Pk sigma} = sum of K_{Pk tau} over interleavings."""
     checks: list = []
     pairs = bad = 0
-    for a in range(1, max_total):
-        for b in range(1, max_total - a + 1):
+    for a in range(1, max_n):
+        for b in range(1, max_n - a + 1):
             for pi in itertools.permutations(range(1, a + 1)):
                 for sig0 in itertools.permutations(range(1, b + 1)):
                     sig = standardize(sig0, a)
@@ -778,7 +775,7 @@ def suite_shuffle(max_total: int = 6, **_) -> dict:
                     )
                     if lhs != rhs or len(taus) != math.comb(a + b, a):
                         bad += 1
-    _check(checks, f"{pairs} shuffle products, degrees <= {max_total}", bad == 0)
+    _check(checks, f"{pairs} shuffle products, degrees <= {max_n}", bad == 0)
     return _report("shuffle", checks)
 
 

@@ -62,8 +62,8 @@ def test_criterion_08_triangularity_and_rank():
 
 
 def test_criterion_09_subring_closure():
-    _run(9, "subring closure of cyclic peak functions, degrees <= 6", "closure", max_total=6)
+    _run(9, "subring closure of cyclic peak functions, degrees <= 6", "closure", max_n=6)
 
 
 def test_criterion_10_shuffle_identity():
-    _run(10, "shuffle identity for peak functions, degrees <= 6", "shuffle", max_total=6)
+    _run(10, "shuffle identity for peak functions, degrees <= 6", "shuffle", max_n=6)

@@ -187,6 +187,25 @@ def test_missing_dag_file_is_named(tmp_path):
         main(["extensions", "toric", "--dag", missing])
 
 
+def test_unreadable_dag_file_is_one_line_error(tmp_path):
+    binary = tmp_path / "dag.bin"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (binary, tmp_path):
+        proc = run_subprocess("extensions", "linear", "--dag", str(path))
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_dag_text_is_a_file_first_then_inline_json(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "{d3}").write_text(D3_JSON)
+    _, out = run(capsys, "extensions", "linear", "--dag", "{d3}")
+    assert out.strip()
+    with pytest.raises(SystemExit, match="expected a JSON object with vertices and arcs$"):
+        main(["extensions", "linear", "--dag", "[]"])
+
+
 def test_zero_bounds_stay_valid(capsys):
     _, out = run(capsys, "order-poly", "12", "--m", "0")
     assert out.splitlines() == ["m\tomega\tomega_cyc", "0\t0\t0"]
@@ -217,6 +236,20 @@ def test_enumerate_markings(capsys):
     assert data["count"] == len(data["markings"]) > 0
 
 
+def test_enumerate_markings_counts_before_listing(monkeypatch, capsys):
+    # 1324 has 6 markings at m = 3 and 20 at m = 4.
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 6)
+    _, out = run(capsys, "enumerate", "markings", "--word", "1324", "--m", "3")
+    assert json.loads(out)["count"] == 6
+    with pytest.raises(SystemExit, match="would produce more than 6 markings"):
+        main(["enumerate", "markings", "--word", "1324", "--m", "4"])
+
+
+def test_enumerate_markings_names_a_missing_word():
+    with pytest.raises(SystemExit, match="^enumerate markings needs --word$"):
+        main(["enumerate", "markings", "--m", "2"])
+
+
 def test_order_poly_tsv(capsys):
     _, out = run(capsys, "order-poly", "1", "--m", "3")
     lines = out.strip().splitlines()
@@ -243,6 +276,13 @@ def test_verify_exit_codes(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
     assert exc.value.code.startswith("unknown suite 'no-such-suite'; choose from [")
+
+
+@pytest.mark.parametrize("suite, kind", [("closure", "witness"), ("shuffle", "shuffle")])
+def test_verify_n_bounds_the_product_degree(capsys, suite, kind):
+    # At the default degree 6 these suites check 21 and 465 products.
+    _, out = run(capsys, "verify", suite, "--n", "2")
+    assert out.splitlines()[0] == f"PASS  {suite}: 1 {kind} products, degrees <= 2"
 
 
 def test_deterministic_output(capsys):

@@ -46,6 +46,13 @@ def test_omega_closed_forms():
     assert omega((1, 3, 2), 0) == 0
 
 
+@pytest.mark.parametrize("m", [0, 2])
+def test_omega_rejects_the_empty_word(m):
+    # The closed form starts at n = 1; the empty word has one partition, not 0.
+    with pytest.raises(ValueError, match="nonempty word"):
+        omega((), m)
+
+
 def test_omega_matches_enumeration():
     for w in [(1,), (2, 1), (1, 3, 2), (2, 1, 4, 3)]:
         for m in (1, 2, 3):

@@ -16,6 +16,7 @@ from toricpeaks.qsym import (
     monomial,
 )
 from toricpeaks.enriched import kcyc
+from toricpeaks import setcomp
 from toricpeaks.setcomp import _mask, phi
 from toricpeaks.verify import _cyclic_fundamental_via_F, _fcyc_pair_oracle
 
@@ -269,6 +270,17 @@ def test_cyclic_fundamental_shift_invariance():
                 base = cyclic_fundamental(n, S)
                 shifted = frozenset((s % n) + 1 for s in S)
                 assert cyclic_fundamental(n, shifted) == base
+
+
+def test_cyclic_fundamental_above_the_table_degree_builds_no_table():
+    # Three terms; a degree-24 class table would take 2^24 entries.
+    elem = cyclic_fundamental(24, range(1, 23))
+    assert elem.terms == {
+        frozenset(range(1, 23)): 1,
+        frozenset(range(1, 24)): 2,
+        frozenset(range(1, 25)): 1,
+    }
+    assert 24 not in setcomp._TABLES
 
 
 def test_from_qsym_recovers_cyclic_elements():
