@@ -44,7 +44,11 @@ def parse_subset(text: str) -> frozenset[int]:
 
 
 def load_dag(args) -> dagmod.Dag:
-    if getattr(args, "dag", None):
+    if args.dag is not None and args.word is not None:
+        raise SystemExit("give --dag or --word, not both")
+    if args.word is not None:
+        return dagmod.Dag.from_word(parse_word(args.word))
+    if args.dag:
         # A readable file wins; otherwise the text is inline JSON, and why
         # the file could not be read goes into the error if that fails too.
         try:
@@ -64,8 +68,6 @@ def load_dag(args) -> dagmod.Dag:
                     why = "no such file"
                 reason = f"{why}, and not inline JSON ({exc})"
             raise SystemExit(f"cannot read DAG from {args.dag!r}: {reason}")
-    if getattr(args, "word", None):
-        return dagmod.Dag.from_word(parse_word(args.word))
     raise SystemExit("provide a word or --dag")
 
 
@@ -98,8 +100,11 @@ def cmd_stats(args) -> int:
 
 def cmd_expand(args) -> int:
     kind = args.kind
-    if args.n is None and kind not in ("delta", "delta-cyc"):
-        raise SystemExit(f"expand {kind} needs a degree n")
+    if kind not in ("delta", "delta-cyc"):
+        if args.dag is not None or args.word is not None:
+            raise SystemExit(f"expand {kind} reads no --dag or --word")
+        if args.n is None:
+            raise SystemExit(f"expand {kind} needs a degree n")
     try:
         if kind == "delta":
             elem = enriched.delta_dag(load_dag(args))
@@ -179,6 +184,8 @@ def cmd_enumerate(args) -> int:
                 {str(k): v for k, v in sorted(f.items())} for f in rows
             ]})
     else:
+        if args.dag is not None or args.toric:
+            raise SystemExit("enumerate markings reads no --dag or --toric")
         if args.word is None:
             raise SystemExit("enumerate markings needs --word")
         w = parse_word(args.word)

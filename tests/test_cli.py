@@ -144,6 +144,10 @@ def test_expand_without_degree_is_one_line_error():
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[1]]}'),
         ("extensions", "linear", "--dag", '{"vertices":5,"arcs":[]}'),
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":{"1":2}}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[]}', "--word", "21"),
+        ("enumerate", "markings", "--word", "21", "--dag", "x", "--m", "2"),
+        ("expand", "M", "3", "1", "--word", "12"),
+        ("expand", "M", "3", "x"),
     ],
 )
 def test_bad_input_is_one_line_error(argv):
@@ -151,6 +155,11 @@ def test_bad_input_is_one_line_error(argv):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def test_empty_dag_word_is_named():
+    with pytest.raises(SystemExit, match="^cannot parse word '': the word is empty$"):
+        main(["extensions", "linear", "--word", ""])
 
 
 def test_enumerate_enriched_refuses_a_huge_listing():
@@ -273,6 +282,9 @@ def test_verify_exit_codes(capsys):
     assert main(["verify", "table1"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 5 and out.strip().endswith("OK")
+    assert main(["verify", "cyclic-f", "--m", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 4 and out.strip().endswith("OK")
     with pytest.raises(SystemExit) as exc:
         main(["verify", "no-such-suite"])
     assert exc.value.code.startswith("unknown suite 'no-such-suite'; choose from [")

@@ -51,6 +51,8 @@ def test_omega_rejects_the_empty_word(m):
     # The closed form starts at n = 1; the empty word has one partition, not 0.
     with pytest.raises(ValueError, match="nonempty word"):
         omega((), m)
+    with pytest.raises(ValueError, match="nonempty word"):
+        runs(())
 
 
 def test_omega_matches_enumeration():

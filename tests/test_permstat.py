@@ -90,6 +90,8 @@ def test_rotations_and_canonical():
         (1, 2, 4, 3),
     ]
     assert canonical_rotation((2, 4, 3, 1)) == (1, 2, 4, 3)
+    with pytest.raises(ValueError, match="no rotations"):
+        rotations(())
 
 
 def test_cyclic_multisets_agree_with_shift_formula():

@@ -197,6 +197,7 @@ def test_qsym_and_cqsym_never_mix():
     assert a != b and b != a
     with pytest.raises(TypeError):
         a + b
+    assert a * 3 == a.scale(3) and b * 3 == b.scale(3)
     # A CQSym key keeps element n at bit 0, which a QSym product would drop.
     mixed = [(monomial(2, {1}), cyclic_monomial(3, {1, 2, 3})), (b, a)]
     for x, y in mixed + [(a, 1.5), (b, 1.5), (1.5, a)]:
@@ -219,6 +220,11 @@ def test_public_constructors_reject_bad_keys():
         CQSym.from_json('{"basis": "Mcyc", "degree": 3, "terms": [{"set": [2], "coeff": 1}]}')
     with pytest.raises(ValueError):
         QSym.from_fundamental(3, {frozenset({3}): 1})
+    for cls in (QSym, CQSym):
+        with pytest.raises(ValueError, match="unknown basis 'Q'"):
+            cls.from_json('{"basis": "Q", "degree": 2, "terms": []}')
+    with pytest.raises(ValueError, match="nonempty index set"):
+        cyclic_fundamental(4, ())
 
 
 def test_json_roundtrip_both_bases():
@@ -240,6 +246,7 @@ def test_cyclic_monomial_expansions_of_degree_4():
 def test_cyclic_monomial_shift_invariance_and_zero():
     assert cyclic_monomial(4, {1, 3}) == cyclic_monomial(4, {2, 4})
     assert cyclic_monomial(4, set()) == CQSym.zero(4)
+    assert not QSym.zero(3) and repr(QSym.zero(3)) == "QSym(3, 0)"
 
 
 def test_cyclic_fundamental_degree_4():

@@ -54,6 +54,29 @@ def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
     assert failed == ["toric decomposition"]
 
 
+def test_a_failing_tally_reports_its_failure_count(monkeypatch):
+    omega_toric = verify.omega_toric
+    monkeypatch.setattr(verify, "omega_toric", lambda tc, m: omega_toric(tc, m) + 1)
+    report = verify.run_suite("order-poly", max_n=2, max_m=1)
+    failed = [(c["name"], c["detail"]) for c in report["checks"] if not c["pass"]]
+    assert failed == [("cyclic triple agreement, n<=2", "2 failures")]
+
+
+def test_triangularity_names_a_bad_entry(monkeypatch):
+    matrix = verify._kcyc_triangular_matrix
+
+    def zero_last_diagonal(n):
+        sets, rows, full = matrix(n)
+        if n == 4:
+            rows[-1][-1] = 0
+        return sets, rows, full
+
+    monkeypatch.setattr(verify, "_kcyc_triangular_matrix", zero_last_diagonal)
+    report = verify.run_suite("triangularity", max_n=4)
+    failed = [(c["name"], c["detail"]) for c in report["checks"] if not c["pass"]]
+    assert failed == [("triangularity and rank n=4", "bad entry at (1, 1)")]
+
+
 def test_small_degree_bounds_draw_no_random_dags():
     assert verify.random_dags(5, max_n=1) == []
     assert verify.random_dags(5, max_n=0) == []
