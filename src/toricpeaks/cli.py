@@ -100,7 +100,10 @@ def cmd_stats(args) -> int:
 
 def cmd_expand(args) -> int:
     kind = args.kind
-    if kind not in ("delta", "delta-cyc"):
+    if kind in ("delta", "delta-cyc"):
+        if args.n is not None:  # a set can follow only a degree
+            raise SystemExit(f"expand {kind} reads no degree or set")
+    else:
         if args.dag is not None or args.word is not None:
             raise SystemExit(f"expand {kind} reads no --dag or --word")
         if args.n is None:
@@ -151,7 +154,9 @@ MAX_ENUMERATED = 10**6
 def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> None:
     """Exit 1 when the n-vertex members have more than ``MAX_ENUMERATED``
     enriched partitions in all. Counted per member, this is exact for a
-    toric class too, as its members' enriched sets are disjoint.
+    toric class too, as its members' enriched sets are disjoint; for
+    ``--toric`` the members are those of the class of the DAG minus its
+    bridges, which has the same enriched toric partitions.
 
     The count is skipped when (2m)^n candidates per member cannot exceed
     the limit, and otherwise stops one past it, so a refusal takes no
@@ -170,7 +175,7 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
 def cmd_enumerate(args) -> int:
     if args.what == "enriched":
         d = load_dag(args)
-        tc = dagmod.toric_class(d) if args.toric else None
+        tc = dagmod.toric_class(enriched._without_bridges(d)) if args.toric else None
         _refuse_huge_listing(tc.members if tc else [d], len(d.vertices), args.m)
         if tc:
             rows = enriched.enumerate_enriched_toric(tc, args.m)

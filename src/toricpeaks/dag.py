@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .permstat import Word, check_word
 
@@ -116,6 +116,70 @@ def _ancestors(pred: list[int]) -> list[int]:
             if pred[k] >> j & 1:
                 anc[k] |= anc[j]
     return anc
+
+
+def _bridgeless_parts(d: Dag) -> list[Dag]:
+    """The 2-edge-connected components of d's underlying graph, as sub-DAGs
+    that keep their labels, in order of their least labels.
+
+    An arc is a bridge when it lies on no cycle, that is, when its ends fall
+    apart once it is removed; one reachability sweep over undirected
+    adjacency masks tests each arc. A bridge stays removed, which changes no
+    cycle, and the components are what is then left connected. When d is
+    empty, or connected with no bridge, the list is ``[d]`` itself.
+    """
+    labels, pred = _index(d.vertices, d.arcs)
+    adj = list(pred)
+    for k, p in enumerate(pred):
+        for j in _bits(p):
+            adj[j] |= 1 << k
+    bridged = False
+    for k, p in enumerate(pred):
+        for j in _bits(p):
+            adj[j] ^= 1 << k
+            adj[k] ^= 1 << j
+            # On a cycle, through a common neighbour or a longer way round:
+            # put the arc back.
+            if adj[j] & adj[k] or _reach(adj, j) >> k & 1:
+                adj[j] ^= 1 << k
+                adj[k] ^= 1 << j
+            else:
+                bridged = True
+    parts, left = [], (1 << len(labels)) - 1
+    while left:
+        parts.append(_reach(adj, (left & -left).bit_length() - 1))
+        left &= ~parts[-1]
+    if len(parts) <= 1 and not bridged:
+        return [d]
+    return [
+        Dag(
+            frozenset(labels[k] for k in _bits(part)),
+            frozenset(
+                (labels[j], labels[k]) for k in _bits(part) for j in _bits(pred[k] & adj[k])
+            ),
+        )
+        for part in parts
+    ]
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reach(adj: list[int], start: int) -> int:
+    """The mask of the bits reachable from bit ``start`` along ``adj``."""
+    seen = frontier = 1 << start
+    while frontier:
+        step = 0
+        for k in _bits(frontier):
+            step |= adj[k]
+        frontier = step & ~seen
+        seen |= frontier
+    return seen
 
 
 def transitive_closure(d: Dag) -> Dag:

@@ -6,25 +6,32 @@ assignment is a dict from vertex labels to such values. Weight enumerators
 expand in the monomial bases of qsym: via the peak-set formulas for total
 orders and cyclic peak sets, and via a DP over down-sets for a DAG. An
 enriched toric partition of [D] is an enriched partition of exactly one
-member of [D], so Δ_[D] is the folded sum of the members' down-set DPs.
-The enumerations here are the combinatorial side of every identity the
-test suite checks.
+member of [D], and by Pretzel's criterion the class puts no condition on a
+bridge, an arc on no cycle. So [D] and [D minus its bridges] have the same
+enriched toric partitions, and Δ_[D] is the folded product, over the
+2-edge-connected components C, of the sums of the down-set DPs of the
+members of [C]. The enumerations here are the combinatorial side of every
+identity the test suite checks.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
+import math
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
     Dag,
     ToricClass,
+    _bridgeless_parts,
     _index,
     _topological_order,
     _toric_extensions,
     disjoint_union,
+    toric_class,
     toric_extensions,
 )
 from .permstat import (
@@ -123,10 +130,24 @@ def enumerate_enriched_toric(tc: ToricClass, m: int) -> list[Assignment]:
 
     Each one fixes the direction of every arc (the values order its ends,
     and on a tie the sign does), so it belongs to exactly one member and
-    the members' sorted streams merge without duplicates.
+    the members' sorted streams merge without duplicates. The members
+    walked are those of the class of the canonical member minus its
+    bridges, which has the same enriched toric partitions.
     """
-    streams = [iter_enriched(member, m) for member in tc.members]
+    bare = _without_bridges(tc.canonical)
+    members = tc.members if bare is tc.canonical else toric_class(bare).members
+    streams = [iter_enriched(member, m) for member in members]
     return list(heapq.merge(*streams, key=lambda f: sorted(f.items())))
+
+
+def _without_bridges(d: Dag) -> Dag:
+    """d minus its bridges, or d itself when it has none. An enriched
+    partition f orients every edge, and that orientation lies in [d]
+    exactly when each cycle has d's forward-minus-backward count (Pretzel's
+    criterion). No cycle runs through a bridge, so f is an enriched toric
+    partition of [d] exactly when it is one of [d minus its bridges]."""
+    bare = functools.reduce(disjoint_union, _bridgeless_parts(d))
+    return d if bare == d else bare
 
 
 def assignment_to_json(f: Mapping[int, int]) -> str:
@@ -252,10 +273,21 @@ def kcyc(S: Iterable[int], n: int) -> CQSym:
 
 
 def delta_toric(tc: ToricClass) -> CQSym:
-    """Cyclic weight enumerator of a toric class: the members' enriched
-    sets are disjoint, so it is the folded sum of their ``delta_dag``."""
-    n = len(tc.canonical.vertices)
-    return from_qsym(sum(map(delta_dag, tc.members), QSym.zero(n)))
+    """Cyclic weight enumerator of a toric class.
+
+    The members' enriched sets are disjoint, so in QSym the class sums its
+    members' ``delta_dag``. The class puts no condition on a bridge (see
+    ``_without_bridges``), and disjoint unions multiply, so that sum is the
+    product, over the 2-edge-connected components C of the canonical
+    member, of the member sums of [C]; the product is folded once. With one
+    component, the class's own members are summed.
+    """
+    parts = _bridgeless_parts(tc.canonical)
+    classes = [tc] if parts[0] is tc.canonical else map(toric_class, parts)
+    sums = (
+        sum(map(delta_dag, c.members), QSym.zero(len(c.canonical.vertices))) for c in classes
+    )
+    return from_qsym(math.prod(sums, start=QSym.unit()))
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:

@@ -148,6 +148,8 @@ def test_expand_without_degree_is_one_line_error():
         ("enumerate", "markings", "--word", "21", "--dag", "x", "--m", "2"),
         ("expand", "M", "3", "1", "--word", "12"),
         ("expand", "M", "3", "x"),
+        ("expand", "delta", "3", "7", "--word", "12"),
+        ("expand", "delta-cyc", "3", "--word", "12"),
     ],
 )
 def test_bad_input_is_one_line_error(argv):

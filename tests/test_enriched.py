@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,14 @@ from toricpeaks.enriched import (
     signed_key,
 )
 from toricpeaks.permstat import cyclic_peak_sets
-from toricpeaks.qsym import CQSym, QSym, cyclic_fundamental, cyclic_monomial
+from toricpeaks.qsym import (
+    CQSym,
+    QSym,
+    cyclic_fundamental,
+    cyclic_monomial,
+    from_qsym,
+    monomial,
+)
 from toricpeaks.setcomp import shift_set
 from toricpeaks.verify import (
     _brute_enriched,
@@ -30,6 +38,8 @@ from toricpeaks.verify import (
     _freeze,
     _kcyc_triangular_matrix,
     _matrix_rank,
+    random_dags,
+    small_dags,
 )
 
 from test_dag import labeled_dags
@@ -191,10 +201,54 @@ def test_toric_enumeration_counts():
         assert rows == sorted(rows, key=lambda f: sorted(f.items()))
 
 
+def whole_class_sum(tc):
+    """Δ_[D] as the folded sum of ``delta_dag`` over every member of the
+    class, bridges and all."""
+    n = len(tc.canonical.vertices)
+    return from_qsym(sum(map(delta_dag, tc.members), QSym.zero(n)))
+
+
+def test_delta_toric_matches_the_whole_class_sum():
+    classes = {toric_class(d) for d in small_dags(4) + random_dags(100, 7, seed=14)}
+    for tc in classes:
+        assert delta_toric(tc) == whole_class_sum(tc), tc.canonical
+
+
+def test_toric_enumeration_matches_the_whole_class_merge():
+    for tc in {toric_class(d) for d in small_dags(4)}:
+        for m in (1, 2):
+            streams = [enumerate_enriched(member, m) for member in tc.members]
+            whole = sorted(itertools.chain(*streams), key=lambda f: sorted(f.items()))
+            assert enumerate_enriched_toric(tc, m) == whole, tc.canonical
+
+
+@pytest.mark.parametrize(
+    "forest",
+    [
+        Dag.make(
+            [4, 9, 2, 17, 6, 11, 30, 5],
+            [(4, 9), (2, 9), (2, 17), (6, 17), (6, 11), (30, 11), (30, 5)],
+        ),
+        Dag.make(
+            [8, 3, 15, 21, 40, 7, 12],
+            [(8, v) for v in (3, 15, 40)] + [(v, 8) for v in (21, 7, 12)],
+        ),
+        Dag.make([2, 5, 13, 19, 31, 37], []),
+    ],
+    ids=["path", "star", "antichain"],
+)
+def test_forest_enumerator_is_a_folded_power(forest):
+    # Every arc of a forest is a bridge, so Δ_[F] is (2·M_1)^n folded.
+    n = len(forest.vertices)
+    power = math.prod([monomial(1, ()).scale(2)] * n, start=QSym.unit())
+    assert delta_toric(toric_class(forest)) == from_qsym(power)
+
+
 @settings(deadline=None, max_examples=50)
 @given(labeled_dags(6))
 def test_delta_toric_is_the_member_sum(d):
     tc = toric_class(d)
+    assert delta_toric(tc) == whole_class_sum(tc)
     assert delta_toric(tc) == _delta_toric_by_cpk(tc) == delta_toric_by_rotations(tc)
     for m in (1, 2):
         sets = [{_freeze(f) for f in enumerate_enriched(e, m)} for e in tc.members]

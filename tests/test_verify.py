@@ -20,8 +20,10 @@ def test_enumerator_catches_a_wrong_kcyc(monkeypatch):
 
 
 def test_fundamental_lemma_catches_a_wrong_delta_dag(monkeypatch):
-    # delta_toric sums delta_dag over the class members; doubling it in
-    # degree 3 keeps the sum cyclic but breaks it against the cPk oracle.
+    # delta_toric sums delta_dag over the members of each 2-edge-connected
+    # component's class. Doubling it in degree 3 doubles the triangles'
+    # classes, which have no bridge: the sums stay cyclic but break against
+    # the cPk oracle.
     delta_dag = enriched.delta_dag
 
     def doubled_in_degree_3(d):
