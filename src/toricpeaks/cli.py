@@ -7,8 +7,10 @@ All output is deterministic; structured data is JSON, tables are TSV.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
+import operator
 import sys
 from pathlib import Path
 from typing import Collection
@@ -160,7 +162,9 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
 
     The count is skipped when (2m)^n candidates per member cannot exceed
     the limit, and otherwise stops one past it, so a refusal takes no
-    longer than the largest listing allowed.
+    longer than the largest listing allowed. It is a pass of its own: a
+    listing it lets through draws every row a second time, since keeping
+    the drawn rows would hold up to the limit of them even to refuse.
     """
     if len(members) * (2 * m) ** n <= MAX_ENUMERATED:
         return
@@ -172,6 +176,15 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
         )
 
 
+def _row_template(d: dagmod.Dag) -> tuple[str, operator.itemgetter]:
+    """The JSON text of an assignment of the nonempty d as a ``%`` template,
+    and the getter of its values in template order. The keys go in the
+    order ``json.dumps(..., sort_keys=True)`` gives their strings (10, 11,
+    2, 30, 9), so ``template % values(f)`` is that text byte for byte."""
+    keys = sorted(d.vertices, key=str)
+    return "{%s}" % ", ".join(f'"{k}": %d' for k in keys), operator.itemgetter(*keys)
+
+
 def cmd_enumerate(args) -> int:
     if args.what == "enriched":
         d = load_dag(args)
@@ -181,13 +194,13 @@ def cmd_enumerate(args) -> int:
             rows = enriched.enumerate_enriched_toric(tc, args.m)
         else:
             rows = enriched.enumerate_enriched(d, args.m)
+        row, values = _row_template(d)
         if args.ndjson:
-            for f in rows:
-                print(enriched.assignment_to_json(f))
+            line = '{"f": %s}\n' % row
+            sys.stdout.writelines(line % values(f) for f in rows)
         else:
-            emit({"count": len(rows), "assignments": [
-                {str(k): v for k, v in sorted(f.items())} for f in rows
-            ]})
+            listing = ", ".join(row % values(f) for f in rows)
+            print('{"assignments": [%s], "count": %d}' % (listing, len(rows)))
     else:
         if args.dag is not None or args.toric:
             raise SystemExit("enumerate markings reads no --dag or --toric")
@@ -268,7 +281,10 @@ def cmd_verify(args) -> int:
     return 0 if report["pass"] else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and then kept: parsing
+    leaves it unchanged, so in-process callers of ``main`` share it."""
     p = argparse.ArgumentParser(
         prog="toricpeaks",
         description="Exact combinatorics of enriched partitions on DAGs and toric classes.",

@@ -118,6 +118,14 @@ def _ancestors(pred: list[int]) -> list[int]:
     return anc
 
 
+def _components(d: Dag) -> list[Dag]:
+    """The connected components of d's underlying graph, as sub-DAGs that
+    keep their labels, in order of their least labels. When d is empty or
+    connected, the list is ``[d]`` itself."""
+    labels, pred = _index(d.vertices, d.arcs)
+    return _split(d, labels, pred, _undirected(pred), bridged=False)
+
+
 def _bridgeless_parts(d: Dag) -> list[Dag]:
     """The 2-edge-connected components of d's underlying graph, as sub-DAGs
     that keep their labels, in order of their least labels.
@@ -129,10 +137,7 @@ def _bridgeless_parts(d: Dag) -> list[Dag]:
     empty, or connected with no bridge, the list is ``[d]`` itself.
     """
     labels, pred = _index(d.vertices, d.arcs)
-    adj = list(pred)
-    for k, p in enumerate(pred):
-        for j in _bits(p):
-            adj[j] |= 1 << k
+    adj = _undirected(pred)
     bridged = False
     for k, p in enumerate(pred):
         for j in _bits(p):
@@ -145,6 +150,25 @@ def _bridgeless_parts(d: Dag) -> list[Dag]:
                 adj[k] ^= 1 << j
             else:
                 bridged = True
+    return _split(d, labels, pred, adj, bridged)
+
+
+def _undirected(pred: list[int]) -> list[int]:
+    """Per bit, the mask of its neighbours in the underlying graph."""
+    adj = list(pred)
+    for k, p in enumerate(pred):
+        for j in _bits(p):
+            adj[j] |= 1 << k
+    return adj
+
+
+def _split(
+    d: Dag, labels: list[int], pred: list[int], adj: list[int], bridged: bool
+) -> list[Dag]:
+    """The connected pieces of the graph ``adj``, a subgraph of d's
+    underlying graph, as sub-DAGs of d with the arcs ``adj`` keeps, in order
+    of their least labels; ``[d]`` itself when there is at most one piece
+    and no arc was dropped (``bridged`` is false)."""
     parts, left = [], (1 << len(labels)) - 1
     while left:
         parts.append(_reach(adj, (left & -left).bit_length() - 1))

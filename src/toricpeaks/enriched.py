@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import heapq
-import json
 import math
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -150,10 +149,6 @@ def _without_bridges(d: Dag) -> Dag:
     return d if bare == d else bare
 
 
-def assignment_to_json(f: Mapping[int, int]) -> str:
-    return json.dumps({"f": {str(k): v for k, v in sorted(f.items())}}, sort_keys=True)
-
-
 def delta_from_peak_set(S: frozenset[int], n: int) -> QSym:
     """Weight enumerator of any permutation with peak set S.
 
@@ -282,12 +277,19 @@ def delta_toric(tc: ToricClass) -> CQSym:
     member, of the member sums of [C]; the product is folded once. With one
     component, the class's own members are summed.
     """
-    parts = _bridgeless_parts(tc.canonical)
-    classes = [tc] if parts[0] is tc.canonical else map(toric_class, parts)
     sums = (
-        sum(map(delta_dag, c.members), QSym.zero(len(c.canonical.vertices))) for c in classes
+        sum(map(delta_dag, c.members), QSym.zero(len(c.canonical.vertices)))
+        for c in _bridgeless_classes(tc)
     )
     return from_qsym(math.prod(sums, start=QSym.unit()))
+
+
+def _bridgeless_classes(tc: ToricClass) -> Iterable[ToricClass]:
+    """The toric classes of the 2-edge-connected components of the
+    canonical member, built one at a time, or ``[tc]`` itself when it has
+    one and no bridge."""
+    parts = _bridgeless_parts(tc.canonical)
+    return [tc] if parts[0] is tc.canonical else map(toric_class, parts)
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:

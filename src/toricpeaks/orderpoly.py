@@ -10,11 +10,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from collections import Counter
-from math import comb
+from math import comb, prod
 from typing import Mapping, Sequence
 
-from .dag import Dag, ToricClass
-from .enriched import delta_dag, delta_toric, enumerate_enriched, is_enriched
+from .dag import Dag, ToricClass, _components
+from .enriched import _bridgeless_classes, delta_dag, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
 Poly = list[int]
@@ -89,9 +89,15 @@ def omega(w: Sequence[int], m: int) -> int:
 
 
 def omega_dag(d: Dag, m: int) -> int:
-    """Number of enriched partitions of d with values at most m: its weight
-    enumerator, from the down-set DP of ``delta_dag``, at m ones."""
-    return delta_dag(d).specialize_ones(m)
+    """Number of enriched partitions of d with values at most m.
+
+    An enriched partition of a disjoint union is one of each part, so this
+    is the product, over the connected components C of d, of the weight
+    enumerator of C (the down-set DP of ``delta_dag``) at m ones. A
+    component's DP walks only its own down-sets: on an antichain the
+    product costs n one-vertex DPs, not one over all 2^n subsets.
+    """
+    return prod(delta_dag(c).specialize_ones(m) for c in _components(d))
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
@@ -116,8 +122,16 @@ def omega_cyc(w: Sequence[int], m: int) -> int:
 
 
 def omega_toric(tc: ToricClass, m: int) -> int:
-    """Toric order polynomial of a toric class, via its enumerator."""
-    return delta_toric(tc).specialize_ones(m)
+    """Toric order polynomial of a toric class: the number of its enriched
+    toric partitions with values at most m.
+
+    The members' enriched sets are disjoint, the class puts no condition on
+    a bridge, and disjoint unions multiply (see ``enriched.delta_toric``).
+    So this is the product, over the 2-edge-connected components C of the
+    canonical member, of the sum of ``omega_dag`` over the members of [C],
+    in plain integers.
+    """
+    return prod(sum(omega_dag(e, m) for e in c.members) for c in _bridgeless_classes(tc))
 
 
 def gf_omega(w: Sequence[int], order: int) -> list[int]:

@@ -9,6 +9,7 @@ import pytest
 from toricpeaks import cli
 from toricpeaks.cli import main
 from toricpeaks.dag import Dag
+from toricpeaks.enriched import enumerate_enriched
 from toricpeaks.qsym import CQSym
 
 D3_JSON = Dag.make(
@@ -239,6 +240,30 @@ def test_enumerate_enriched_ndjson(capsys):
     lines = [json.loads(line) for line in out.strip().splitlines()]
     assert len(lines) == 2
     assert all(set(row["f"]) == {"1", "2"} for row in lines)
+
+
+def test_reused_parser_leaks_no_flag(capsys):
+    # One parser serves every call in a process; --toric on one call must
+    # not carry into the next. At m = 2 D3's class has 80 partitions, D3 16.
+    _, toric = run(capsys, "enumerate", "enriched", "--dag", D3_JSON, "--m", "2", "--toric")
+    _, linear = run(capsys, "enumerate", "enriched", "--dag", D3_JSON, "--m", "2")
+    assert json.loads(toric)["count"] == 80
+    assert json.loads(linear)["count"] == 16
+    assert json.loads(linear)["assignments"] == [
+        {str(k): v for k, v in f.items()} for f in enumerate_enriched(Dag.from_json(D3_JSON), 2)
+    ]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_parser_is_not_built_at_import():
+    # Importing the CLI stays as cheap as before; the first main call builds.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = "import toricpeaks.cli as c; print(c.build_parser.cache_info().currsize)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert proc.stdout == "0\n"
 
 
 def test_enumerate_markings(capsys):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from toricpeaks.dag import (
     Dag,
     _bridgeless_parts,
+    _components,
     disjoint_union,
     flip,
     is_toric_poset,
@@ -156,6 +157,27 @@ def test_bridgeless_parts():
     parts = [Dag.make([1, 2, 3], triangles[:3]), Dag.make([4, 5, 6], triangles[3:])]
     assert _bridgeless_parts(Dag.make(range(1, 7), triangles + [(3, 4)])) == parts
     assert _bridgeless_parts(Dag.make(range(1, 7), triangles)) == parts
+
+
+def test_components():
+    # A split that never splits leaves every count right; only this catches it.
+    empty = Dag.make([], [])
+    assert _components(empty)[0] is empty
+    assert len(_components(empty)) == 1
+    one = Dag.make([7], [])
+    assert _components(one)[0] is one
+    assert len(_components(one)) == 1
+    # Two chains on interleaved labels, 4 -> 15 -> 2 and 9 -> 30, keep their
+    # arcs and labels and come in order of their least labels.
+    chains = Dag.make([2, 4, 9, 15, 30], [(4, 15), (15, 2), (9, 30)])
+    assert _components(chains) == [
+        Dag.make([2, 4, 15], [(4, 15), (15, 2)]),
+        Dag.make([9, 30], [(9, 30)]),
+    ]
+    # A connected DAG is its own component, bridges and all.
+    for d in (D3, Dag.make([3, 8, 5], [(3, 8), (5, 8)])):
+        assert _components(d)[0] is d
+        assert len(_components(d)) == 1
 
 
 def test_json_roundtrip():

@@ -239,9 +239,39 @@ def test_toric_enumeration_matches_the_whole_class_merge():
 )
 def test_forest_enumerator_is_a_folded_power(forest):
     # Every arc of a forest is a bridge, so Δ_[F] is (2·M_1)^n folded.
-    n = len(forest.vertices)
-    power = math.prod([monomial(1, ()).scale(2)] * n, start=QSym.unit())
-    assert delta_toric(toric_class(forest)) == from_qsym(power)
+    assert delta_toric(toric_class(forest)) == folded_power(len(forest.vertices))
+
+
+def folded_power(n):
+    """``from_qsym`` of (2·M_1)^n, the enumerator of all assignments."""
+    return from_qsym(math.prod([monomial(1, ()).scale(2)] * n, start=QSym.unit()))
+
+
+@pytest.mark.parametrize(
+    "n, edges, count",
+    [
+        (4, [(1, 2), (2, 3), (3, 4), (4, 1)], 3),
+        (4, [(1, 2), (2, 3), (3, 4), (4, 1), (1, 3)], 4),
+        (5, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1), (1, 3)], 6),
+        (4, list(itertools.combinations(range(1, 5), 2)), 6),
+        (5, list(itertools.combinations(range(1, 6), 2)), 24),
+    ],
+    ids=["C4", "C4-chord", "C5-chord", "K4", "K5"],
+)
+def test_toric_classes_of_a_graph_sum_to_the_folded_power(n, edges, count):
+    # Every assignment orients each edge of the graph acyclically (the values
+    # order its ends, and on a tie the sign does) and is an enriched
+    # partition of that orientation alone, so it lies in exactly one class.
+    orientations = []
+    for flips in itertools.product((False, True), repeat=len(edges)):
+        arcs = [(j, i) if flip else (i, j) for (i, j), flip in zip(edges, flips)]
+        try:
+            orientations.append(Dag.make(range(1, n + 1), arcs))
+        except ValueError:  # a directed cycle
+            continue
+    classes = {toric_class(d) for d in orientations}
+    assert len(classes) == count
+    assert sum(map(delta_toric, classes), CQSym.zero(n)) == folded_power(n)
 
 
 @settings(deadline=None, max_examples=50)

@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toricpeaks.orderpoly import (
     Marking,
@@ -20,9 +22,11 @@ from toricpeaks.orderpoly import (
     runs,
 )
 from toricpeaks.dag import Dag, toric_class
-from toricpeaks.enriched import enumerate_enriched
+from toricpeaks.enriched import enumerate_enriched, enumerate_enriched_toric
 from toricpeaks.permstat import peak_set, rotations
-from toricpeaks.verify import _interpolate
+from toricpeaks.verify import _interpolate, random_dags, small_dags
+
+from test_dag import labeled_dags
 
 
 def test_poly_helpers():
@@ -66,6 +70,33 @@ def test_omega_dag_and_toric():
     assert omega_dag(d, 2) == 8
     tc = toric_class(d)
     assert omega_toric(tc, 1) == omega_cyc((1, 2), 1) == 4
+
+
+def assert_omega_counts(dags, ms):
+    """``omega_dag`` and ``omega_toric``, products over components, are the
+    lengths of the listings, which multiply nothing."""
+    for d in dags:
+        for m in ms:
+            assert omega_dag(d, m) == len(enumerate_enriched(d, m)), (d, m)
+    for tc in {toric_class(d) for d in dags}:
+        for m in ms:
+            assert omega_toric(tc, m) == len(enumerate_enriched_toric(tc, m)), (tc.canonical, m)
+
+
+def test_omega_counts_on_small_dags():
+    assert_omega_counts(small_dags(4), range(4))
+
+
+def test_omega_counts_on_random_dags():
+    assert_omega_counts(random_dags(60, 7, seed=15), range(3))
+
+
+@settings(deadline=None, max_examples=50)
+@given(labeled_dags(6), st.integers(0, 2))
+def test_omega_multiplies_over_components(d, m):
+    assert_omega_counts([d], [m])
+    tc = toric_class(d)
+    assert omega_toric(tc, m) == sum(omega_dag(e, m) for e in tc.members)
 
 
 def test_omega_cyc_closed_form_vs_rotations():
