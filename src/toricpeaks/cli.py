@@ -161,10 +161,13 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
     bridges, which has the same enriched toric partitions.
 
     The count is skipped when (2m)^n candidates per member cannot exceed
-    the limit, and otherwise stops one past it, so a refusal takes no
-    longer than the largest listing allowed. It is a pass of its own: a
-    listing it lets through draws every row a second time, since keeping
-    the drawn rows would hold up to the limit of them even to refuse.
+    the limit, and otherwise streams the rows and stops one past it, so a
+    refusal takes no longer than the largest listing allowed. The exact
+    count of ``orderpoly.omega_dag`` would not bound it so: its down-set
+    walk on a star with 20 leaves takes about 3^20 steps. The count is a
+    pass of its own: a listing it lets through draws every row a second
+    time, since keeping the drawn rows would hold up to the limit of them
+    even to refuse.
     """
     if len(members) * (2 * m) ** n <= MAX_ENUMERATED:
         return
@@ -186,21 +189,31 @@ def _row_template(d: dagmod.Dag) -> tuple[str, operator.itemgetter]:
 
 
 def cmd_enumerate(args) -> int:
+    """List the enriched partitions of a DAG or its toric class, or the
+    markings of a word, after checking that the listing stays within
+    ``MAX_ENUMERATED``.
+
+    Enriched rows come one at a time from ``enriched.iter_enriched``, or
+    under ``--toric`` from ``iter_enriched_toric``'s lazy merge of the
+    members' streams, each rendered by one template: ``--ndjson`` writes
+    each line as it comes, and the JSON listing holds the rendered rows,
+    not the assignments.
+    """
     if args.what == "enriched":
         d = load_dag(args)
         tc = dagmod.toric_class(enriched._without_bridges(d)) if args.toric else None
         _refuse_huge_listing(tc.members if tc else [d], len(d.vertices), args.m)
         if tc:
-            rows = enriched.enumerate_enriched_toric(tc, args.m)
+            found = enriched.iter_enriched_toric(tc, args.m)
         else:
-            rows = enriched.enumerate_enriched(d, args.m)
+            found = enriched.iter_enriched(d, args.m)
         row, values = _row_template(d)
         if args.ndjson:
             line = '{"f": %s}\n' % row
-            sys.stdout.writelines(line % values(f) for f in rows)
+            sys.stdout.writelines(line % values(f) for f in found)
         else:
-            listing = ", ".join(row % values(f) for f in rows)
-            print('{"assignments": [%s], "count": %d}' % (listing, len(rows)))
+            rows = [row % values(f) for f in found]
+            print('{"assignments": [%s], "count": %d}' % (", ".join(rows), len(rows)))
     else:
         if args.dag is not None or args.toric:
             raise SystemExit("enumerate markings reads no --dag or --toric")

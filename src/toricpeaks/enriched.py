@@ -90,13 +90,19 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
     """The enriched partitions of d with absolute value at most m, one at a
     time, ordered by their sorted item lists.
 
-    Backtracking: the vertices take values in label order, each trying
-    -m, ..., -1, 1, ..., m in integer order, and an arc is checked as soon
-    as both of its ends have values, so a branch dies at its first broken
-    arc. Depth-first order is then the sorted order.
+    Backtracking with an explicit stack: the vertices take values in label
+    order, each trying -m, ..., -1, 1, ..., m in integer order, and only
+    the values its arcs to earlier vertices allow, so a branch never
+    breaks an arc. Depth-first order is then the sorted order. The allowed
+    values depend only on the tightest ranks among those neighbours, so
+    each list of them is built once per call; the last vertex copies the
+    row above it once per allowed value.
     """
     labels, pred = _index(d.vertices, d.arcs)
     n = len(labels)
+    if n == 0:
+        yield {}
+        return
     # Arcs between bit k and the earlier bits e < k (smaller labels):
     # ``tails[k]`` are the tails of arcs e -> k, ``heads[k]`` the heads of
     # arcs k -> e.
@@ -106,37 +112,62 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
     # larger label may tie only at a positive value and an arc into a
     # smaller label only at a negative one.
     values = [(x, 2 * abs(x) - (x < 0)) for x in [*range(-m, 0), *range(1, m + 1)]]
+    top = 2 * m + 1
+    # The values vertex k allows, keyed by its bounds: the largest rank
+    # among its tails and the smallest among its heads.
+    allowed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     rank = [0] * n
-    combo = [0] * n
-
-    def extend(k: int) -> Iterator[Assignment]:
-        if k == n:
-            yield dict(zip(labels, combo))
-            return
-        lo = max((rank[e] for e in tails[k]), default=0)
-        hi = min((rank[e] for e in heads[k]), default=2 * m + 1)
-        for x, r in values:
-            if lo <= r - (x < 0) and r + (x > 0) <= hi:
-                combo[k], rank[k] = x, r
-                yield from extend(k + 1)
-
-    yield from extend(0)
+    row = dict.fromkeys(labels, 0)
+    last = n - 1
+    # ``stack[k]`` walks the values still to try at vertex k < last.
+    stack: list[Iterator[tuple[int, int]]] = []
+    k = 0
+    while k >= 0:
+        if k == len(stack):  # vertex k is reached with new bounds
+            lo = max(map(rank.__getitem__, tails[k]), default=0)
+            hi = min(map(rank.__getitem__, heads[k]), default=top)
+            found = allowed.get((lo, hi))
+            if found is None:
+                found = allowed[lo, hi] = [
+                    (x, r) for x, r in values if lo <= r - (x < 0) and r + (x > 0) <= hi
+                ]
+            if k == last:
+                for x, _ in found:
+                    out = row.copy()
+                    out[labels[k]] = x
+                    yield out
+                k -= 1
+                continue
+            stack.append(iter(found))
+        step = next(stack[k], None)
+        if step is None:
+            stack.pop()
+            k -= 1
+        else:
+            row[labels[k]], rank[k] = step
+            k += 1
 
 
 def enumerate_enriched_toric(tc: ToricClass, m: int) -> list[Assignment]:
+    """All enriched toric partitions of tc with absolute value at most m,
+    in the order of ``enumerate_enriched`` (see ``iter_enriched_toric``)."""
+    return list(iter_enriched_toric(tc, m))
+
+
+def iter_enriched_toric(tc: ToricClass, m: int) -> Iterator[Assignment]:
     """The enriched partitions of all class members with absolute value at
-    most m, in the order of ``enumerate_enriched``.
+    most m, one at a time, in the order of ``iter_enriched``.
 
     Each one fixes the direction of every arc (the values order its ends,
     and on a tie the sign does), so it belongs to exactly one member and
-    the members' sorted streams merge without duplicates. The members
-    walked are those of the class of the canonical member minus its
-    bridges, which has the same enriched toric partitions.
+    the members' sorted streams merge lazily without duplicates. The
+    members walked are those of the class of the canonical member minus
+    its bridges, which has the same enriched toric partitions.
     """
     bare = _without_bridges(tc.canonical)
     members = tc.members if bare is tc.canonical else toric_class(bare).members
     streams = [iter_enriched(member, m) for member in members]
-    return list(heapq.merge(*streams, key=lambda f: sorted(f.items())))
+    return heapq.merge(*streams, key=lambda f: sorted(f.items()))
 
 
 def _without_bridges(d: Dag) -> Dag:

@@ -13,8 +13,8 @@ from collections import Counter
 from math import comb, prod
 from typing import Mapping, Sequence
 
-from .dag import Dag, ToricClass, _components
-from .enriched import _bridgeless_classes, delta_dag, enumerate_enriched, is_enriched
+from .dag import Dag, ToricClass, _components, _index, _topological_order
+from .enriched import _bridgeless_classes, _down_steps, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
 Poly = list[int]
@@ -92,12 +92,47 @@ def omega_dag(d: Dag, m: int) -> int:
     """Number of enriched partitions of d with values at most m.
 
     An enriched partition of a disjoint union is one of each part, so this
-    is the product, over the connected components C of d, of the weight
-    enumerator of C (the down-set DP of ``delta_dag``) at m ones. A
-    component's DP walks only its own down-sets: on an antichain the
-    product costs n one-vertex DPs, not one over all 2^n subsets.
+    is the product, over the connected components C of d, of C's chain
+    counts a_j weighted by C(m, j) (``_chain_counts``). A component's DP
+    walks only its own down-sets: on an antichain the product costs n
+    one-vertex DPs, not one over all 2^n subsets.
     """
-    return prod(delta_dag(c).specialize_ones(m) for c in _components(d))
+    return prod(_count(_chain_counts(c), m) for c in _components(d))
+
+
+def _count(a: Sequence[int], m: int) -> int:
+    """Σ_j a_j·C(m, j): the partitions whose levels, packed to 1..j, are
+    placed among the m levels 1..m."""
+    return sum(c * comb(m, j) for j, c in enumerate(a) if c)
+
+
+def _chain_counts(d: Dag) -> list[int]:
+    """The list a_0, ..., a_n where a_j counts the enriched partitions of d
+    with the absolute levels 1..j, each used.
+
+    ``delta_dag``'s DP over down-sets, with the M-basis keys forgotten:
+    the state of a down-set is one vector, entry j the weighted chains of
+    j steps from the empty set to it, each step weighted by its number of
+    legal blocks (``enriched._down_steps``). The key E of a chain has j - 1
+    elements and M_E at m ones is C(m, j), so Ω_d(m) = Σ_j a_j·C(m, j);
+    and a_n = 2^n·e(d), e(d) the number of linear extensions, as n steps
+    add one vertex each, with two signs.
+    """
+    n = len(d.vertices)
+    _, pred = _index(d.vertices, d.arcs)
+    order = _topological_order(pred)
+    layers: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    layers[0][0] = [1] + [0] * n
+    for size in range(n):
+        for D, chains in layers[size].items():
+            # A chain to a down-set of this size has at most ``size`` steps.
+            reach = [(j, c) for j, c in enumerate(chains[: size + 1]) if c]
+            for D2, ways in _down_steps(D, pred, order):
+                target = layers[D2.bit_count()].setdefault(D2, [0] * (n + 1))
+                for j, c in reach:
+                    target[j + 1] += c * ways
+        layers[size] = {}
+    return layers[n][(1 << n) - 1]
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
@@ -128,10 +163,13 @@ def omega_toric(tc: ToricClass, m: int) -> int:
     The members' enriched sets are disjoint, the class puts no condition on
     a bridge, and disjoint unions multiply (see ``enriched.delta_toric``).
     So this is the product, over the 2-edge-connected components C of the
-    canonical member, of the sum of ``omega_dag`` over the members of [C],
-    in plain integers.
+    canonical member, of the counts of the members of [C], in plain
+    integers. Those members are connected, so each count is one
+    ``_chain_counts`` DP with no split into components.
     """
-    return prod(sum(omega_dag(e, m) for e in c.members) for c in _bridgeless_classes(tc))
+    return prod(
+        sum(_count(_chain_counts(e), m) for e in c.members) for c in _bridgeless_classes(tc)
+    )
 
 
 def gf_omega(w: Sequence[int], order: int) -> list[int]:

@@ -43,6 +43,7 @@ from .enriched import (
 )
 from .orderpoly import (
     Marking,
+    _chain_counts,
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
@@ -50,6 +51,7 @@ from .orderpoly import (
     multiset_coeff,
     omega,
     omega_cyc,
+    omega_dag,
     omega_toric,
     partition_to_marking,
     runs,
@@ -512,6 +514,9 @@ def suite_fundamental_lemma(
         delta = delta_dag(d)
         linear_ok.append(delta == _delta_by_extensions(d))
         words = linear_extensions(d)
+        # The count DP's top entry: n one-vertex steps, two signs each.
+        n = len(d.vertices)
+        spec_ok.append(_chain_counts(d)[n] == 2**n * len(words))
         for m in range(1, max_m + 1):
             whole = _enriched_set(d, m)
             pieces = [_enriched_set(Dag.from_word(w), m) for w in words]
@@ -519,6 +524,7 @@ def suite_fundamental_lemma(
             if m <= 2:
                 linear_ok.append(whole == frozenset(map(_freeze, _brute_enriched(d, m))))
             spec_ok.append(delta.specialize_ones(m) == len(whole))
+            spec_ok.append(omega_dag(d, m) == len(whole))
         tc = _toric_of(d)
         if tc in toric_done:
             continue
@@ -539,6 +545,7 @@ def suite_fundamental_lemma(
             ]
             toric_ok.append(_is_disjoint_cover(whole, pieces))
             spec_ok.append(_delta_toric(tc).specialize_ones(m) == len(whole))
+            spec_ok.append(omega_toric(tc, m) == len(whole))
     _check(checks, f"linear decomposition, {len(dags)} DAGs, m<={max_m}", linear_ok)
     _check(checks, f"toric decomposition, {len(toric_done)} classes, m<={max_m}", toric_ok)
     _check(checks, "specialization counts", spec_ok)

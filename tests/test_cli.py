@@ -1,12 +1,14 @@
+import contextlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from toricpeaks import cli
+from toricpeaks import cli, enriched
 from toricpeaks.cli import main
 from toricpeaks.dag import Dag
 from toricpeaks.enriched import enumerate_enriched
@@ -341,3 +343,38 @@ GOLDEN = json.loads((Path(__file__).parent / "golden_cli.json").read_text())
 def test_golden_cli_output(capsys, case):
     code, out = run(capsys, *case["argv"])
     assert (code, out) == (case["exit"], case["stdout"])
+
+
+LISTINGS = {
+    f"{i:02d}": case
+    for i, case in enumerate(GOLDEN)
+    if case["argv"][:2] == ["enumerate", "enriched"]
+}
+
+
+@pytest.mark.parametrize("case", LISTINGS.values(), ids=LISTINGS.keys())
+def test_enumerate_enriched_streams(monkeypatch, capsys, case):
+    # Every listing, --ndjson or not, --toric or not, comes from the row
+    # streams alone; the list-building functions are never called.
+    def refuse(*_):
+        raise AssertionError("the listing built a list of assignments")
+
+    monkeypatch.setattr(enriched, "enumerate_enriched", refuse)
+    monkeypatch.setattr(enriched, "enumerate_enriched_toric", refuse)
+    assert run(capsys, *case["argv"]) == (case["exit"], case["stdout"])
+
+
+def test_ndjson_listing_holds_no_rows():
+    # A 15-vertex antichain at m = 1 has 2^15 = 32,768 enriched partitions,
+    # few enough that no refusal count runs first. Held as a list they
+    # take about 20 MB; streamed, the peak stays at a few rows.
+    argv = ["enumerate", "enriched", "--dag", Dag.make(range(1, 16), []).to_json()]
+    with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+        main(["enumerate", "enriched", "--word", "1", "--m", "0"])  # builds the parser
+        tracemalloc.start()
+        try:
+            main([*argv, "--m", "1", "--ndjson"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak < 256 * 1024

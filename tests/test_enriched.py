@@ -16,6 +16,7 @@ from toricpeaks.enriched import (
     enumerate_enriched,
     enumerate_enriched_toric,
     is_enriched,
+    iter_enriched,
     k_peak,
     kcyc,
     signed_key,
@@ -103,6 +104,25 @@ def test_delta_dag_matches_linear_extensions(d):
 @given(labeled_dags(5), st.integers(0, 2))
 def test_enumerate_enriched_matches_brute_force(d, m):
     assert enumerate_enriched(d, m) == _brute_enriched(d, m)
+
+
+@settings(deadline=None)
+@given(labeled_dags(4))
+def test_iter_enriched_matches_brute_force_at_m_3(d):
+    # At m = 3 a vertex can see every kind of bound: ties of either sign at
+    # several levels, on both sides.
+    assert list(iter_enriched(d, 3)) == _brute_enriched(d, 3)
+
+
+@pytest.mark.parametrize("m", range(4))
+def test_iter_enriched_without_a_second_vertex(m):
+    # No vertex before the last: the empty DAG has one empty row, and one
+    # vertex takes every value, in integer order.
+    assert list(iter_enriched(Dag.make([], []), m)) == [{}]
+    one = Dag.make([7], [])
+    rows = list(iter_enriched(one, m))
+    assert rows == [{7: x} for x in [*range(-m, 0), *range(1, m + 1)]]
+    assert rows == _brute_enriched(one, m)
 
 
 def test_down_set_dp_edge_cases():

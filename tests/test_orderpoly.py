@@ -1,5 +1,6 @@
 import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from toricpeaks.orderpoly import (
     Marking,
     RationalSeries,
+    _chain_counts,
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
@@ -21,7 +23,7 @@ from toricpeaks.orderpoly import (
     poly_mul,
     runs,
 )
-from toricpeaks.dag import Dag, toric_class
+from toricpeaks.dag import Dag, linear_extensions, toric_class
 from toricpeaks.enriched import enumerate_enriched, enumerate_enriched_toric
 from toricpeaks.permstat import peak_set, rotations
 from toricpeaks.verify import _interpolate, random_dags, small_dags
@@ -68,16 +70,27 @@ def test_omega_matches_enumeration():
 def test_omega_dag_and_toric():
     d = Dag.from_word((1, 2))
     assert omega_dag(d, 2) == 8
+    assert _chain_counts(Dag.make([], [])) == [1]
+    assert _chain_counts(Dag.make([7], [])) == [0, 2]
+    # One level: {1: -1, 2: 1} and {1: 1, 2: 1}. Two: {1: ±1, 2: ±2}.
+    assert _chain_counts(d) == [0, 2, 4]
     tc = toric_class(d)
     assert omega_toric(tc, 1) == omega_cyc((1, 2), 1) == 4
 
 
 def assert_omega_counts(dags, ms):
     """``omega_dag`` and ``omega_toric``, products over components, are the
-    lengths of the listings, which multiply nothing."""
+    lengths of the listings, which multiply nothing. So is the chain-count
+    DP of the whole DAG, unsplit, whose top entry is 2^n times the number
+    of linear extensions."""
     for d in dags:
+        n, a = len(d.vertices), _chain_counts(d)
+        assert len(a) == n + 1
+        assert a[n] == 2**n * len(linear_extensions(d)), d
         for m in ms:
-            assert omega_dag(d, m) == len(enumerate_enriched(d, m)), (d, m)
+            count = len(enumerate_enriched(d, m))
+            assert omega_dag(d, m) == count, (d, m)
+            assert sum(c * comb(m, j) for j, c in enumerate(a)) == count, (d, m)
     for tc in {toric_class(d) for d in dags}:
         for m in ms:
             assert omega_toric(tc, m) == len(enumerate_enriched_toric(tc, m)), (tc.canonical, m)
