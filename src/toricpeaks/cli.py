@@ -11,6 +11,7 @@ import functools
 import itertools
 import json
 import operator
+import os
 import sys
 from pathlib import Path
 from typing import Collection
@@ -40,7 +41,10 @@ def parse_subset(text: str) -> frozenset[int]:
     if text in ("-", ""):
         return frozenset()
     try:
-        return frozenset(int(x) for x in text.split(","))
+        elements = [int(x) for x in text.split(",")]
+        if len(set(elements)) != len(elements):
+            raise ValueError("elements must be distinct")
+        return frozenset(elements)
     except ValueError as exc:
         raise SystemExit(f"cannot parse subset {text!r}: {exc}")
 
@@ -100,6 +104,17 @@ def cmd_stats(args) -> int:
     return 0
 
 
+# ``expand`` builds each kind read as a degree n and a set S by one call.
+BUILDERS = {
+    "M": qsym.monomial,
+    "F": qsym.fundamental,
+    "Mcyc": qsym.cyclic_monomial,
+    "Fcyc": qsym.cyclic_fundamental,
+    "K": lambda n, S: enriched.k_peak(S, n),
+    "Kcyc": lambda n, S: enriched.kcyc(S, n),
+}
+
+
 def cmd_expand(args) -> int:
     kind = args.kind
     if kind in ("delta", "delta-cyc"):
@@ -116,19 +131,7 @@ def cmd_expand(args) -> int:
         elif kind == "delta-cyc":
             elem = enriched.delta_toric(dagmod.toric_class(load_dag(args)))
         else:
-            n, S = args.n, parse_subset(args.set)
-            if kind == "M":
-                elem = qsym.monomial(n, S)
-            elif kind == "F":
-                elem = qsym.fundamental(n, S)
-            elif kind == "Mcyc":
-                elem = qsym.cyclic_monomial(n, S)
-            elif kind == "Fcyc":
-                elem = qsym.cyclic_fundamental(n, S)
-            elif kind == "K":
-                elem = enriched.k_peak(S, n)
-            else:
-                elem = enriched.kcyc(S, n)
+            elem = BUILDERS[kind](args.n, parse_subset(args.set))
         basis = args.basis or ("Mcyc" if kind in ("Mcyc", "Kcyc", "delta-cyc") else "M")
         if isinstance(elem, qsym.CQSym):
             print(elem.to_json() if basis == "Mcyc" else elem.as_qsym().to_json(basis))
@@ -201,7 +204,7 @@ def cmd_enumerate(args) -> int:
     """
     if args.what == "enriched":
         d = load_dag(args)
-        tc = dagmod.toric_class(enriched._without_bridges(d)) if args.toric else None
+        tc = dagmod.toric_class(dagmod._without_bridges(d)) if args.toric else None
         _refuse_huge_listing(tc.members if tc else [d], len(d.vertices), args.m)
         if tc:
             found = enriched.iter_enriched_toric(tc, args.m)
@@ -309,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_stats)
 
     sp = sub.add_parser("expand", help="expand an element in a chosen basis")
-    sp.add_argument("kind", choices=["M", "F", "Mcyc", "Fcyc", "K", "Kcyc", "delta", "delta-cyc"])
+    sp.add_argument("kind", choices=[*BUILDERS, "delta", "delta-cyc"])
     sp.add_argument("n", nargs="?", type=int)
     sp.add_argument("set", nargs="?", default="")
     sp.add_argument(
@@ -363,7 +366,16 @@ def main(argv=None) -> int:
     for bound in ("n", "m", "order"):
         if (getattr(args, bound, None) or 0) < 0:
             raise SystemExit(f"{bound} must be nonnegative, got {getattr(args, bound)}")
-    return args.fn(args)
+    # A reader that stops early, as ``| head`` does, closes the pipe; the
+    # flush finds that here even when all output is still buffered. Then
+    # stdout writes to /dev/null, so the flush at exit cannot raise again.
+    try:
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -5,6 +5,10 @@ construction. Every DAG algorithm reads one bit index, ``_index``: bit k
 stands for the k-th smallest label. A toric class is the closure of a DAG
 under flips at sources and sinks; its canonical member is the one with
 lexicographically least sorted arc list.
+
+The toric split lives here alone: ``_without_bridges``, ``_components``
+and ``_bridgeless_classes`` cut a DAG or a class into the pieces that the
+toric enumerators factor over.
 """
 
 from __future__ import annotations
@@ -118,27 +122,21 @@ def _ancestors(pred: list[int]) -> list[int]:
     return anc
 
 
-def _components(d: Dag) -> list[Dag]:
-    """The connected components of d's underlying graph, as sub-DAGs that
-    keep their labels, in order of their least labels. When d is empty or
-    connected, the list is ``[d]`` itself."""
-    labels, pred = _index(d.vertices, d.arcs)
-    return _split(d, labels, pred, _undirected(pred), bridged=False)
+def _without_bridges(d: Dag) -> Dag:
+    """d minus its bridges, the arcs on no cycle, or d itself when it has
+    none.
 
-
-def _bridgeless_parts(d: Dag) -> list[Dag]:
-    """The 2-edge-connected components of d's underlying graph, as sub-DAGs
-    that keep their labels, in order of their least labels.
-
-    An arc is a bridge when it lies on no cycle, that is, when its ends fall
-    apart once it is removed; one reachability sweep over undirected
-    adjacency masks tests each arc. A bridge stays removed, which changes no
-    cycle, and the components are what is then left connected. When d is
-    empty, or connected with no bridge, the list is ``[d]`` itself.
+    An enriched partition f orients every edge, and that orientation lies
+    in [d] exactly when each cycle has d's forward-minus-backward count
+    (Pretzel's criterion). No cycle runs through a bridge, so f is an
+    enriched toric partition of [d] exactly when it is one of [d minus its
+    bridges]. An arc is a bridge when its ends fall apart once it is
+    removed; one reachability sweep over undirected adjacency masks tests
+    each arc. A bridge stays removed, which changes no cycle.
     """
     labels, pred = _index(d.vertices, d.arcs)
     adj = _undirected(pred)
-    bridged = False
+    bridges = set()
     for k, p in enumerate(pred):
         for j in _bits(p):
             adj[j] ^= 1 << k
@@ -149,8 +147,29 @@ def _bridgeless_parts(d: Dag) -> list[Dag]:
                 adj[j] ^= 1 << k
                 adj[k] ^= 1 << j
             else:
-                bridged = True
-    return _split(d, labels, pred, adj, bridged)
+                bridges.add((labels[j], labels[k]))
+    return Dag(d.vertices, d.arcs - bridges) if bridges else d
+
+
+def _components(d: Dag) -> list[Dag]:
+    """The connected components of d's underlying graph, as sub-DAGs that
+    keep their labels, in order of their least labels. When d is empty or
+    connected, the list is ``[d]`` itself."""
+    labels, pred = _index(d.vertices, d.arcs)
+    adj = _undirected(pred)
+    parts, left = [], (1 << len(labels)) - 1
+    while left:
+        parts.append(_reach(adj, (left & -left).bit_length() - 1))
+        left &= ~parts[-1]
+    if len(parts) <= 1:
+        return [d]
+    return [
+        Dag(
+            frozenset(labels[k] for k in _bits(part)),
+            frozenset((labels[j], labels[k]) for k in _bits(part) for j in _bits(pred[k])),
+        )
+        for part in parts
+    ]
 
 
 def _undirected(pred: list[int]) -> list[int]:
@@ -160,30 +179,6 @@ def _undirected(pred: list[int]) -> list[int]:
         for j in _bits(p):
             adj[j] |= 1 << k
     return adj
-
-
-def _split(
-    d: Dag, labels: list[int], pred: list[int], adj: list[int], bridged: bool
-) -> list[Dag]:
-    """The connected pieces of the graph ``adj``, a subgraph of d's
-    underlying graph, as sub-DAGs of d with the arcs ``adj`` keeps, in order
-    of their least labels; ``[d]`` itself when there is at most one piece
-    and no arc was dropped (``bridged`` is false)."""
-    parts, left = [], (1 << len(labels)) - 1
-    while left:
-        parts.append(_reach(adj, (left & -left).bit_length() - 1))
-        left &= ~parts[-1]
-    if len(parts) <= 1 and not bridged:
-        return [d]
-    return [
-        Dag(
-            frozenset(labels[k] for k in _bits(part)),
-            frozenset(
-                (labels[j], labels[k]) for k in _bits(part) for j in _bits(pred[k] & adj[k])
-            ),
-        )
-        for part in parts
-    ]
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -273,6 +268,15 @@ def toric_class(d: Dag) -> ToricClass:
                 frontier.append(nxt)
     members = {arcs: Dag(d.vertices, arcs) for arcs in seen}
     return ToricClass(frozenset(members.values()), members[min(seen, key=sorted)])
+
+
+def _bridgeless_classes(tc: ToricClass) -> Iterable[ToricClass]:
+    """The toric classes of the 2-edge-connected components of the
+    canonical member, built one at a time, or ``[tc]`` itself when it has
+    one and no bridge. Their enriched toric partitions, joined, are those
+    of tc (see ``_without_bridges``)."""
+    parts = _components(_without_bridges(tc.canonical))
+    return [tc] if parts[0] is tc.canonical else map(toric_class, parts)
 
 
 def linear_extensions(d: Dag) -> list[Word]:

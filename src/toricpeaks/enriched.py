@@ -6,9 +6,8 @@ assignment is a dict from vertex labels to such values. Weight enumerators
 expand in the monomial bases of qsym: via the peak-set formulas for total
 orders and cyclic peak sets, and via a DP over down-sets for a DAG. An
 enriched toric partition of [D] is an enriched partition of exactly one
-member of [D], and by Pretzel's criterion the class puts no condition on a
-bridge, an arc on no cycle. So [D] and [D minus its bridges] have the same
-enriched toric partitions, and Δ_[D] is the folded product, over the
+member of [D], and the class puts no condition on a bridge, an arc on no
+cycle (``dag._without_bridges``). So Δ_[D] is the folded product, over the
 2-edge-connected components C, of the sums of the down-set DPs of the
 members of [C]. The enumerations here are the combinatorial side of every
 identity the test suite checks.
@@ -16,7 +15,6 @@ identity the test suite checks.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import math
 from collections import Counter
@@ -25,10 +23,11 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .dag import (
     Dag,
     ToricClass,
-    _bridgeless_parts,
+    _bridgeless_classes,
     _index,
     _topological_order,
     _toric_extensions,
+    _without_bridges,
     disjoint_union,
     toric_class,
     toric_extensions,
@@ -170,16 +169,6 @@ def iter_enriched_toric(tc: ToricClass, m: int) -> Iterator[Assignment]:
     return heapq.merge(*streams, key=lambda f: sorted(f.items()))
 
 
-def _without_bridges(d: Dag) -> Dag:
-    """d minus its bridges, or d itself when it has none. An enriched
-    partition f orients every edge, and that orientation lies in [d]
-    exactly when each cycle has d's forward-minus-backward count (Pretzel's
-    criterion). No cycle runs through a bridge, so f is an enriched toric
-    partition of [d] exactly when it is one of [d minus its bridges]."""
-    bare = functools.reduce(disjoint_union, _bridgeless_parts(d))
-    return d if bare == d else bare
-
-
 def delta_from_peak_set(S: frozenset[int], n: int) -> QSym:
     """Weight enumerator of any permutation with peak set S.
 
@@ -303,8 +292,8 @@ def delta_toric(tc: ToricClass) -> CQSym:
 
     The members' enriched sets are disjoint, so in QSym the class sums its
     members' ``delta_dag``. The class puts no condition on a bridge (see
-    ``_without_bridges``), and disjoint unions multiply, so that sum is the
-    product, over the 2-edge-connected components C of the canonical
+    ``dag._without_bridges``), and disjoint unions multiply, so that sum is
+    the product, over the 2-edge-connected components C of the canonical
     member, of the member sums of [C]; the product is folded once. With one
     component, the class's own members are summed.
     """
@@ -313,14 +302,6 @@ def delta_toric(tc: ToricClass) -> CQSym:
         for c in _bridgeless_classes(tc)
     )
     return from_qsym(math.prod(sums, start=QSym.unit()))
-
-
-def _bridgeless_classes(tc: ToricClass) -> Iterable[ToricClass]:
-    """The toric classes of the 2-edge-connected components of the
-    canonical member, built one at a time, or ``[tc]`` itself when it has
-    one and no bridge."""
-    parts = _bridgeless_parts(tc.canonical)
-    return [tc] if parts[0] is tc.canonical else map(toric_class, parts)
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:

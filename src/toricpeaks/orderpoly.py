@@ -13,8 +13,8 @@ from collections import Counter
 from math import comb, prod
 from typing import Mapping, Sequence
 
-from .dag import Dag, ToricClass, _components, _index, _topological_order
-from .enriched import _bridgeless_classes, _down_steps, enumerate_enriched, is_enriched
+from .dag import Dag, ToricClass, _bridgeless_classes, _components, _index, _topological_order
+from .enriched import _down_steps, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
 Poly = list[int]

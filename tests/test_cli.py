@@ -10,8 +10,8 @@ import pytest
 
 from toricpeaks import cli, enriched
 from toricpeaks.cli import main
-from toricpeaks.dag import Dag
-from toricpeaks.enriched import enumerate_enriched
+from toricpeaks.dag import Dag, toric_class
+from toricpeaks.enriched import enumerate_enriched, enumerate_enriched_toric
 from toricpeaks.qsym import CQSym
 
 D3_JSON = Dag.make(
@@ -151,6 +151,7 @@ def test_expand_without_degree_is_one_line_error():
         ("enumerate", "markings", "--word", "21", "--dag", "x", "--m", "2"),
         ("expand", "M", "3", "1", "--word", "12"),
         ("expand", "M", "3", "x"),
+        ("expand", "M", "3", "1,1"),
         ("expand", "delta", "3", "7", "--word", "12"),
         ("expand", "delta-cyc", "3", "--word", "12"),
     ],
@@ -193,6 +194,42 @@ def test_enumerate_enriched_toric_counts_before_listing(monkeypatch, capsys):
     assert json.loads(out)["count"] == 4
     with pytest.raises(SystemExit, match="would produce more than 4 assignments"):
         main(["enumerate", "enriched", "--dag", D3_JSON, "--m", "2", "--toric"])
+
+
+def test_enumerate_enriched_toric_drops_a_pendant_arc(monkeypatch, capsys):
+    # A triangle with a pendant arc 3 -> 4, a bridge: the listing and its
+    # refusal count walk the class without it, and both stay exact.
+    d = Dag.make([1, 2, 3, 4], [(1, 2), (2, 3), (1, 3), (3, 4)])
+    rows = [{str(k): v for k, v in f.items()} for f in enumerate_enriched_toric(toric_class(d), 1)]
+    argv = ["enumerate", "enriched", "--dag", d.to_json(), "--m", "1", "--toric"]
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", len(rows))
+    assert json.loads(run(capsys, *argv)[1])["assignments"] == rows
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", len(rows) - 1)
+    with pytest.raises(SystemExit, match=f"would produce more than {len(rows) - 1} assignments"):
+        main(argv)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("enumerate", "enriched", "--dag", Dag.make(range(1, 9), []).to_json(), "--m", "2", "--ndjson"),
+        ("enumerate", "enriched", "--dag", Dag.make(range(1, 9), []).to_json(), "--m", "2"),
+        ("order-poly", "1", "--m", "3000"),
+    ],
+)
+def test_closed_pipe_exits_quietly(argv):
+    # A reader that stops early, as ``| head -n 1`` does: exit 1, no traceback.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    with subprocess.Popen(
+        [sys.executable, "-m", "toricpeaks.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=src),
+    ) as proc:
+        proc.stdout.readline(4096)  # the JSON listing is one long line
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == 1
+    assert err == b""
 
 
 def test_missing_dag_file_is_named(tmp_path):

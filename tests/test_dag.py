@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from toricpeaks.dag import (
     Dag,
-    _bridgeless_parts,
     _components,
+    _without_bridges,
     disjoint_union,
     flip,
     is_toric_poset,
@@ -133,30 +133,48 @@ def test_disjoint_union():
         disjoint_union(a, Dag.from_word((2, 3)))
 
 
+def _bridgeless_parts_of(d):
+    """The 2-edge-connected components of d, the pieces of the toric split."""
+    return _components(_without_bridges(d))
+
+
 def test_bridgeless_parts():
     empty = Dag.make([], [])
-    assert _bridgeless_parts(empty)[0] is empty
-    assert len(_bridgeless_parts(empty)) == 1
+    assert _bridgeless_parts_of(empty)[0] is empty
+    assert len(_bridgeless_parts_of(empty)) == 1
     one = Dag.make([7], [])
-    assert _bridgeless_parts(one)[0] is one
-    assert len(_bridgeless_parts(one)) == 1
+    assert _bridgeless_parts_of(one)[0] is one
+    assert len(_bridgeless_parts_of(one)) == 1
     # A 5-cycle on scattered labels with a pendant path 9 -> 4 <- 12: both
     # path arcs are bridges, so each path vertex is a part of its own.
     cycle = [(3, 11), (11, 20), (20, 9), (3, 6), (6, 9)]
     d = Dag.make([3, 4, 6, 9, 11, 12, 20], cycle + [(9, 4), (12, 4)])
-    assert _bridgeless_parts(d) == [
+    assert _bridgeless_parts_of(d) == [
         Dag.make([3, 6, 9, 11, 20], cycle),
         Dag.make([4], []),
         Dag.make([12], []),
     ]
     # D3 is bridgeless and connected; two triangles joined by an arc split
     # at it, and without it they split all the same.
-    assert _bridgeless_parts(D3)[0] is D3
-    assert len(_bridgeless_parts(D3)) == 1
+    assert _bridgeless_parts_of(D3)[0] is D3
+    assert len(_bridgeless_parts_of(D3)) == 1
     triangles = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
     parts = [Dag.make([1, 2, 3], triangles[:3]), Dag.make([4, 5, 6], triangles[3:])]
-    assert _bridgeless_parts(Dag.make(range(1, 7), triangles + [(3, 4)])) == parts
-    assert _bridgeless_parts(Dag.make(range(1, 7), triangles)) == parts
+    assert _bridgeless_parts_of(Dag.make(range(1, 7), triangles + [(3, 4)])) == parts
+    assert _bridgeless_parts_of(Dag.make(range(1, 7), triangles)) == parts
+
+
+def test_without_bridges():
+    # Every arc of a tree is a bridge: a star 2 <- 1 -> 3 with a pendant 3 -> 4.
+    tree = Dag.make([1, 2, 3, 4], [(1, 2), (1, 3), (3, 4)])
+    assert _without_bridges(tree) == Dag.make([1, 2, 3, 4], [])
+    # Two triangles joined by one arc lose that arc alone.
+    triangles = [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6), (4, 6)]
+    joined = Dag.make(range(1, 7), triangles + [(3, 4)])
+    assert _without_bridges(joined) == Dag.make(range(1, 7), triangles)
+    # With no bridge, d itself comes back, so no class is built twice.
+    for d in (D3, Dag.make([], [])):
+        assert _without_bridges(d) is d
 
 
 def test_components():
