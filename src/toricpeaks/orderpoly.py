@@ -11,7 +11,7 @@ import dataclasses
 import itertools
 from collections import Counter
 from math import comb, prod
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .dag import Dag, ToricClass, _bridgeless_classes, _components, _index, _topological_order
 from .enriched import _down_steps, enumerate_enriched, is_enriched
@@ -70,9 +70,11 @@ def _peak_sum(n: int, p: int, m: int) -> int:
     """
     if n - 2 * p - 1 < 0:
         return 0
+    # C(n - 2p - 1, m - 1 - p - k) is zero below k = m - n + p, so a large
+    # m costs at most n - 2p terms, not m - p.
     return sum(
         multiset_coeff(n + 1, k) * comb(n - 2 * p - 1, m - 1 - p - k)
-        for k in range(m - p)
+        for k in range(max(0, m - n + p), m - p)
     )
 
 
@@ -225,18 +227,24 @@ def runs(w: Sequence[int]) -> RunDecomposition:
     word = check_word(w)
     if not word:
         raise ValueError("need a nonempty word")
+    n = len(word)
     sentinel = max(word) + 1
     seq = (sentinel,) + word + (sentinel,)
-    # A run ends at the first break in its trend; odd runs decrease.
-    starts = [0]
-    for j in range(1, len(seq)):
-        if (seq[j] < seq[j - 1]) != (len(starts) % 2 == 1):
-            starts.append(j)
-    bounds = list(zip(starts, starts[1:] + [len(seq)]))
+    # A run ends at the first break in its trend; odd runs decrease. Each
+    # position whose successor does not break its run is markable.
+    bounds, markable = [], []
+    start, falling = 0, True
+    for j in range(1, n + 2):
+        if (seq[j] < seq[j - 1]) != falling:
+            bounds.append((start, j))
+            start, falling = j, not falling
+        elif j > 1:
+            markable.append(j - 1)
+    bounds.append((start, n + 2))
     return RunDecomposition(
         tuple([seq[a:b] for a, b in bounds]),
         tuple([frozenset(range(a, b)) for a, b in bounds]),
-        frozenset(range(1, len(word) + 1)).difference(b - 1 for _, b in bounds),
+        frozenset(markable),
     )
 
 
@@ -282,30 +290,59 @@ def partition_to_marking(f: Mapping[int, int], w: Sequence[int], m: int) -> Mark
     flags a negative value in an increasing run.
     """
     word = check_word(w)
-    n = len(word)
-    if not is_enriched(f, Dag.from_word(word)):
-        raise ValueError("f is not an enriched partition of w")
-    if any(abs(v) > m for v in f.values()):
-        raise ValueError(f"absolute values exceed {m}")
-    decomp = runs(word)
-    run_of = [i for i, run in enumerate(decomp.runs, start=1) for _ in run]
-    bars: list[int] = []
-    marked: list[int] = []
-    for k in range(1, n + 1):
-        i, val = run_of[k], f[word[k - 1]]
-        increasing = i % 2 == 0
-        before = abs(val) - (i + 1) // 2 - (increasing and val < 0) - len(marked)
-        bars += [k - 1] * (before - len(bars))
-        if k in decomp.markable and increasing == (val < 0):
-            marked.append(k)
-    bars += [n] * (m - 1 - len(peak_set(word)) - len(marked) - len(bars))
-    return Marking(word, tuple(bars), frozenset(marked))
+    _check_partition(f, Dag.from_word(word), m)
+    return _marker(word, m)(f)
 
 
 def marking_fibers(w: Sequence[int], m: int) -> Counter:
-    """Sizes of the fibers of partition_to_marking over all markings."""
+    """Sizes of the fibers of partition_to_marking over all markings.
+
+    The chain DAG and the runs of w are built once, not once per
+    partition; every partition is still checked against them.
+    """
+    word = check_word(w)
+    d = Dag.from_word(word)
+    mark = _marker(word, m)
     out: Counter = Counter()
-    for f in enumerate_enriched(Dag.from_word(w), m):
-        out[partition_to_marking(f, w, m)] += 1
+    for f in enumerate_enriched(d, m):
+        _check_partition(f, d, m)
+        out[mark(f)] += 1
     return out
 
+
+def _check_partition(f: Mapping[int, int], d: Dag, m: int) -> None:
+    """Refuse f unless it is an enriched partition of the chain d with
+    |f| <= m."""
+    if not is_enriched(f, d):
+        raise ValueError("f is not an enriched partition of w")
+    if any(abs(v) > m for v in f.values()):
+        raise ValueError(f"absolute values exceed {m}")
+
+
+def _marker(word: Word, m: int) -> Callable[[Mapping[int, int]], Marking]:
+    """``partition_to_marking`` on ``word`` for checked partitions, with
+    what depends on the word and m alone found once: each column's label,
+    the ceil(i/2) and trend of its run i, whether it is markable, and the
+    bars' and marks' total m - 1 - pk."""
+    n = len(word)
+    decomp = runs(word)
+    run_of = [i for i, run in enumerate(decomp.runs, start=1) for _ in run]
+    columns = [
+        (k, word[k - 1], (run_of[k] + 1) // 2, run_of[k] % 2 == 0, k in decomp.markable)
+        for k in range(1, n + 1)
+    ]
+    total = m - 1 - len(peak_set(word))
+
+    def mark(f: Mapping[int, int]) -> Marking:
+        bars: list[int] = []
+        marked: list[int] = []
+        for k, label, half, increasing, markable in columns:
+            val = f[label]
+            before = abs(val) - half - (increasing and val < 0) - len(marked)
+            bars += [k - 1] * (before - len(bars))
+            if markable and increasing == (val < 0):
+                marked.append(k)
+        bars += [n] * (total - len(marked) - len(bars))
+        return Marking(word, tuple(bars), frozenset(marked))
+
+    return mark

@@ -101,9 +101,18 @@ def _enriched_set(d: Dag, m: int) -> frozenset:
     return frozenset(_freeze(f) for f in enumerate_enriched(d, m))
 
 
-@functools.cache
+# The toric class of every DAG met so far, recorded for all its members
+# once one of them is built, so each class is built once and the memo holds
+# one set of member DAGs per class.
+_TORIC_CLASSES: dict[Dag, ToricClass] = {}
+
+
 def _toric_of(d: Dag) -> ToricClass:
-    return toric_class(d)
+    tc = _TORIC_CLASSES.get(d)
+    if tc is None:
+        tc = toric_class(d)
+        _TORIC_CLASSES.update(dict.fromkeys(tc.members, tc))
+    return tc
 
 
 @functools.cache
@@ -124,6 +133,11 @@ def _toric_extensions_of(tc: ToricClass) -> list[Word]:
 @functools.cache
 def _k_peak(S: frozenset, n: int) -> QSym:
     return k_peak(S, n)
+
+
+@functools.cache
+def _k_peak_product(S: frozenset, a: int, T: frozenset, b: int) -> QSym:
+    return _k_peak(S, a) * _k_peak(T, b)
 
 
 def small_dags(max_n: int = 4) -> list[Dag]:
@@ -743,7 +757,7 @@ def suite_shuffle(max_n: int = 6, **_) -> list:
             for pi in itertools.permutations(range(1, a + 1)):
                 for sig0 in itertools.permutations(range(1, b + 1)):
                     sig = standardize(sig0, a)
-                    lhs = _k_peak(peak_set(pi), a) * _k_peak(peak_set(sig0), b)
+                    lhs = _k_peak_product(peak_set(pi), a, peak_set(sig0), b)
                     taus = shuffle_set(pi, sig)
                     counts = Counter(peak_set(tau) for tau in taus)
                     rhs = sum(

@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -9,7 +10,9 @@ from hypothesis import strategies as st
 from toricpeaks.orderpoly import (
     Marking,
     RationalSeries,
+    RunDecomposition,
     _chain_counts,
+    _peak_sum,
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
@@ -43,6 +46,33 @@ def test_rational_series_expansion():
     assert RationalSeries([0, 1], [1, -2, 1]).coefficients(5) == [0, 1, 2, 3, 4, 5]
     with pytest.raises(ValueError):
         RationalSeries([1], [2, 1])
+
+
+def _peak_sum_unbounded(n, p, m):
+    """``_peak_sum`` over every k < m - p, zero binomials included."""
+    if n - 2 * p - 1 < 0:
+        return 0
+    return sum(
+        multiset_coeff(n + 1, k) * comb(n - 2 * p - 1, m - 1 - p - k) for k in range(m - p)
+    )
+
+
+def test_peak_sum_skips_only_zero_terms():
+    for n in range(0, 12):
+        for p in range(-1, 6):
+            for m in range(0, 30):
+                assert _peak_sum(n, p, m) == _peak_sum_unbounded(n, p, m), (n, p, m)
+
+
+def test_omega_at_a_large_bound():
+    # At m = 10^4 each sum has at most n terms; the values are those of the
+    # degree-n polynomial through the first n + 1 values.
+    big = 10**4
+    assert omega((1,), big) == omega_cyc((1,), big) == 2 * big
+    for w in [(2, 1, 3), (1, 3, 2, 4), (3, 1, 4, 2, 5)]:
+        for count in (omega, omega_cyc):
+            pts = [(m, count(w, m)) for m in range(1, len(w) + 2)]
+            assert _interpolate(pts, big) == count(w, big)
 
 
 def test_omega_closed_forms():
@@ -147,6 +177,30 @@ def test_runs_of_decreasing_word():
     assert decomp.markable == frozenset({1, 2})
 
 
+def _runs_by_starts(w):
+    """``runs`` as it was first written: the run starts, then the bounds."""
+    word = tuple(w)
+    sentinel = max(word) + 1
+    seq = (sentinel,) + word + (sentinel,)
+    starts = [0]
+    for j in range(1, len(seq)):
+        if (seq[j] < seq[j - 1]) != (len(starts) % 2 == 1):
+            starts.append(j)
+    bounds = list(zip(starts, starts[1:] + [len(seq)]))
+    return RunDecomposition(
+        tuple([seq[a:b] for a, b in bounds]),
+        tuple([frozenset(range(a, b)) for a, b in bounds]),
+        frozenset(range(1, len(word) + 1)).difference(b - 1 for _, b in bounds),
+    )
+
+
+def test_runs_match_the_two_pass_scan():
+    for n in range(1, 8):
+        for w in itertools.permutations(range(1, n + 1)):
+            assert runs(w) == _runs_by_starts(w)
+    assert runs((7, 2, 9)) == _runs_by_starts((7, 2, 9))
+
+
 def test_run_invariants():
     for n in range(1, 7):
         for w in itertools.permutations(range(1, n + 1)):
@@ -185,10 +239,20 @@ def test_partition_to_marking_trivial_word():
 
 
 def test_partition_to_marking_domain_errors():
-    with pytest.raises(ValueError):
-        partition_to_marking({1: 1, 2: -1}, (1, 2), 2)  # not enriched
-    with pytest.raises(ValueError):
-        partition_to_marking({1: 3}, (1,), 2)  # exceeds m
+    with pytest.raises(ValueError, match="^f is not an enriched partition of w$"):
+        partition_to_marking({1: 1, 2: -1}, (1, 2), 2)
+    with pytest.raises(ValueError, match="^absolute values exceed 2$"):
+        partition_to_marking({1: 3}, (1,), 2)
+
+
+def test_marking_fibers_match_partition_to_marking():
+    # marking_fibers sets each word up once; partition_to_marking per row.
+    for n in range(1, 6):
+        for w in itertools.permutations(range(1, n + 1)):
+            for m in range(1, 4):
+                rows = enumerate_enriched(Dag.from_word(w), m)
+                expected = Counter(partition_to_marking(f, w, m) for f in rows)
+                assert marking_fibers(w, m) == expected
 
 
 def test_fibers_of_1324():

@@ -102,3 +102,21 @@ def test_toric_memos_share_one_entry_per_class():
         verify._toric_enriched_set(verify._toric_of(member), 1)
     assert len(members) == 5
     assert verify._toric_enriched_set.cache_info().currsize == 1
+
+
+def test_toric_memo_matches_toric_class_on_every_small_dag():
+    # The memo builds a class once and records it for every member, so
+    # only this test builds the class of every DAG on at most 4 vertices.
+    for d in verify.small_dags(4):
+        tc, memo = toric_class(d), verify._toric_of(d)
+        assert d in memo.members
+        assert memo.canonical == tc.canonical
+        assert memo.members == tc.members
+
+
+def test_shuffle_products_are_memoised_per_pair_of_peak_sets():
+    verify._k_peak_product.cache_clear()
+    assert verify.run_suite("shuffle", max_n=4)["pass"]
+    # (a, b, Pk pi, Pk sigma) over a + b <= 4: peak sets are empty below 3
+    # letters and {2} or empty at 3.
+    assert verify._k_peak_product.cache_info().currsize == 8
