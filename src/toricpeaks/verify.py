@@ -11,10 +11,11 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dag import (
     Dag,
@@ -87,8 +88,15 @@ def _report(suite: str, checks: list) -> dict:
     }
 
 
-def _freeze(f: Mapping[int, int]) -> frozenset[tuple[int, int]]:
-    return frozenset(f.items())
+def _values_key(d: Dag) -> Callable[[Mapping[int, int]], tuple[int, ...]]:
+    """The key of an assignment on d's vertices: its values in label order.
+    Sets of keys compare and join exactly when they share one vertex set,
+    as every set a suite compares or joins does."""
+    labels = sorted(d.vertices)
+    if len(labels) > 1:
+        return operator.itemgetter(*labels)
+    # itemgetter of one label returns a scalar, and of none raises.
+    return lambda f: tuple(f[v] for v in labels)
 
 
 # Process-wide memos of pure results. They fill across suites, as ``verify
@@ -97,8 +105,19 @@ def _freeze(f: Mapping[int, int]) -> frozenset[tuple[int, int]]:
 # bodies call the library by its module-level names, so a tracer that
 # patches those names still sees the calls.
 @functools.cache
-def _enriched_set(d: Dag, m: int) -> frozenset:
-    return frozenset(_freeze(f) for f in enumerate_enriched(d, m))
+def _enriched_set(d: Dag, m: int) -> frozenset[tuple[int, ...]]:
+    """The enriched partitions of d up to m, each keyed by ``_values_key``."""
+    return frozenset(map(_values_key(d), enumerate_enriched(d, m)))
+
+
+@functools.cache
+def _word_dag(w: Word) -> Dag:
+    return Dag.from_word(w)
+
+
+@functools.cache
+def _linear_extensions_of(d: Dag) -> list[Word]:
+    return linear_extensions(d)
 
 
 # The toric class of every DAG met so far, recorded for all its members
@@ -146,14 +165,17 @@ def small_dags(max_n: int = 4) -> list[Dag]:
     Every DAG embeds in the transitive tournament of any of its linear
     extensions, so arc subsets of all transitive tournaments exhaust them.
     """
-    out = set()
+    out = []
     for n in range(1, max_n + 1):
+        arc_sets = set()
         for w in itertools.permutations(range(1, n + 1)):
-            full = sorted(Dag.from_word(w).arcs)
+            # The arcs of w's tournament, sorted, so each subset is too.
+            full = sorted(itertools.combinations(w, 2))
             for k in range(len(full) + 1):
-                for arcs in itertools.combinations(full, k):
-                    out.add(Dag.make(range(1, n + 1), arcs))
-    return sorted(out, key=lambda d: (len(d.vertices), sorted(d.arcs)))
+                arc_sets.update(itertools.combinations(full, k))
+        vertices = frozenset(range(1, n + 1))
+        out += [Dag(vertices, frozenset(arcs)) for arcs in sorted(arc_sets)]
+    return out
 
 
 def random_dags(count: int, max_n: int = 4, seed: int = 0) -> list[Dag]:
@@ -189,7 +211,7 @@ def _delta_by_extensions(d: Dag) -> QSym:
     """Oracle for ``delta_dag``: the sum of ``delta_perm`` over the linear
     extensions of d (the fundamental lemma), one ``delta_from_peak_set``
     call per distinct peak set."""
-    n, counts = len(d.vertices), Counter(map(peak_set, linear_extensions(d)))
+    n, counts = len(d.vertices), Counter(map(peak_set, _linear_extensions_of(d)))
     return sum((delta_from_peak_set(S, n).scale(c) for S, c in counts.items()), QSym.zero(n))
 
 
@@ -211,9 +233,8 @@ def _toric_class_by_flips(d: Dag) -> frozenset[Dag]:
 def _toric_extensions_by_rotation(tc: ToricClass) -> list[Word]:
     """Oracle for ``toric_extensions``: the canonical rotation of every
     linear extension of every member, deduplicated and sorted."""
-    return sorted(
-        {canonical_rotation(w) for member in tc.members for w in linear_extensions(member)}
-    )
+    words = (w for member in tc.members for w in _linear_extensions_of(member))
+    return sorted(set(map(canonical_rotation, words)))
 
 
 def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:
@@ -358,9 +379,9 @@ def _interpolate(points: Sequence[tuple[int, int]], x: int) -> Fraction:
 def _weight_poly(assignments, m: int) -> TruncPoly:
     """Brute-force weight enumerator: sum of products of x_{|f(i)|}."""
     out: Counter = Counter()
-    for frozen in assignments:
+    for values in assignments:
         expo = [0] * m
-        for _, v in frozen:
+        for v in values:
             expo[abs(v) - 1] += 1
         out[tuple(expo)] += 1
     return TruncPoly(m, out)
@@ -493,7 +514,7 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> list:
             dperm = delta_perm(w)
             if n <= 3 or w == (1, 3, 2, 4):
                 for m in range(1, max_m + 1):
-                    brute = _weight_poly(_enriched_set(Dag.from_word(w), m), m)
+                    brute = _weight_poly(_enriched_set(_word_dag(w), m), m)
                     agree.append(brute == dperm.truncate(m))
             agree.append(_delta_fundamental_expansion(w) == dperm.to_fundamental())
     _check(checks, f"delta oracles all words n<={max_n}", agree)
@@ -522,23 +543,28 @@ def suite_fundamental_lemma(
     dags = small_dags(max_n) + random_dags(random_count, max_n, seed)
     linear_ok, toric_ok, spec_ok = [], [], []
     toric_done: set = set()
-    for d in dags:
+    # A DAG drawn k times is checked once and its outcomes count k times.
+    for d, draws in Counter(dags).items():
         # The fast paths against their oracles count as linear failures.
         # The (2m)^n filter runs only up to m = 2, where it stays cheap.
+        linear, spec = [], []
         delta = delta_dag(d)
-        linear_ok.append(delta == _delta_by_extensions(d))
-        words = linear_extensions(d)
+        linear.append(delta == _delta_by_extensions(d))
+        words = _linear_extensions_of(d)
         # The count DP's top entry: n one-vertex steps, two signs each.
         n = len(d.vertices)
-        spec_ok.append(_chain_counts(d)[n] == 2**n * len(words))
+        spec.append(_chain_counts(d)[n] == 2**n * len(words))
         for m in range(1, max_m + 1):
             whole = _enriched_set(d, m)
-            pieces = [_enriched_set(Dag.from_word(w), m) for w in words]
-            linear_ok.append(_is_disjoint_cover(whole, pieces))
+            pieces = [_enriched_set(_word_dag(w), m) for w in words]
+            linear.append(_is_disjoint_cover(whole, pieces))
             if m <= 2:
-                linear_ok.append(whole == frozenset(map(_freeze, _brute_enriched(d, m))))
-            spec_ok.append(delta.specialize_ones(m) == len(whole))
-            spec_ok.append(omega_dag(d, m) == len(whole))
+                brute = frozenset(map(_values_key(d), _brute_enriched(d, m)))
+                linear.append(whole == brute)
+            spec.append(delta.specialize_ones(m) == len(whole))
+            spec.append(omega_dag(d, m) == len(whole))
+        linear_ok += linear * draws
+        spec_ok += spec * draws
         tc = _toric_of(d)
         if tc in toric_done:
             continue
@@ -555,7 +581,7 @@ def suite_fundamental_lemma(
             members = [_enriched_set(member, m) for member in tc.members]
             toric_ok.append(_is_disjoint_cover(whole, members))
             pieces = [
-                _toric_enriched_set(_toric_of(Dag.from_word(w)), m) for w in extensions
+                _toric_enriched_set(_toric_of(_word_dag(w)), m) for w in extensions
             ]
             toric_ok.append(_is_disjoint_cover(whole, pieces))
             spec_ok.append(_delta_toric(tc).specialize_ones(m) == len(whole))
@@ -588,7 +614,7 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
             ccoeffs = gf_omega_cyc(w, series_m)
             cyc_ok += [ccoeffs[m] == cyc[m] for m in range(series_m + 1)]
             if n <= 4:
-                tc = _toric_of(Dag.from_word(w))
+                tc = _toric_of(_word_dag(w))
                 for m in range(1, max_m + 1):
                     cyc_ok.append(omega_toric(tc, m) == cyc[m])
                     cyc_ok.append(len(_toric_enriched_set(tc, m)) == cyc[m])
@@ -604,11 +630,8 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
             run_ok.append(len(decomp.markable) == n - 2 * pk - 1)
             if n <= 6:
                 cpk = len(cpeak_set(w))
-                low = sum(
-                    1 for v in rotations(w) if len(peak_set(v)) == cpk - 1
-                )
-                high = sum(1 for v in rotations(w) if len(peak_set(v)) == cpk)
-                rot_ok.append(low == 2 * cpk and low + high == n)
+                pks = Counter(len(peak_set(v)) for v in rotations(w))
+                rot_ok.append(pks[cpk - 1] == 2 * cpk and pks[cpk - 1] + pks[cpk] == n)
             if n <= 4:
                 pts = [(m, omega(w, m)) for m in range(1, n + 2)]
                 poly_ok += [_interpolate(pts, m) == omega(w, m) for m in range(n + 2, n + 5)]

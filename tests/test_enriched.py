@@ -36,7 +36,6 @@ from toricpeaks.verify import (
     _delta_by_extensions,
     _delta_fundamental_expansion,
     _delta_toric_by_cpk,
-    _freeze,
     _kcyc_triangular_matrix,
     _matrix_rank,
     random_dags,
@@ -301,7 +300,7 @@ def test_delta_toric_is_the_member_sum(d):
     assert delta_toric(tc) == whole_class_sum(tc)
     assert delta_toric(tc) == _delta_toric_by_cpk(tc) == delta_toric_by_rotations(tc)
     for m in (1, 2):
-        sets = [{_freeze(f) for f in enumerate_enriched(e, m)} for e in tc.members]
+        sets = [{frozenset(f.items()) for f in enumerate_enriched(e, m)} for e in tc.members]
         union = set().union(*sets)
         assert sum(map(len, sets)) == len(union)
         old = [dict(sorted(f)) for f in sorted(union, key=sorted)]

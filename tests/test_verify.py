@@ -1,8 +1,12 @@
 """The verify suites catch what they claim to check, and share their memos."""
 
+from collections import Counter
+
+import pytest
+
 from toricpeaks import enriched, verify
 from toricpeaks.dag import Dag, toric_class
-from toricpeaks.qsym import cyclic_monomial
+from toricpeaks.qsym import TruncPoly, cyclic_monomial
 
 D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
@@ -120,3 +124,54 @@ def test_shuffle_products_are_memoised_per_pair_of_peak_sets():
     # (a, b, Pk pi, Pk sigma) over a + b <= 4: peak sets are empty below 3
     # letters and {2} or empty at 3.
     assert verify._k_peak_product.cache_info().currsize == 8
+
+
+def test_small_dags_lists_each_labelled_dag_once_in_order():
+    dags = verify.small_dags(4)
+    # The labelled DAG counts, OEIS A003024.
+    assert [sum(len(d.vertices) == n for d in dags) for n in range(1, 5)] == [1, 3, 25, 543]
+    assert len(set(dags)) == len(dags)
+    assert dags == sorted(dags, key=lambda d: (len(d.vertices), sorted(d.arcs)))
+    drawn = set(verify.random_dags(200, 4))
+    assert len(drawn) == 77
+    assert drawn <= set(dags)
+
+
+def test_a_repeated_dag_fails_once_per_draw(monkeypatch):
+    draws = Counter(verify.random_dags(200, 4, 0))
+    target, k = draws.most_common(1)[0]
+    assert k > 1
+    delta_dag = verify.delta_dag
+
+    def wrong_on_target(d):
+        delta = delta_dag(d)
+        return delta.scale(2) if d == target else delta
+
+    monkeypatch.setattr(verify, "delta_dag", wrong_on_target)
+    report = verify.run_suite("fundamental-lemma", max_m=1)
+    linear = report["checks"][0]
+    assert linear["name"].startswith("linear decomposition, 772 DAGs")
+    # Once from small_dags, once per random draw.
+    assert linear["detail"] == f"{k + 1} failures"
+
+
+@pytest.mark.parametrize(
+    "d",
+    [
+        Dag.make([], []),
+        Dag.make([5], []),
+        Dag.make([3, 7, 10], [(10, 3), (3, 7)]),
+    ],
+)
+def test_enriched_sets_are_keyed_by_values_in_label_order(d):
+    for m in (1, 2):
+        rows = enriched.enumerate_enriched(d, m)
+        keys = verify._enriched_set(d, m)
+        assert keys == {tuple(f[v] for v in sorted(d.vertices)) for f in rows}
+        weights: Counter = Counter()
+        for f in rows:
+            expo = [0] * m
+            for v in f.values():
+                expo[abs(v) - 1] += 1
+            weights[tuple(expo)] += 1
+        assert verify._weight_poly(keys, m) == TruncPoly(m, weights)
