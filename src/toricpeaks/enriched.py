@@ -15,6 +15,7 @@ identity the test suite checks.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 from collections import Counter
@@ -200,11 +201,26 @@ def delta_dag(d: Dag) -> QSym:
     1..j, the sizes of the down-sets reached give the M-basis key E, so the
     coefficient of M_E counts the chains of down-sets with those sizes,
     each step weighted by its number of legal blocks (``_down_steps``).
+
+    The DP reads d only through its bit index (``dag._index``): the
+    predecessor masks, with bit k the k-th smallest label. So it runs once
+    per distinct index for the life of the process (``_delta_masks``), and
+    DAGs whose labels differ but whose arcs order the same ranks share it.
+    Each call returns a new element.
     """
     n = len(d.vertices)
     if n == 0:
         return QSym.unit(1)
     _, pred = _index(d.vertices, d.arcs)
+    return QSym._make(n, _delta_masks(tuple(pred)))
+
+
+@functools.cache
+def _delta_masks(index: tuple[int, ...]) -> dict[int, int]:
+    """``delta_dag``'s M-basis masks, of degree len(index) > 0, for the DAG
+    with predecessor masks ``index``. Callers must not mutate the dict."""
+    pred = list(index)
+    n = len(pred)
     order = _topological_order(pred)
     # The state of a down-set D maps each key E inside [|D| - 1], as a mask
     # of degree n, to its count.
@@ -219,7 +235,7 @@ def delta_dag(d: Dag) -> QSym:
                 for E, c in state.items():
                     target[E] = target.get(E, 0) + c * ways
         layers[size] = {}
-    return QSym._make(n, layers[n][(1 << n) - 1])
+    return layers[n][(1 << n) - 1]
 
 
 def _down_steps(D: int, pred: list[int], order: list[int]) -> Iterator[tuple[int, int]]:

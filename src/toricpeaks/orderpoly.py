@@ -8,6 +8,7 @@ are plain integers.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 from collections import Counter
 from math import comb, prod
@@ -97,7 +98,9 @@ def omega_dag(d: Dag, m: int) -> int:
     is the product, over the connected components C of d, of C's chain
     counts a_j weighted by C(m, j) (``_chain_counts``). A component's DP
     walks only its own down-sets: on an antichain the product costs n
-    one-vertex DPs, not one over all 2^n subsets.
+    one-vertex DPs, not one over all 2^n subsets. The counts are memoised
+    by each component's bit index, which is all they depend on, so a table
+    over m, or components of one shape, pay one DP.
     """
     return prod(_count(_chain_counts(c), m) for c in _components(d))
 
@@ -119,9 +122,21 @@ def _chain_counts(d: Dag) -> list[int]:
     elements and M_E at m ones is C(m, j), so Ω_d(m) = Σ_j a_j·C(m, j);
     and a_n = 2^n·e(d), e(d) the number of linear extensions, as n steps
     add one vertex each, with two signs.
+
+    Like ``delta_dag``, the vector depends on d only through its bit index
+    (``dag._index``) and not on m, so it is computed once per distinct
+    index for the life of the process (``_chain_vector``); each call
+    returns a new list.
     """
-    n = len(d.vertices)
     _, pred = _index(d.vertices, d.arcs)
+    return list(_chain_vector(tuple(pred)))
+
+
+@functools.cache
+def _chain_vector(index: tuple[int, ...]) -> tuple[int, ...]:
+    """``_chain_counts`` of the DAG with predecessor masks ``index``."""
+    pred = list(index)
+    n = len(pred)
     order = _topological_order(pred)
     layers: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
     layers[0][0] = [1] + [0] * n
@@ -134,7 +149,7 @@ def _chain_counts(d: Dag) -> list[int]:
                 for j, c in reach:
                     target[j + 1] += c * ways
         layers[size] = {}
-    return layers[n][(1 << n) - 1]
+    return tuple(layers[n][(1 << n) - 1])
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
@@ -167,7 +182,9 @@ def omega_toric(tc: ToricClass, m: int) -> int:
     So this is the product, over the 2-edge-connected components C of the
     canonical member, of the counts of the members of [C], in plain
     integers. Those members are connected, so each count is one
-    ``_chain_counts`` DP with no split into components.
+    ``_chain_counts`` DP with no split into components, run once per
+    member's bit index for the life of the process: a second m, or another
+    class whose members have the same shapes, reruns none of them.
     """
     return prod(
         sum(_count(_chain_counts(e), m) for e in c.members) for c in _bridgeless_classes(tc)

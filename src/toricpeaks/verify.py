@@ -188,7 +188,10 @@ def random_dags(count: int, max_n: int = 4, seed: int = 0) -> list[Dag]:
         n = rng.randint(2, max_n)
         w = list(range(1, n + 1))
         rng.shuffle(w)
-        arcs = [a for a in Dag.from_word(w).arcs if rng.random() < 0.5]
+        # The tournament's arcs, in the set that ``Dag.from_word`` builds,
+        # so they are drawn in the same order without checking a DAG.
+        tournament = frozenset((w[i], w[j]) for i in range(n) for j in range(i + 1, n))
+        arcs = [a for a in tournament if rng.random() < 0.5]
         out.append(Dag.make(range(1, n + 1), arcs))
     return out
 
@@ -576,6 +579,11 @@ def suite_fundamental_lemma(
         toric_ok.append(tc.members == _toric_class_by_flips(d))
         toric_ok.append(extensions == _toric_extensions_by_rotation(tc))
         toric_ok.append(_delta_toric(tc) == _delta_toric_by_cpk(tc))
+        # The members' linear extensions are the n rotations of the toric
+        # extensions, so their count DPs' top entries sum to 2^n·n for each.
+        spec_ok.append(
+            sum(_chain_counts(e)[n] for e in tc.members) == 2**n * n * len(extensions)
+        )
         for m in range(1, max_m + 1):
             whole = _toric_enriched_set(tc, m)
             members = [_enriched_set(member, m) for member in tc.members]
@@ -605,6 +613,9 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
                 omega(w, m) == _count_enriched_word(w, m) for m in range(1, max_m + 1)
             ]
             formula_ok.append(omega(w, 0) == 0)
+            if n <= 4:  # the down-set count of w's chain DAG
+                chain = _word_dag(w)
+                formula_ok += [omega_dag(chain, m) == omega(w, m) for m in range(max_m + 1)]
             classes.add(canonical_rotation(w))
         for w in sorted(classes):
             cyc = [omega_cyc(w, m) for m in range(max(series_m, max_m) + 1)]

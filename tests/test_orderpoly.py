@@ -12,6 +12,7 @@ from toricpeaks.orderpoly import (
     RationalSeries,
     RunDecomposition,
     _chain_counts,
+    _chain_vector,
     _peak_sum,
     enumerate_markings,
     gf_omega,
@@ -26,7 +27,14 @@ from toricpeaks.orderpoly import (
     poly_mul,
     runs,
 )
-from toricpeaks.dag import Dag, linear_extensions, toric_class
+from toricpeaks.dag import (
+    Dag,
+    _bridgeless_classes,
+    _components,
+    _index,
+    linear_extensions,
+    toric_class,
+)
 from toricpeaks.enriched import enumerate_enriched, enumerate_enriched_toric
 from toricpeaks.permstat import peak_set, rotations
 from toricpeaks.verify import _interpolate, random_dags, small_dags
@@ -106,6 +114,42 @@ def test_omega_dag_and_toric():
     assert _chain_counts(d) == [0, 2, 4]
     tc = toric_class(d)
     assert omega_toric(tc, 1) == omega_cyc((1, 2), 1) == 4
+
+
+def _shape(d):
+    """The bit index the count and enumerator DPs are memoised by."""
+    return tuple(_index(d.vertices, d.arcs)[1])
+
+
+def test_chain_counts_run_once_per_shape():
+    # Two one-arc components share a shape; the in-star is a third shape.
+    d = Dag.make(range(1, 8), [(1, 2), (3, 4), (5, 6), (7, 6)])
+    _chain_vector.cache_clear()
+    table = [omega_dag(d, m) for m in range(6)]
+    assert _chain_vector.cache_info().misses == len(set(map(_shape, _components(d)))) == 2
+    assert table == [len(enumerate_enriched(d, m)) for m in range(6)]
+    # Labels + 10 give the same index: no new DP, the same counts.
+    shifted = Dag.make([v + 10 for v in d.vertices], [(i + 10, j + 10) for i, j in d.arcs])
+    assert [omega_dag(shifted, m) for m in range(6)] == table
+    assert _chain_vector.cache_info().misses == 2
+    # A 4-cycle with a pendant arc: one DP per shape among the members of
+    # its bridgeless pieces' classes, whatever m.
+    tc = toric_class(Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)]))
+    shapes = {_shape(e) for c in _bridgeless_classes(tc) for e in c.members}
+    _chain_vector.cache_clear()
+    counts = [omega_toric(tc, m) for m in range(6)]
+    assert _chain_vector.cache_info().misses == len(shapes)
+    assert counts == [len(enumerate_enriched_toric(tc, m)) for m in range(6)]
+
+
+def test_chain_counts_hand_out_their_own_list():
+    d = Dag.from_word((2, 1, 3))
+    a = _chain_counts(d)
+    expected = list(a)
+    a[3] += 1
+    a.append(5)
+    assert _chain_counts(d) == expected
+    assert omega_dag(d, 3) == len(enumerate_enriched(d, 3))
 
 
 def assert_omega_counts(dags, ms):

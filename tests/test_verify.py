@@ -1,5 +1,6 @@
 """The verify suites catch what they claim to check, and share their memos."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -57,7 +58,8 @@ def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
     finally:
         verify._toric_extensions_of.cache_clear()
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
-    assert failed == ["toric decomposition"]
+    # The members' linear extensions then outnumber n per toric extension.
+    assert failed == ["toric decomposition", "specialization counts"]
 
 
 def test_a_failing_tally_reports_its_failure_count(monkeypatch):
@@ -135,6 +137,21 @@ def test_small_dags_lists_each_labelled_dag_once_in_order():
     drawn = set(verify.random_dags(200, 4))
     assert len(drawn) == 77
     assert drawn <= set(dags)
+
+
+def test_random_dags_draw_as_from_word_tournaments():
+    # The reference draw reads the arcs of one checked chain DAG per draw.
+    # The arc set's order fixes which arc each random number decides, so
+    # the lists must match in order.
+    rng = random.Random(0)
+    old = []
+    for _ in range(200):
+        n = rng.randint(2, 4)
+        w = list(range(1, n + 1))
+        rng.shuffle(w)
+        arcs = [a for a in Dag.from_word(w).arcs if rng.random() < 0.5]
+        old.append(Dag.make(range(1, n + 1), arcs))
+    assert verify.random_dags(200, 4) == old
 
 
 def test_a_repeated_dag_fails_once_per_draw(monkeypatch):
