@@ -19,7 +19,7 @@ import functools
 import heapq
 import math
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
     Dag,
@@ -199,41 +199,50 @@ def delta_dag(d: Dag) -> QSym:
     level k takes a block A- ∪ A+ (values -k and +k) and the vertices
     assigned so far always form a down-set. With the levels used packed to
     1..j, the sizes of the down-sets reached give the M-basis key E, so the
-    coefficient of M_E counts the chains of down-sets with those sizes,
-    each step weighted by its number of legal blocks (``_down_steps``).
-
-    The DP reads d only through its bit index (``dag._index``): the
-    predecessor masks, with bit k the k-th smallest label. So it runs once
-    per distinct index for the life of the process (``_delta_masks``), and
-    DAGs whose labels differ but whose arcs order the same ranks share it.
-    Each call returns a new element.
+    coefficient of M_E counts the chains of down-sets with those sizes:
+    ``_down_walk`` with each size |D| = n - rest joining E at bit rest. The
+    empty set's own bit n is cleared at the end. Each call returns a new
+    element.
     """
     n = len(d.vertices)
-    if n == 0:
-        return QSym.unit(1)
     _, pred = _index(d.vertices, d.arcs)
-    return QSym._make(n, _delta_masks(tuple(pred)))
+    masks = _down_walk(tuple(pred), _join_size)
+    return QSym._make(n, {E & (1 << n) - 1: c for E, c in masks.items()})
+
+
+def _join_size(E: int, rest: int) -> int:
+    """``delta_dag``'s lift: the down-set left, of size n - rest, joins E,
+    a mask of degree n."""
+    return E | 1 << rest
 
 
 @functools.cache
-def _delta_masks(index: tuple[int, ...]) -> dict[int, int]:
-    """``delta_dag``'s M-basis masks, of degree len(index) > 0, for the DAG
-    with predecessor masks ``index``. Callers must not mutate the dict."""
+def _down_walk(index: tuple[int, ...], lift: Callable[[int, int], int]) -> dict[int, int]:
+    """The chains of down-sets from the empty set to all of the DAG with
+    predecessor masks ``index``, each weighted by the product of its steps'
+    numbers of legal blocks (``_down_steps``), summed by key.
+
+    A chain's key starts at 0 and becomes ``lift(key, rest)`` each time the
+    chain leaves a down-set with ``rest`` vertices still unplaced. The
+    walk reads a DAG only through its bit index (``dag._index``): the
+    predecessor masks, with bit k the k-th smallest label. So it runs once
+    per distinct index and lift for the life of the process, and DAGs
+    whose labels differ but whose arcs order the same ranks share it. The
+    lift is part of the memo key, so callers pass a module-level function,
+    never one built per call, and must not mutate the dict.
+    """
     pred = list(index)
     n = len(pred)
     order = _topological_order(pred)
-    # The state of a down-set D maps each key E inside [|D| - 1], as a mask
-    # of degree n, to its count.
     layers: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
     layers[0][0] = {0: 1}
     for size in range(n):
         for D, state in layers[size].items():
-            if size:  # |D| joins E
-                state = {E | 1 << (n - size): c for E, c in state.items()}
+            lifted = [(lift(key, n - size), c) for key, c in state.items()]
             for D2, ways in _down_steps(D, pred, order):
                 target = layers[D2.bit_count()].setdefault(D2, {})
-                for E, c in state.items():
-                    target[E] = target.get(E, 0) + c * ways
+                for key, c in lifted:
+                    target[key] = target.get(key, 0) + c * ways
         layers[size] = {}
     return layers[n][(1 << n) - 1]
 

@@ -8,14 +8,13 @@ are plain integers.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from collections import Counter
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .dag import Dag, ToricClass, _bridgeless_classes, _components, _index, _topological_order
-from .enriched import _down_steps, enumerate_enriched, is_enriched
+from .dag import Dag, ToricClass, _bridgeless_classes, _components, _index
+from .enriched import _down_walk, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
 Poly = list[int]
@@ -115,41 +114,23 @@ def _chain_counts(d: Dag) -> list[int]:
     """The list a_0, ..., a_n where a_j counts the enriched partitions of d
     with the absolute levels 1..j, each used.
 
-    ``delta_dag``'s DP over down-sets, with the M-basis keys forgotten:
-    the state of a down-set is one vector, entry j the weighted chains of
-    j steps from the empty set to it, each step weighted by its number of
-    legal blocks (``enriched._down_steps``). The key E of a chain has j - 1
-    elements and M_E at m ones is C(m, j), so Ω_d(m) = Σ_j a_j·C(m, j);
+    ``delta_dag``'s walk over down-sets (``enriched._down_walk``), with the
+    M-basis keys forgotten: a chain's key is its number of steps j, each
+    step weighted by its number of legal blocks. The M-basis key E of such
+    a chain has j - 1 elements and M_E at m ones is C(m, j), so
+    Ω_d(m) = Σ_j a_j·C(m, j);
     and a_n = 2^n·e(d), e(d) the number of linear extensions, as n steps
-    add one vertex each, with two signs.
-
-    Like ``delta_dag``, the vector depends on d only through its bit index
-    (``dag._index``) and not on m, so it is computed once per distinct
-    index for the life of the process (``_chain_vector``); each call
-    returns a new list.
+    add one vertex each, with two signs. The walk is memoised by the bit
+    index and lift, and not m; each call returns a new list.
     """
     _, pred = _index(d.vertices, d.arcs)
-    return list(_chain_vector(tuple(pred)))
+    a = _down_walk(tuple(pred), _next_level)
+    return [a.get(j, 0) for j in range(len(pred) + 1)]
 
 
-@functools.cache
-def _chain_vector(index: tuple[int, ...]) -> tuple[int, ...]:
-    """``_chain_counts`` of the DAG with predecessor masks ``index``."""
-    pred = list(index)
-    n = len(pred)
-    order = _topological_order(pred)
-    layers: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    layers[0][0] = [1] + [0] * n
-    for size in range(n):
-        for D, chains in layers[size].items():
-            # A chain to a down-set of this size has at most ``size`` steps.
-            reach = [(j, c) for j, c in enumerate(chains[: size + 1]) if c]
-            for D2, ways in _down_steps(D, pred, order):
-                target = layers[D2.bit_count()].setdefault(D2, [0] * (n + 1))
-                for j, c in reach:
-                    target[j + 1] += c * ways
-        layers[size] = {}
-    return tuple(layers[n][(1 << n) - 1])
+def _next_level(j: int, rest: int) -> int:
+    """``_chain_counts``' lift: one more step, one more level."""
+    return j + 1
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
@@ -170,6 +151,8 @@ def omega_cyc(w: Sequence[int], m: int) -> int:
     order polynomials over all rotations of w.
     """
     word = check_word(w)
+    if not word:
+        raise ValueError("need a nonempty word")
     return omega_cyc_formula(len(word), len(cpeak_set(word)), m)
 
 
@@ -196,6 +179,8 @@ def gf_omega(w: Sequence[int], order: int) -> list[int]:
 
     2^{2pk+1} t^{pk+1} (1+t)^{n-2pk-1} / (1-t)^{n+1}.
     """
+    if not w:
+        raise ValueError("need a nonempty word")
     n = len(w)
     pk = len(peak_set(w))
     num = poly_mul(
@@ -212,6 +197,8 @@ def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
     (4t/(1+t)^2)^cpk ((1+t)/(1-t))^(n-1) (cpk + 2nt/(1-t)^2), cleared to
     an integer numerator and denominator.
     """
+    if not w:
+        raise ValueError("need a nonempty word")
     n = len(w)
     cpk = len(cpeak_set(w))
     inner = [cpk, 2 * n - 2 * cpk, cpk]  # cpk*(1-t)^2 + 2nt

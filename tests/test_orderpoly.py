@@ -12,7 +12,6 @@ from toricpeaks.orderpoly import (
     RationalSeries,
     RunDecomposition,
     _chain_counts,
-    _chain_vector,
     _peak_sum,
     enumerate_markings,
     gf_omega,
@@ -35,9 +34,9 @@ from toricpeaks.dag import (
     linear_extensions,
     toric_class,
 )
-from toricpeaks.enriched import enumerate_enriched, enumerate_enriched_toric
+from toricpeaks.enriched import _down_walk, delta_dag, enumerate_enriched, enumerate_enriched_toric
 from toricpeaks.permstat import peak_set, rotations
-from toricpeaks.verify import _interpolate, random_dags, small_dags
+from toricpeaks.verify import _delta_by_extensions, _interpolate, random_dags, small_dags
 
 from test_dag import labeled_dags
 
@@ -92,9 +91,10 @@ def test_omega_closed_forms():
 
 @pytest.mark.parametrize("m", [0, 2])
 def test_omega_rejects_the_empty_word(m):
-    # The closed form starts at n = 1; the empty word has one partition, not 0.
-    with pytest.raises(ValueError, match="nonempty word"):
-        omega((), m)
+    # The closed forms start at n = 1; the empty word has one partition, not 0.
+    for f in (omega, omega_cyc, gf_omega, gf_omega_cyc):
+        with pytest.raises(ValueError, match="nonempty word"):
+            f((), m)
     with pytest.raises(ValueError, match="nonempty word"):
         runs(())
 
@@ -124,22 +124,56 @@ def _shape(d):
 def test_chain_counts_run_once_per_shape():
     # Two one-arc components share a shape; the in-star is a third shape.
     d = Dag.make(range(1, 8), [(1, 2), (3, 4), (5, 6), (7, 6)])
-    _chain_vector.cache_clear()
+    _down_walk.cache_clear()
     table = [omega_dag(d, m) for m in range(6)]
-    assert _chain_vector.cache_info().misses == len(set(map(_shape, _components(d)))) == 2
+    assert _down_walk.cache_info().misses == len(set(map(_shape, _components(d)))) == 2
     assert table == [len(enumerate_enriched(d, m)) for m in range(6)]
     # Labels + 10 give the same index: no new DP, the same counts.
     shifted = Dag.make([v + 10 for v in d.vertices], [(i + 10, j + 10) for i, j in d.arcs])
     assert [omega_dag(shifted, m) for m in range(6)] == table
-    assert _chain_vector.cache_info().misses == 2
+    assert _down_walk.cache_info().misses == 2
     # A 4-cycle with a pendant arc: one DP per shape among the members of
     # its bridgeless pieces' classes, whatever m.
     tc = toric_class(Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)]))
     shapes = {_shape(e) for c in _bridgeless_classes(tc) for e in c.members}
-    _chain_vector.cache_clear()
+    _down_walk.cache_clear()
     counts = [omega_toric(tc, m) for m in range(6)]
-    assert _chain_vector.cache_info().misses == len(shapes)
+    assert _down_walk.cache_info().misses == len(shapes)
     assert counts == [len(enumerate_enriched_toric(tc, m)) for m in range(6)]
+
+
+def test_delta_and_chain_counts_are_two_walks():
+    # One shape, two lifts: the lift is part of the memo key.
+    d = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
+    _down_walk.cache_clear()
+    assert delta_dag(d) == _delta_by_extensions(d)
+    a = _chain_counts(d)
+    assert _down_walk.cache_info().misses == 2
+    assert [sum(c * comb(m, j) for j, c in enumerate(a)) for m in range(4)] == [
+        len(enumerate_enriched(d, m)) for m in range(4)
+    ]
+
+
+def assert_counts_project_delta(d):
+    """a_j sums the coefficients of the keys of Δ_d with j - 1 elements,
+    and a_0 = 1 exactly when d is empty."""
+    n, a = len(d.vertices), _chain_counts(d)
+    sums: Counter = Counter()
+    for E, c in delta_dag(d).masks.items():
+        sums[E.bit_count() + 1] += c
+    assert a[0] == (n == 0), d
+    assert a[1:] == [sums[j] for j in range(1, n + 1)], d
+
+
+def test_chain_counts_project_delta_on_small_dags():
+    for d in [Dag.make([], []), *small_dags(4)]:
+        assert_counts_project_delta(d)
+
+
+@settings(deadline=None)
+@given(labeled_dags(7))
+def test_chain_counts_project_delta(d):
+    assert_counts_project_delta(d)
 
 
 def test_chain_counts_hand_out_their_own_list():
