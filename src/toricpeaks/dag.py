@@ -1,7 +1,8 @@
 """DAGs on finite label sets, flips, toric classes and extensions.
 
 A ``Dag`` is an immutable labeled digraph, validated acyclic on
-construction. Every DAG algorithm reads one bit index, ``_index``: bit k
+construction. Every DAG algorithm reads one bit index, built by ``_index``
+when the DAG is validated and kept on it as ``labels`` and ``pred``: bit k
 stands for the k-th smallest label. A toric class is the closure of a DAG
 under flips at sources and sinks; its canonical member is the one with
 lexicographically least sorted arc list.
@@ -24,8 +25,14 @@ Arc = tuple[int, int]
 
 @dataclasses.dataclass(frozen=True)
 class Dag:
+    """A DAG on a finite label set. ``labels`` and ``pred`` are its bit
+    index (see ``_index``), built by the acyclicity check and kept; they
+    take no part in equality, hashing or ``repr``."""
+
     vertices: frozenset[int]
     arcs: frozenset[Arc]
+    labels: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
+    pred: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         for i, j in self.arcs:
@@ -33,9 +40,11 @@ class Dag:
                 raise ValueError(f"self loop at {i}")
             if i not in self.vertices or j not in self.vertices:
                 raise ValueError(f"arc ({i},{j}) leaves the vertex set")
-        _, pred = _index(self.vertices, self.arcs)
+        labels, pred = _index(self.vertices, self.arcs)
         if len(_topological_order(pred)) != len(pred):
             raise ValueError("digraph contains a directed cycle")
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "pred", pred)
 
     @classmethod
     def make(cls, vertices: Iterable[int], arcs: Iterable[Sequence[int]]) -> "Dag":
@@ -82,18 +91,21 @@ class Dag:
         return cls.make(vertices, arcs)
 
 
-def _index(vertices: Iterable[int], arcs: Iterable[Arc]) -> tuple[list[int], list[int]]:
+def _index(
+    vertices: Iterable[int], arcs: Iterable[Arc]
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The bit index every DAG algorithm reads: bit k stands for the k-th
-    smallest label, and ``pred[k]`` is the mask of its predecessors."""
+    smallest label, and ``pred[k]`` is the mask of its predecessors. Each
+    ``Dag`` builds it once, on construction, as ``labels`` and ``pred``."""
     labels = sorted(vertices)
     bit = {v: 1 << k for k, v in enumerate(labels)}
     pred = dict.fromkeys(labels, 0)
     for i, j in arcs:
         pred[j] |= bit[i]
-    return labels, list(pred.values())
+    return tuple(labels), tuple(pred.values())
 
 
-def _topological_order(pred: list[int]) -> list[int]:
+def _topological_order(pred: Sequence[int]) -> list[int]:
     """Some topological order of the bits: sweeps over the unplaced bits,
     in label order, place each bit whose predecessors are all placed. On a
     digraph with a cycle a sweep places nothing, and the order stops short."""
@@ -112,7 +124,7 @@ def _topological_order(pred: list[int]) -> list[int]:
     return order
 
 
-def _ancestors(pred: list[int]) -> list[int]:
+def _ancestors(pred: Sequence[int]) -> list[int]:
     """Per bit, the mask of the bits with a directed path to it."""
     anc = list(pred)
     for k in _topological_order(pred):
@@ -134,7 +146,7 @@ def _without_bridges(d: Dag) -> Dag:
     removed; one reachability sweep over undirected adjacency masks tests
     each arc. A bridge stays removed, which changes no cycle.
     """
-    labels, pred = _index(d.vertices, d.arcs)
+    labels, pred = d.labels, d.pred
     adj = _undirected(pred)
     bridges = set()
     for k, p in enumerate(pred):
@@ -155,7 +167,7 @@ def _components(d: Dag) -> list[Dag]:
     """The connected components of d's underlying graph, as sub-DAGs that
     keep their labels, in order of their least labels. When d is empty or
     connected, the list is ``[d]`` itself."""
-    labels, pred = _index(d.vertices, d.arcs)
+    labels, pred = d.labels, d.pred
     adj = _undirected(pred)
     parts, left = [], (1 << len(labels)) - 1
     while left:
@@ -172,7 +184,7 @@ def _components(d: Dag) -> list[Dag]:
     ]
 
 
-def _undirected(pred: list[int]) -> list[int]:
+def _undirected(pred: Sequence[int]) -> list[int]:
     """Per bit, the mask of its neighbours in the underlying graph."""
     adj = list(pred)
     for k, p in enumerate(pred):
@@ -203,7 +215,7 @@ def _reach(adj: list[int], start: int) -> int:
 
 def transitive_closure(d: Dag) -> Dag:
     """Unique transitive closure: an arc to each vertex from each ancestor."""
-    labels, pred = _index(d.vertices, d.arcs)
+    labels, pred = d.labels, d.pred
     arcs = frozenset(
         (labels[j], v)
         for v, anc in zip(labels, _ancestors(pred))
@@ -289,7 +301,7 @@ def linear_extensions(d: Dag) -> list[Word]:
 def _extensions(d: Dag, least_first: bool) -> list[Word]:
     """``linear_extensions`` of d or, with ``least_first``, those of them
     that start with the least label (none unless it is a source)."""
-    labels, pred = _index(d.vertices, d.arcs)
+    labels, pred = d.labels, d.pred
     choices = [(v, 1 << k, p) for k, (v, p) in enumerate(zip(labels, pred))]
     full = (1 << len(labels)) - 1
     out: list[Word] = []
@@ -302,9 +314,9 @@ def _extensions(d: Dag, least_first: bool) -> list[Word]:
             if not placed & b and not p & ~placed:
                 rec(placed | b, prefix + (v,))
 
-    head = labels[:1] if least_first else []
+    head = labels[:1] if least_first else ()
     if not any(pred[: len(head)]):
-        rec((1 << len(head)) - 1, tuple(head))
+        rec((1 << len(head)) - 1, head)
     return out
 
 
@@ -331,7 +343,7 @@ def is_toric_transitive(d: Dag) -> bool:
     descendants of a that are ancestors of b; each of them needs an arc
     from every one of them that reaches it.
     """
-    _, pred = _index(d.vertices, d.arcs)
+    pred = d.pred
     anc = _ancestors(pred)
     bits = range(len(pred))
     for b in bits:

@@ -25,7 +25,6 @@ from .dag import (
     Dag,
     ToricClass,
     _bridgeless_classes,
-    _index,
     _topological_order,
     _toric_extensions,
     _without_bridges,
@@ -98,7 +97,7 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
     each list of them is built once per call; the last vertex copies the
     row above it once per allowed value.
     """
-    labels, pred = _index(d.vertices, d.arcs)
+    labels, pred = d.labels, d.pred
     n = len(labels)
     if n == 0:
         yield {}
@@ -205,8 +204,7 @@ def delta_dag(d: Dag) -> QSym:
     element.
     """
     n = len(d.vertices)
-    _, pred = _index(d.vertices, d.arcs)
-    masks = _down_walk(tuple(pred), _join_size)
+    masks = _down_walk(d.pred, _join_size)
     return QSym._make(n, {E & (1 << n) - 1: c for E, c in masks.items()})
 
 
@@ -217,21 +215,21 @@ def _join_size(E: int, rest: int) -> int:
 
 
 @functools.cache
-def _down_walk(index: tuple[int, ...], lift: Callable[[int, int], int]) -> dict[int, int]:
+def _down_walk(pred: tuple[int, ...], lift: Callable[[int, int], int]) -> dict[int, int]:
     """The chains of down-sets from the empty set to all of the DAG with
-    predecessor masks ``index``, each weighted by the product of its steps'
+    predecessor masks ``pred``, each weighted by the product of its steps'
     numbers of legal blocks (``_down_steps``), summed by key.
 
     A chain's key starts at 0 and becomes ``lift(key, rest)`` each time the
     chain leaves a down-set with ``rest`` vertices still unplaced. The
-    walk reads a DAG only through its bit index (``dag._index``): the
-    predecessor masks, with bit k the k-th smallest label. So it runs once
+    walk reads a DAG only through its bit index, the predecessor masks
+    ``Dag.pred`` that each DAG keeps from construction, with bit k the k-th
+    smallest label; callers pass that tuple itself. So it runs once
     per distinct index and lift for the life of the process, and DAGs
     whose labels differ but whose arcs order the same ranks share it. The
     lift is part of the memo key, so callers pass a module-level function,
     never one built per call, and must not mutate the dict.
     """
-    pred = list(index)
     n = len(pred)
     order = _topological_order(pred)
     layers: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
@@ -247,7 +245,7 @@ def _down_walk(index: tuple[int, ...], lift: Callable[[int, int], int]) -> dict[
     return layers[n][(1 << n) - 1]
 
 
-def _down_steps(D: int, pred: list[int], order: list[int]) -> Iterator[tuple[int, int]]:
+def _down_steps(D: int, pred: Sequence[int], order: list[int]) -> Iterator[tuple[int, int]]:
     """Each down-set D' above the down-set D with its number of legal blocks.
 
     A block B = D' minus D splits into A- and A+. An arc inside B into a

@@ -13,7 +13,7 @@ from collections import Counter
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .dag import Dag, ToricClass, _bridgeless_classes, _components, _index
+from .dag import Dag, ToricClass, _bridgeless_classes, _components
 from .enriched import _down_walk, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
@@ -84,10 +84,11 @@ def omega(w: Sequence[int], m: int) -> int:
     Closed form 2^{2pk+1} * sum over k of ((n+1 multichoose k)) *
     C(n - 2pk - 1, m - 1 - pk - k).
     """
-    if not w:
+    word = check_word(w)
+    if not word:
         raise ValueError("need a nonempty word")
-    pk = len(peak_set(w))
-    return 2 ** (2 * pk + 1) * _peak_sum(len(w), pk, m)
+    pk = len(peak_set(word))
+    return 2 ** (2 * pk + 1) * _peak_sum(len(word), pk, m)
 
 
 def omega_dag(d: Dag, m: int) -> int:
@@ -123,9 +124,8 @@ def _chain_counts(d: Dag) -> list[int]:
     add one vertex each, with two signs. The walk is memoised by the bit
     index and lift, and not m; each call returns a new list.
     """
-    _, pred = _index(d.vertices, d.arcs)
-    a = _down_walk(tuple(pred), _next_level)
-    return [a.get(j, 0) for j in range(len(pred) + 1)]
+    a = _down_walk(d.pred, _next_level)
+    return [a.get(j, 0) for j in range(len(d.pred) + 1)]
 
 
 def _next_level(j: int, rest: int) -> int:
@@ -179,10 +179,11 @@ def gf_omega(w: Sequence[int], order: int) -> list[int]:
 
     2^{2pk+1} t^{pk+1} (1+t)^{n-2pk-1} / (1-t)^{n+1}.
     """
-    if not w:
+    word = check_word(w)
+    if not word:
         raise ValueError("need a nonempty word")
-    n = len(w)
-    pk = len(peak_set(w))
+    n = len(word)
+    pk = len(peak_set(word))
     num = poly_mul(
         [0] * (pk + 1) + [2 ** (2 * pk + 1)],
         poly_pow([1, 1], n - 2 * pk - 1),
@@ -197,10 +198,11 @@ def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
     (4t/(1+t)^2)^cpk ((1+t)/(1-t))^(n-1) (cpk + 2nt/(1-t)^2), cleared to
     an integer numerator and denominator.
     """
-    if not w:
+    word = check_word(w)
+    if not word:
         raise ValueError("need a nonempty word")
-    n = len(w)
-    cpk = len(cpeak_set(w))
+    n = len(word)
+    cpk = len(cpeak_set(word))
     inner = [cpk, 2 * n - 2 * cpk, cpk]  # cpk*(1-t)^2 + 2nt
     num = poly_mul([0] * cpk + [4 ** cpk], inner)
     extra = n - 1 - 2 * cpk

@@ -21,7 +21,7 @@ def check_word(w: Sequence[int]) -> Word:
     word = tuple(w)
     if len(set(word)) != len(word):
         raise ValueError(f"labels must be distinct: {word}")
-    if any(x <= 0 for x in word):
+    if word and min(word) <= 0:
         raise ValueError(f"labels must be positive: {word}")
     return word
 

@@ -56,8 +56,8 @@ class _Homogeneous:
     returns its mask, the basis name ``_symbol`` and the classmethods
     ``zero`` and ``unit``. The public constructor validates every key;
     results the library builds itself come from ``_make``, which takes
-    masks already known to be valid. Elements of different subclasses
-    never compare equal, add or multiply.
+    masks already known to be valid and adopts the dict it is handed.
+    Elements of different subclasses never compare equal, add or multiply.
     """
 
     __slots__ = ("degree", "masks")
@@ -68,10 +68,19 @@ class _Homogeneous:
 
     @classmethod
     def _make(cls, degree: int, masks: Mapping[int, int]):
-        """An element from masks already known to be valid keys."""
+        """An element from masks already known to be valid keys.
+
+        A plain dict with no zero coefficient becomes the element's own
+        ``masks``, not a copy, so callers hand over a fresh dict that
+        nothing else holds or changes. Any other mapping, or a dict with
+        a zero, is copied by ``_clean``.
+        """
         out = object.__new__(cls)
         out.degree = degree
-        out.masks = _clean(masks)
+        if type(masks) is dict and 0 not in masks.values():
+            out.masks = masks
+        else:
+            out.masks = _clean(masks)
         return out
 
     @property

@@ -92,7 +92,7 @@ def _values_key(d: Dag) -> Callable[[Mapping[int, int]], tuple[int, ...]]:
     """The key of an assignment on d's vertices: its values in label order.
     Sets of keys compare and join exactly when they share one vertex set,
     as every set a suite compares or joins does."""
-    labels = sorted(d.vertices)
+    labels = d.labels
     if len(labels) > 1:
         return operator.itemgetter(*labels)
     # itemgetter of one label returns a scalar, and of none raises.
@@ -235,9 +235,10 @@ def _toric_class_by_flips(d: Dag) -> frozenset[Dag]:
 
 def _toric_extensions_by_rotation(tc: ToricClass) -> list[Word]:
     """Oracle for ``toric_extensions``: the canonical rotation of every
-    linear extension of every member, deduplicated and sorted."""
+    linear extension of every member, deduplicated and sorted. The empty
+    word, the one extension of the empty class, is its own rotation."""
     words = (w for member in tc.members for w in _linear_extensions_of(member))
-    return sorted(set(map(canonical_rotation, words)))
+    return sorted({canonical_rotation(w) if w else w for w in words})
 
 
 def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:

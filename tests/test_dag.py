@@ -1,12 +1,17 @@
+import dataclasses
 import itertools
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from toricpeaks import dag as dagmod
+from toricpeaks import enriched, orderpoly
 from toricpeaks.dag import (
     Dag,
     _components,
+    _index,
     _without_bridges,
     disjoint_union,
     flip,
@@ -19,6 +24,8 @@ from toricpeaks.dag import (
     toric_extensions,
     transitive_closure,
 )
+from toricpeaks.enriched import delta_dag, iter_enriched
+from toricpeaks.orderpoly import omega_dag
 from toricpeaks.verify import (
     _toric_class_by_flips,
     _toric_extensions_by_rotation,
@@ -219,8 +226,8 @@ def test_json_roundtrip():
 @st.composite
 def labeled_dags(draw, max_n):
     """A random arc subset of the transitive tournament of a random order
-    of 1 to max_n distinct labels, not necessarily consecutive."""
-    w = draw(st.lists(st.integers(1, 20), min_size=1, max_size=max_n, unique=True))
+    of 0 to max_n distinct labels, not necessarily consecutive."""
+    w = draw(st.lists(st.integers(1, 20), max_size=max_n, unique=True))
     pairs = list(itertools.combinations(w, 2))
     keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
     return Dag.make(w, [arc for arc, k in zip(pairs, keep) if k])
@@ -253,3 +260,69 @@ def test_empty_dag_extensions():
     assert linear_extensions(empty) == [()]
     assert toric_extensions(empty) == [()]
     assert toric_class(empty).members == frozenset({empty})
+
+
+def assert_index_kept(d):
+    """The bit index d keeps is the one ``_index`` builds."""
+    assert (d.labels, d.pred) == _index(d.vertices, d.arcs), d
+
+
+def test_small_dags_keep_their_index():
+    for d in small_dags(4):
+        assert_index_kept(d)
+
+
+@settings(deadline=None)
+@given(labeled_dags(6))
+def test_built_dags_keep_their_index(d):
+    shifted = Dag.make([v + 20 for v in d.vertices], [(i + 20, j + 20) for i, j in d.arcs])
+    built = [
+        d,
+        *toric_class(d).members,
+        *_components(d),
+        _without_bridges(d),
+        disjoint_union(d, shifted),
+        transitive_closure(d),
+        *map(Dag.from_word, linear_extensions(d)[:3]),
+        Dag.from_json(d.to_json()),
+    ]
+    for e in built:
+        assert_index_kept(e)
+
+
+def test_kept_index_is_not_part_of_equality_or_repr():
+    a = Dag.make([3, 1, 2], [(1, 2), (3, 2)])
+    b = Dag(frozenset({1, 2, 3}), frozenset({(3, 2), (1, 2)}))
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != Dag.make([1, 2, 3], [(1, 2)])
+    assert repr(a) == f"Dag(vertices={a.vertices!r}, arcs={a.arcs!r})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.pred = ()
+    with pytest.raises(TypeError):
+        Dag(a.vertices, a.arcs, a.labels, a.pred)
+
+
+def test_algorithms_read_the_kept_index(monkeypatch):
+    # Only construction builds an index: on a DAG built already, the DPs,
+    # the listings and the extensions index no DAG but those they build.
+    size = len(toric_class(D3).members)
+    callers = []
+
+    def counting(vertices, arcs):
+        callers.append(sys._getframe(1).f_code.co_name)
+        return _index(vertices, arcs)
+
+    # A module that imported ``_index`` by name would call its own binding.
+    for module in (dagmod, enriched, orderpoly):
+        monkeypatch.setattr(module, "_index", counting, raising=False)
+    delta_dag(D3)
+    omega_dag(D3, 2)
+    list(iter_enriched(D3, 2))
+    linear_extensions(D3)
+    assert callers == []
+    toric_extensions(D3)
+    assert callers == ["__post_init__"] * size
+    chains = Dag.make(range(1, 6), [(1, 2), (2, 3), (4, 5)])
+    callers.clear()
+    omega_dag(chains, 2)
+    assert callers == ["__post_init__"] * 2  # one per component built

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from toricpeaks.dag import Dag, _index, disjoint_union, toric_class
+from toricpeaks.dag import Dag, disjoint_union, toric_class
 from toricpeaks.enriched import (
     _down_walk,
     cyclic_peak_product,
@@ -142,7 +142,7 @@ def test_down_set_dp_edge_cases():
 
 def test_delta_dag_runs_once_per_shape():
     tc = toric_class(Dag.make(range(1, 5), [(1, 2), (2, 3), (1, 4), (4, 3)]))
-    shapes = {tuple(_index(e.vertices, e.arcs)[1]) for e in tc.members}
+    shapes = {e.pred for e in tc.members}
     _down_walk.cache_clear()
     for e in tc.members:
         assert delta_dag(e) == _delta_by_extensions(e)

@@ -30,7 +30,6 @@ from toricpeaks.dag import (
     Dag,
     _bridgeless_classes,
     _components,
-    _index,
     linear_extensions,
     toric_class,
 )
@@ -99,6 +98,15 @@ def test_omega_rejects_the_empty_word(m):
         runs(())
 
 
+def test_omega_rejects_words_that_are_not_permutations():
+    # gf_omega((2, 2, 1), 3) once read [0, 2, 12, 38] and omega((0, -1), 3) 18.
+    for f in (omega, omega_cyc, gf_omega, gf_omega_cyc):
+        with pytest.raises(ValueError, match="labels must be distinct"):
+            f((2, 2, 1), 3)
+        with pytest.raises(ValueError, match="labels must be positive"):
+            f((0, -1), 3)
+
+
 def test_omega_matches_enumeration():
     for w in [(1,), (2, 1), (1, 3, 2), (2, 1, 4, 3)]:
         for m in (1, 2, 3):
@@ -116,17 +124,12 @@ def test_omega_dag_and_toric():
     assert omega_toric(tc, 1) == omega_cyc((1, 2), 1) == 4
 
 
-def _shape(d):
-    """The bit index the count and enumerator DPs are memoised by."""
-    return tuple(_index(d.vertices, d.arcs)[1])
-
-
 def test_chain_counts_run_once_per_shape():
     # Two one-arc components share a shape; the in-star is a third shape.
     d = Dag.make(range(1, 8), [(1, 2), (3, 4), (5, 6), (7, 6)])
     _down_walk.cache_clear()
     table = [omega_dag(d, m) for m in range(6)]
-    assert _down_walk.cache_info().misses == len(set(map(_shape, _components(d)))) == 2
+    assert _down_walk.cache_info().misses == len({c.pred for c in _components(d)}) == 2
     assert table == [len(enumerate_enriched(d, m)) for m in range(6)]
     # Labels + 10 give the same index: no new DP, the same counts.
     shifted = Dag.make([v + 10 for v in d.vertices], [(i + 10, j + 10) for i, j in d.arcs])
@@ -135,7 +138,7 @@ def test_chain_counts_run_once_per_shape():
     # A 4-cycle with a pendant arc: one DP per shape among the members of
     # its bridgeless pieces' classes, whatever m.
     tc = toric_class(Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)]))
-    shapes = {_shape(e) for c in _bridgeless_classes(tc) for e in c.members}
+    shapes = {e.pred for c in _bridgeless_classes(tc) for e in c.members}
     _down_walk.cache_clear()
     counts = [omega_toric(tc, m) for m in range(6)]
     assert _down_walk.cache_info().misses == len(shapes)

@@ -380,3 +380,26 @@ def test_degree_zero_units():
     assert monomial(0, ()) == QSym.unit(1)
     assert from_qsym(QSym.unit(2)) == CQSym.unit(2)
     assert CQSym.unit(2).as_qsym() == QSym.unit(2)
+
+
+def test_results_own_their_masks():
+    # _make adopts the dict it is handed, so no result may share one with
+    # an operand, and zeros must still be dropped.
+    x = QSym(3, {frozenset(): 2, frozenset({1}): -1})
+    y = QSym(3, {frozenset({2}): 5, frozenset({1}): 1})
+    a, b = kcyc({2}, 4), cyclic_fundamental(4, {1})
+    unit = QSym.unit(1)
+    cases = [
+        ((x, y), [x + y, x - y, -x, x.scale(3), x * y, 3 * x, x * 1]),
+        ((unit, x), [unit * x, x * unit]),
+        ((a, b), [a + b, -a, a.scale(3), a * b]),
+    ]
+    for operands, results in cases:
+        for result in results:
+            assert type(result.masks) is dict
+            assert 0 not in result.masks.values()
+            assert all(result.masks is not o.masks for o in operands)
+    for z in (x - x, x.scale(0), a - a, a.scale(0), QSym.unit(0), CQSym.unit(0)):
+        assert z.masks == {} and not z
+    # cyclic_fundamental hands _make a Counter, which is copied into a dict.
+    assert type(b.masks) is dict
