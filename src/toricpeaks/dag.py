@@ -266,7 +266,7 @@ class ToricClass:
 def toric_class(d: Dag) -> ToricClass:
     """Closure of d under flips at sources and sinks. Such a flip leaves a
     DAG acyclic, so the search flips plain arc sets and builds each member
-    as a checked ``Dag`` once."""
+    but d itself as a checked ``Dag`` once."""
     seen = {d.arcs}
     frontier = [d.arcs]
     while frontier:
@@ -278,7 +278,8 @@ def toric_class(d: Dag) -> ToricClass:
             if nxt not in seen:
                 seen.add(nxt)
                 frontier.append(nxt)
-    members = {arcs: Dag(d.vertices, arcs) for arcs in seen}
+    members = {arcs: Dag(d.vertices, arcs) for arcs in seen if arcs != d.arcs}
+    members[d.arcs] = d
     return ToricClass(frozenset(members.values()), members[min(seen, key=sorted)])
 
 

@@ -41,12 +41,7 @@ from .permstat import (
     peak_set,
 )
 from .qsym import CQSym, QSym, from_qsym
-from .setcomp import (
-    _class_table,
-    _fill_orbit,
-    _mask,
-    canonical_subset_class,
-)
+from .setcomp import _class_list, _mask, canonical_subset_class
 
 Assignment = dict[int, int]
 
@@ -294,19 +289,29 @@ def kcyc(S: Iterable[int], n: int) -> CQSym:
 
     Sum of 2^{|E|} Mcyc_{n,E} over E in [n] with S inside E ∪ (E+1),
     shifts taken cyclically.
+
+    The sum runs over the classes of ``setcomp._class_list``, not over the
+    2^n subsets. For a class with canonical mask K, cover C = K ∪ (K+1)
+    and period p, the shift K + r passes exactly when s - r lies in C for
+    every s in S: in the bitmask encoding of setcomp, when bit r is set in
+    the AND over the peak bits b of C rotated right by b. The n shifts
+    reach each of the p members of the class n / p times, so the
+    coefficient of Mcyc_K is 2^{|K|} times p / n times the number of
+    passing shifts.
     """
     S = frozenset(S)
     if not is_cyclic_peak_set(S, n):
         raise ValueError(f"{sorted(S)} is not a cyclic peak set in [{n}]")
     if n == 0:
         return CQSym.unit(1)
-    # In the bitmask encoding of setcomp, E + 1 is E rotated right by one.
-    peaks, table, top = _mask(S, n), _class_table(n), n - 1
+    full, peak_bits = (1 << n) - 1, [n - s for s in S]
     terms: dict[int, int] = {}
-    for E in range(1, 1 << n):  # Mcyc of the empty set is zero
-        if not peaks & ~(E | E >> 1 | (E & 1) << top):
-            key = table[E] or _fill_orbit(table, E, n)
-            terms[key] = terms.get(key, 0) + (1 << E.bit_count())
+    for K, size, cover, period in _class_list(n):
+        hit = full
+        for b in peak_bits:
+            hit &= cover >> b
+        if hit:
+            terms[K] = (hit.bit_count() * period // n) << size
     return CQSym._make(n, terms)
 
 

@@ -10,10 +10,16 @@ n - e; the elements of qsym store their keys this way. A cyclic shift by
 +1 is then a rotation right by one bit, and within one cardinality the
 lex-least sorted element list is the largest mask, so the canonical
 cyclic class of E is the largest mask in its rotation orbit.
+
+Each degree has a class list, built on first use by ``_class_list``: every
+cyclic class of nonempty subsets of [n] once, with its canonical mask, its
+size, its cover (the mask of K ∪ (K + 1)) and its period. Kcyc sums over
+it, one class at a time, instead of over the 2^n masks.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING, Iterable, Iterator
 
 if TYPE_CHECKING:
@@ -71,10 +77,9 @@ def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
 # --- bitmask internals -------------------------------------------------------
 
 # A degree's class table maps each of its 2^n masks to the canonical mask
-# and is filled lazily, one orbit at a time (8 KB at n = 12). Loops over
-# all 2^n masks read it in any degree; a single key reads it up to this
-# degree and is computed directly above, where the table would dwarf the
-# work.
+# and is filled lazily, one orbit at a time (8 KB at n = 12). A single key
+# reads it up to this degree and is computed directly above, where the
+# table would dwarf the work.
 _TABLE_MAX_N = 16
 _TABLES: dict[int, array] = {}
 
@@ -133,8 +138,8 @@ def _class_table(n: int) -> array:
         # Imported on first use, to keep it out of the package's import time.
         from array import array
 
-        # 16-bit entries hold the masks of degree 16 and below.
-        table = _TABLES[n] = array("H" if n <= 16 else "I", [0]) * (1 << n)
+        # 16-bit entries hold the masks of degree _TABLE_MAX_N and below.
+        table = _TABLES[n] = array("H", [0]) * (1 << n)
     return table
 
 
@@ -154,3 +159,36 @@ def _canonical_mask(mask: int, n: int) -> int:
     table = _class_table(n)
     return table[mask] or _fill_orbit(table, mask, n)
 
+
+@functools.cache
+def _class_list(n: int) -> tuple[tuple[int, int, int, int], ...]:
+    """Every cyclic class of nonempty subsets of [n] once, as
+    (K, |K|, C | C << n, p): K is the canonical mask, C = K | (K + 1) the
+    cover, doubled so that a rotation by b < n is ``>> b`` under an n-bit
+    mask, and p the period, the size of the orbit.
+
+    Read as bit strings from element 1 on, the canonical masks are the
+    complements of the binary necklaces, the lex-least rotations. Those
+    come from the Lyndon words w of length m dividing n, as w repeated
+    n / m times with period m, and the Lyndon words from Duval's
+    generation in lex order; no 2^n table is built.
+    """
+    full, top = (1 << n) - 1, n - 1
+    out = []
+    word = [-1]
+    while word:
+        word[-1] += 1
+        m = len(word)
+        if n % m == 0:
+            value = 0
+            for x in word:
+                value = value << 1 | x
+            K = full ^ value * (full // ((1 << m) - 1))
+            if K:  # the necklace 1^n is the empty set's
+                cover = K | K >> 1 | (K & 1) << top
+                out.append((K, K.bit_count(), cover | cover << n, m))
+        while len(word) < n:
+            word.append(word[-m])
+        while word and word[-1] == 1:
+            word.pop()
+    return tuple(out)

@@ -321,7 +321,7 @@ def test_algorithms_read_the_kept_index(monkeypatch):
     linear_extensions(D3)
     assert callers == []
     toric_extensions(D3)
-    assert callers == ["__post_init__"] * size
+    assert callers == ["__post_init__"] * (size - 1)  # D3 is a member already
     chains = Dag.make(range(1, 6), [(1, 2), (2, 3), (4, 5)])
     callers.clear()
     omega_dag(chains, 2)

@@ -22,7 +22,7 @@ from toricpeaks.enriched import (
     kcyc,
     signed_key,
 )
-from toricpeaks.permstat import cyclic_peak_sets
+from toricpeaks.permstat import cyclic_peak_sets, is_cyclic_peak_set
 from toricpeaks.qsym import (
     CQSym,
     QSym,
@@ -31,7 +31,7 @@ from toricpeaks.qsym import (
     from_qsym,
     monomial,
 )
-from toricpeaks.setcomp import shift_set
+from toricpeaks.setcomp import _canonical_mask, _mask, shift_set
 from toricpeaks.verify import (
     _brute_enriched,
     _delta_by_extensions,
@@ -211,6 +211,43 @@ def test_kcyc_of_single_cyclic_peak():
     assert kcyc({3}, 4) == expected
     # shift invariance through the witness-free formula
     assert kcyc({1}, 4) == kcyc({3}, 4)
+
+
+def kcyc_by_subsets(S, n):
+    """Kcyc_S straight from its definition: 2^|E| on the class of each
+    nonempty E in [n] with S inside E ∪ (E+1), one subset at a time."""
+    if n == 0:
+        return CQSym.unit(1)
+    peaks, top = _mask(S, n), n - 1
+    terms = {}
+    for E in range(1, 1 << n):
+        if not peaks & ~(E | E >> 1 | (E & 1) << top):
+            key = _canonical_mask(E, n)
+            terms[key] = terms.get(key, 0) + (1 << E.bit_count())
+    return CQSym._make(n, terms)
+
+
+def test_kcyc_matches_the_subset_sum():
+    # Every cyclic peak set with n <= 10, canonical or not, n = 0, 1, 2 too.
+    count = 0
+    for n in range(11):
+        for k in range(n + 1):
+            for S in map(frozenset, itertools.combinations(range(1, n + 1), k)):
+                if is_cyclic_peak_set(S, n):
+                    assert kcyc(S, n).masks == kcyc_by_subsets(S, n).masks, (S, n)
+                    count += 1
+    assert count == 311
+    # The class of {1, 4} in [6] has period 3: of {1, 4}, {2, 5} and {3, 6},
+    # the first and the last cover the peaks, each 2^2.
+    assert kcyc({1, 4}, 6).masks[_mask({1, 4}, 6)] == 8
+
+
+def test_kcyc_hands_out_its_own_masks():
+    expected = kcyc_by_subsets({2, 5}, 7)
+    elem = kcyc({2, 5}, 7)
+    elem.masks[next(iter(elem.masks))] += 1
+    elem.masks[1] = 7
+    assert kcyc({2, 5}, 7) == expected
 
 
 def test_delta_toric_two_ways():

@@ -4,7 +4,16 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toricpeaks.setcomp import canonical_subset_class, phi, psi, shift_set
+from toricpeaks import kcyc, setcomp
+from toricpeaks.setcomp import (
+    _canonical_mask,
+    _class_list,
+    _orbit,
+    canonical_subset_class,
+    phi,
+    psi,
+    shift_set,
+)
 
 
 def phi_inv(alpha):
@@ -83,6 +92,23 @@ def test_canonical_subset_class_matches_lex_least_member():
                 subset_class_members(E, n), key=sorted
             )
 
+
+@pytest.mark.parametrize("n", [*range(13), 17])
+def test_class_list_holds_each_class_once(n):
+    classes = _class_list(n)
+    keys = [K for K, _, _, _ in classes]
+    assert all(_canonical_mask(K, n) == K for K in keys)
+    assert len(set(keys)) == len(keys)
+    assert sum(period for _, _, _, period in classes) == 2**n - 1
+    if n <= 12:
+        assert all(len(set(_orbit(K, n))) == period for K, _, _, period in classes)
+
+
+def test_class_list_above_the_table_degree_builds_no_table():
+    n = setcomp._TABLE_MAX_N + 1
+    _class_list.__wrapped__(n)
+    kcyc({1}, n)
+    assert n not in setcomp._TABLES
 
 
 @given(
