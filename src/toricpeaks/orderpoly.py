@@ -271,6 +271,8 @@ class Marking:
 def enumerate_markings(w: Sequence[int], m: int) -> list[Marking]:
     """All (w, m)-markings: b bars plus d marks with b + d = m - 1 - pk."""
     word = check_word(w)
+    if not word:
+        raise ValueError("need a nonempty word")
     n = len(word)
     pk = len(peak_set(word))
     budget = m - 1 - pk

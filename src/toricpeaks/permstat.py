@@ -9,9 +9,10 @@ rotation.
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from typing import Iterable, Sequence
+
+from .setcomp import _class_list, _set
 
 Word = tuple[int, ...]
 
@@ -136,21 +137,17 @@ def is_cyclic_peak_set(S: frozenset[int] | set[int], n: int) -> bool:
 
 
 def cyclic_peak_sets(n: int) -> list[frozenset[int]]:
-    """Canonical (lex-least shift) cyclic peak sets in [n].
-
-    Sorted first by cardinality, then lexicographically.
+    """Canonical (lex-least shift) cyclic peak sets in [n]: the classes K of
+    ``setcomp._class_list`` with no two cyclically adjacent elements, whose
+    doubled cover has 4|K| elements. Sorted first by cardinality, then
+    lexicographically.
     """
-    from .setcomp import canonical_subset_class
-
     if n <= 1:
         return [frozenset()]
-    seen = set()
-    for k in range(1, n // 2 + 1):
-        for S in itertools.combinations(range(1, n + 1), k):
-            fs = frozenset(S)
-            if is_cyclic_peak_set(fs, n):
-                seen.add(canonical_subset_class(fs, n))
-    return sorted(seen, key=lambda S: (len(S), sorted(S)))
+    peak_sets = (
+        _set(K, n) for K, size, cover, _ in _class_list(n) if cover.bit_count() == 4 * size
+    )
+    return sorted(peak_sets, key=lambda S: (len(S), sorted(S)))
 
 
 def cyclic_peak_witness(S: frozenset[int] | set[int], n: int) -> Word:

@@ -54,17 +54,32 @@ class _Homogeneous:
     ``masks`` maps each key, as a bitmask of degree ``degree``, to its
     coefficient. Subclasses supply ``_key``, which validates a subset and
     returns its mask, the basis name ``_symbol`` and the classmethods
-    ``zero`` and ``unit``. The public constructor validates every key;
-    results the library builds itself come from ``_make``, which takes
-    masks already known to be valid and adopts the dict it is handed.
+    ``zero`` and ``unit``. The public constructor validates the degree,
+    every key and every coefficient; results the library builds itself
+    come from ``_make``, which takes masks already known to be valid and
+    adopts the dict it is handed.
     Elements of different subclasses never compare equal, add or multiply.
     """
 
     __slots__ = ("degree", "masks")
 
     def __init__(self, degree: int, terms: Mapping[frozenset, int]):
+        self.masks = self._keyed(degree, terms)
         self.degree = degree
-        self.masks = _clean({self._key(degree, E): c for E, c in terms.items()})
+
+    @classmethod
+    def _keyed(cls, degree: int, terms: Mapping[frozenset, int]) -> dict[int, int]:
+        """The nonzero terms keyed by masks, with the degree, each key and
+        each coefficient checked."""
+        _degree(degree)
+        masks = {}
+        for E, c in terms.items():
+            if not isinstance(c, int):
+                raise ValueError(f"coefficient {c!r} of {sorted(E)} is not an integer")
+            key = cls._key(degree, E)
+            if c:
+                masks[key] = c
+        return masks
 
     @classmethod
     def _make(cls, degree: int, masks: Mapping[int, int]):
@@ -146,6 +161,27 @@ class _Homogeneous:
         return json.dumps(payload, sort_keys=True)
 
 
+def _degree(n: int) -> int:
+    """n, checked to be a nonnegative integer."""
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"degree {n!r} is not a nonnegative integer")
+    return n
+
+
+def _json_terms(data: dict) -> dict[frozenset, int]:
+    """The coefficients of a JSON payload's term rows, refusing a set that
+    repeats an element or is listed twice."""
+    coeffs = {}
+    for t in data["terms"]:
+        E = frozenset(t["set"])
+        if len(E) != len(t["set"]):
+            raise ValueError(f"set {t['set']} repeats an element")
+        if E in coeffs:
+            raise ValueError(f"set {sorted(E)} is listed twice")
+        coeffs[E] = t["coeff"]
+    return coeffs
+
+
 def _rows(masks: Mapping[int, int], n: int) -> list[tuple[list[int], int]]:
     """(sorted elements, coefficient) per key, ordered by the element lists."""
     return sorted((_elements(m, n), c) for m, c in masks.items())
@@ -219,7 +255,7 @@ class QSym(_Homogeneous):
     @classmethod
     def from_fundamental(cls, degree: int, coeffs: Mapping[frozenset, int]) -> "QSym":
         """The sum of c F_{degree,E} over the items (E, c) of coeffs."""
-        masks = {cls._key(degree, E): c for E, c in coeffs.items()}
+        masks = cls._keyed(degree, coeffs)
         return cls._make(degree, _superset_sum(masks, degree, signed=False))
 
     def specialize_ones(self, m: int) -> int:
@@ -251,7 +287,7 @@ class QSym(_Homogeneous):
     @classmethod
     def from_json(cls, payload: str) -> "QSym":
         data = json.loads(payload)
-        coeffs = {frozenset(t["set"]): t["coeff"] for t in data["terms"]}
+        coeffs = _json_terms(data)
         if data["basis"] == "M":
             return cls(data["degree"], coeffs)
         if data["basis"] == "F":
@@ -335,7 +371,7 @@ def _column(
 
 def monomial(n: int, E: Iterable[int]) -> QSym:
     """M_{n,E} for E inside [n-1]."""
-    return QSym._make(n, {QSym._key(n, E): 1})
+    return QSym._make(n, {QSym._key(_degree(n), E): 1})
 
 
 def fundamental(n: int, E: Iterable[int]) -> QSym:
@@ -410,10 +446,7 @@ class CQSym(_Homogeneous):
         data = json.loads(payload)
         if data["basis"] != "Mcyc":
             raise ValueError(f"unknown basis {data['basis']!r}")
-        return cls(
-            data["degree"],
-            {frozenset(t["set"]): t["coeff"] for t in data["terms"]},
-        )
+        return cls(data["degree"], _json_terms(data))
 
 
 @functools.cache
@@ -431,7 +464,7 @@ def _class_expansion(mask: int, n: int) -> tuple[tuple[int, int], ...]:
 
 def cyclic_monomial(n: int, E: Iterable[int]) -> CQSym:
     """Mcyc_{n,E}; the empty set gives the zero element."""
-    mask = _mask(frozenset(E), n)
+    mask = _mask(frozenset(E), _degree(n))
     return CQSym._make(n, {_canonical_mask(mask, n): 1} if mask else {})
 
 

@@ -11,19 +11,19 @@ n - e; the elements of qsym store their keys this way. A cyclic shift by
 lex-least sorted element list is the largest mask, so the canonical
 cyclic class of E is the largest mask in its rotation orbit.
 
-Each degree has a class list, built on first use by ``_class_list``: every
-cyclic class of nonempty subsets of [n] once, with its canonical mask, its
-size, its cover (the mask of K ∪ (K + 1)) and its period. Kcyc sums over
-it, one class at a time, instead of over the 2^n masks.
+One map per degree, filled a whole orbit at a time, holds the canonical
+masks met so far; no degree allocates a 2^n table. The class list of a
+degree, built on first use by ``_class_list``, holds every cyclic class of
+nonempty subsets of [n] once, with its canonical mask, size, cover (the
+mask of K ∪ (K + 1)) and period; Kcyc and the cyclic peak sets read it
+instead of the 2^n masks.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING, Iterable, Iterator
-
-if TYPE_CHECKING:
-    from array import array
+from collections import defaultdict
+from typing import Iterable, Iterator
 
 Composition = tuple[int, ...]
 
@@ -76,12 +76,8 @@ def canonical_subset_class(E: Iterable[int], n: int) -> frozenset[int]:
 
 # --- bitmask internals -------------------------------------------------------
 
-# A degree's class table maps each of its 2^n masks to the canonical mask
-# and is filled lazily, one orbit at a time (8 KB at n = 12). A single key
-# reads it up to this degree and is computed directly above, where the
-# table would dwarf the work.
-_TABLE_MAX_N = 16
-_TABLES: dict[int, array] = {}
+# Per degree, mask -> canonical mask for every orbit met so far.
+_CANONICAL: defaultdict[int, dict[int, int]] = defaultdict(dict)
 
 
 def _mask(E: Iterable[int], n: int) -> int:
@@ -128,36 +124,14 @@ def _orbit(mask: int, n: int) -> list[int]:
     return out
 
 
-def _class_table(n: int) -> array:
-    """Mask -> canonical mask in degree n; 0 marks an orbit not yet filled.
-
-    Read entries as ``table[m] or _fill_orbit(table, m, n)``.
-    """
-    table = _TABLES.get(n)
-    if table is None:
-        # Imported on first use, to keep it out of the package's import time.
-        from array import array
-
-        # 16-bit entries hold the masks of degree _TABLE_MAX_N and below.
-        table = _TABLES[n] = array("H", [0]) * (1 << n)
-    return table
-
-
-def _fill_orbit(table: array, mask: int, n: int) -> int:
-    """Fill in the orbit of mask and return its canonical mask."""
-    orbit = _orbit(mask, n)
-    best = max(orbit)
-    for m in orbit:
-        table[m] = best
-    return best
-
-
 def _canonical_mask(mask: int, n: int) -> int:
-    """The largest mask in the rotation orbit of mask."""
-    if n > _TABLE_MAX_N:
-        return max(_orbit(mask, n))
-    table = _class_table(n)
-    return table[mask] or _fill_orbit(table, mask, n)
+    """The largest mask in the rotation orbit of mask; a miss in the
+    degree's map fills the whole orbit."""
+    known = _CANONICAL[n]
+    if mask not in known:
+        orbit = _orbit(mask, n)
+        known.update(dict.fromkeys(orbit, max(orbit)))
+    return known[mask]
 
 
 @functools.cache
@@ -171,7 +145,8 @@ def _class_list(n: int) -> tuple[tuple[int, int, int, int], ...]:
     complements of the binary necklaces, the lex-least rotations. Those
     come from the Lyndon words w of length m dividing n, as w repeated
     n / m times with period m, and the Lyndon words from Duval's
-    generation in lex order; no 2^n table is built.
+    generation in lex order. Single keys go to the per-degree map of
+    ``_canonical_mask``, filled an orbit at a time; no 2^n table is built.
     """
     full, top = (1 << n) - 1, n - 1
     out = []

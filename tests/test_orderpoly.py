@@ -96,6 +96,8 @@ def test_omega_rejects_the_empty_word(m):
             f((), m)
     with pytest.raises(ValueError, match="nonempty word"):
         runs(())
+    with pytest.raises(ValueError, match="nonempty word"):
+        enumerate_markings((), m)
 
 
 def test_omega_rejects_words_that_are_not_permutations():

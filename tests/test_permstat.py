@@ -19,7 +19,7 @@ from toricpeaks.permstat import (
     rotations,
     shuffle_set,
 )
-from toricpeaks.setcomp import shift_set
+from toricpeaks.setcomp import canonical_subset_class, shift_set
 
 
 def shifted_stat_multiset(w, stat):
@@ -129,6 +129,23 @@ def test_peak_set_enumerations():
     assert peak_sets(3) == [frozenset(), frozenset({2})]
     assert cyclic_peak_sets(4) == [frozenset({1}), frozenset({1, 3})]
     assert cyclic_peak_sets(1) == [frozenset()]
+
+
+def cyclic_peak_sets_by_subsets(n):
+    """Oracle: canonicalise every cyclic peak set of at most n/2 elements."""
+    if n <= 1:
+        return [frozenset()]
+    seen = set()
+    for k in range(1, n // 2 + 1):
+        for S in map(frozenset, itertools.combinations(range(1, n + 1), k)):
+            if is_cyclic_peak_set(S, n):
+                seen.add(canonical_subset_class(S, n))
+    return sorted(seen, key=lambda S: (len(S), sorted(S)))
+
+
+@pytest.mark.parametrize("n", [*range(15), 17])
+def test_cyclic_peak_sets_match_the_subset_scan(n):
+    assert cyclic_peak_sets(n) == cyclic_peak_sets_by_subsets(n)
 
 
 def test_witnesses_attain_their_sets():

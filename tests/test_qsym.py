@@ -1,4 +1,5 @@
 import itertools
+from collections import defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -227,6 +228,30 @@ def test_public_constructors_reject_bad_keys():
         cyclic_fundamental(4, ())
 
 
+def test_public_constructors_reject_bad_degrees_coefficients_and_rows():
+    for make in (
+        lambda: QSym(-1, {}),
+        lambda: CQSym(-3, {}),
+        lambda: monomial(-1, ()),
+        lambda: fundamental(-2, ()),
+        lambda: cyclic_monomial(-1, ()),
+    ):
+        with pytest.raises(ValueError, match="not a nonnegative integer"):
+            make()
+    with pytest.raises(ValueError, match="not an integer"):
+        QSym(2, {frozenset({1}): 1.5})
+    with pytest.raises(ValueError, match="not an integer"):
+        QSym.from_fundamental(2, {frozenset(): 0.5})
+    rows = {
+        "listed twice": '[{"set": [1], "coeff": 1}, {"set": [1], "coeff": 2}]',
+        "repeats an element": '[{"set": [1, 1], "coeff": 1}]',
+    }
+    for cls, basis in ((QSym, "M"), (QSym, "F"), (CQSym, "Mcyc")):
+        for error, terms in rows.items():
+            with pytest.raises(ValueError, match=error):
+                cls.from_json(f'{{"basis": "{basis}", "degree": 3, "terms": {terms}}}')
+
+
 def test_json_roundtrip_both_bases():
     a = 3 * fundamental(4, {2}) - monomial(4, {1, 3})
     assert QSym.from_json(a.to_json("M")) == a
@@ -279,15 +304,17 @@ def test_cyclic_fundamental_shift_invariance():
                 assert cyclic_fundamental(n, shifted) == base
 
 
-def test_cyclic_fundamental_above_the_table_degree_builds_no_table():
-    # Three terms; a degree-24 class table would take 2^24 entries.
+def test_cyclic_fundamental_at_degree_24_fills_only_its_orbits(monkeypatch):
+    # Three terms; the canonical map holds their three orbits, at most
+    # 3 * 24 masks, where a class table would take 2^24 entries.
+    monkeypatch.setattr(setcomp, "_CANONICAL", defaultdict(dict))
     elem = cyclic_fundamental(24, range(1, 23))
     assert elem.terms == {
         frozenset(range(1, 23)): 1,
         frozenset(range(1, 24)): 2,
         frozenset(range(1, 25)): 1,
     }
-    assert 24 not in setcomp._TABLES
+    assert len(setcomp._CANONICAL[24]) <= 3 * 24
 
 
 def test_from_qsym_recovers_cyclic_elements():

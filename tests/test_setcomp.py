@@ -1,10 +1,12 @@
 import itertools
+import random
+from collections import defaultdict
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from toricpeaks import kcyc, setcomp
+from toricpeaks import cyclic_peak_sets, kcyc, setcomp
 from toricpeaks.setcomp import (
     _canonical_mask,
     _class_list,
@@ -85,12 +87,15 @@ def test_canonical_subset_class_rejects_elements_outside_n():
 
 
 def test_canonical_subset_class_matches_lex_least_member():
-    for n in range(1, 13):
-        for mask in range(1, 1 << n):
-            E = frozenset(e for e in range(1, n + 1) if mask >> (e - 1) & 1)
-            assert canonical_subset_class(E, n) == min(
-                subset_class_members(E, n), key=sorted
-            )
+    # Every mask up to n = 12, then a seeded sample at n = 20 and 24.
+    rng = random.Random(0)
+    cases = [(n, mask) for n in range(1, 13) for mask in range(1, 1 << n)]
+    cases += [(n, rng.randrange(1, 1 << n)) for n in (20, 24) for _ in range(200)]
+    for n, mask in cases:
+        E = frozenset(e for e in range(1, n + 1) if mask >> (e - 1) & 1)
+        assert canonical_subset_class(E, n) == min(
+            subset_class_members(E, n), key=sorted
+        )
 
 
 @pytest.mark.parametrize("n", [*range(13), 17])
@@ -104,11 +109,15 @@ def test_class_list_holds_each_class_once(n):
         assert all(len(set(_orbit(K, n))) == period for K, _, _, period in classes)
 
 
-def test_class_list_above_the_table_degree_builds_no_table():
-    n = setcomp._TABLE_MAX_N + 1
+def test_class_list_and_kcyc_add_no_canonical_map_entry(monkeypatch):
+    # Kcyc and the cyclic peak sets read the class list alone; only single
+    # keys fill the per-degree map, an orbit at a time, never 2^n masks.
+    monkeypatch.setattr(setcomp, "_CANONICAL", defaultdict(dict))
+    n = 17
     _class_list.__wrapped__(n)
     kcyc({1}, n)
-    assert n not in setcomp._TABLES
+    cyclic_peak_sets(n)
+    assert n not in setcomp._CANONICAL
 
 
 @given(
@@ -117,7 +126,6 @@ def test_class_list_above_the_table_degree_builds_no_table():
     )
 )
 def test_canonical_subset_class_is_idempotent(case):
-    # Degrees above 16 take the path without a class table.
     n, E = case
     key = canonical_subset_class(E, n)
     assert canonical_subset_class(key, n) == key
