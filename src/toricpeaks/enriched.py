@@ -4,13 +4,14 @@ the (cyclic) peak functions they generate.
 Values live in the nonzero integers ordered -1 < 1 < -2 < 2 < ...; an
 assignment is a dict from vertex labels to such values. Weight enumerators
 expand in the monomial bases of qsym: via the peak-set formulas for total
-orders and cyclic peak sets, and via a DP over down-sets for a DAG. An
-enriched toric partition of [D] is an enriched partition of exactly one
-member of [D], and the class puts no condition on a bridge, an arc on no
-cycle (``dag._without_bridges``). So Δ_[D] is the folded product, over the
-2-edge-connected components C, of the sums of the down-set DPs of the
-members of [C]. The enumerations here are the combinatorial side of every
-identity the test suite checks.
+orders and cyclic peak sets, and for a DAG via the fundamental lemma, from
+one DP over the peak sets of its linear extensions. An enriched toric
+partition of [D] is an enriched partition of exactly one member of [D],
+and the class puts no condition on a bridge, an arc on no cycle
+(``dag._without_bridges``). So Δ_[D] is the folded product, over the
+2-edge-connected components C, of the sums over the members of [C]. The
+enumerations here are the combinatorial side of every identity the test
+suite checks.
 """
 
 from __future__ import annotations
@@ -18,14 +19,14 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
     Dag,
     ToricClass,
     _bridgeless_classes,
-    _topological_order,
     _toric_extensions,
     _without_bridges,
     disjoint_union,
@@ -187,88 +188,68 @@ def delta_perm(w: Sequence[int]) -> QSym:
 
 
 def delta_dag(d: Dag) -> QSym:
-    """Weight enumerator of d, by a DP over the down-sets of d.
-
-    An enriched partition assigns the absolute levels 1, 2, ... in turn; a
-    level k takes a block A- ∪ A+ (values -k and +k) and the vertices
-    assigned so far always form a down-set. With the levels used packed to
-    1..j, the sizes of the down-sets reached give the M-basis key E, so the
-    coefficient of M_E counts the chains of down-sets with those sizes:
-    ``_down_walk`` with each size |D| = n - rest joining E at bit rest. The
-    empty set's own bit n is cleared at the end. Each call returns a new
-    element.
-    """
-    n = len(d.vertices)
-    masks = _down_walk(d.pred, _join_size)
-    return QSym._make(n, {E & (1 << n) - 1: c for E, c in masks.items()})
-
-
-def _join_size(E: int, rest: int) -> int:
-    """``delta_dag``'s lift: the down-set left, of size n - rest, joins E,
-    a mask of degree n."""
-    return E | 1 << rest
+    """Weight enumerator of d: by the fundamental lemma, Σ K_{Pk w} over
+    the linear extensions w of d (``_peak_distribution``). Each call
+    returns a new element."""
+    return _delta_from_peaks(len(d.pred), _peak_distribution(d.pred))
 
 
 @functools.cache
-def _down_walk(pred: tuple[int, ...], lift: Callable[[int, int], int]) -> dict[int, int]:
-    """The chains of down-sets from the empty set to all of the DAG with
-    predecessor masks ``pred``, each weighted by the product of its steps'
-    numbers of legal blocks (``_down_steps``), summed by key.
+def _peak_distribution(pred: tuple[int, ...]) -> dict[int, int]:
+    """The number of linear extensions of the DAG with predecessor masks
+    ``pred`` per peak set, keyed by setcomp's mask (peak i at bit n - i).
 
-    A chain's key starts at 0 and becomes ``lift(key, rest)`` each time the
-    chain leaves a down-set with ``rest`` vertices still unplaced. The
-    walk reads a DAG only through its bit index, the predecessor masks
-    ``Dag.pred`` that each DAG keeps from construction, with bit k the k-th
-    smallest label; callers pass that tuple itself. So it runs once
-    per distinct index and lift for the life of the process, and DAGs
-    whose labels differ but whose arcs order the same ranks share it. The
-    lift is part of the memo key, so callers pass a module-level function,
-    never one built per call, and must not mutate the dict.
+    A DP that places one vertex at a time. A state is the down-set placed,
+    its last bit k (the k-th smallest label) and whether k ascended;
+    placing a smaller bit after an ascent puts a peak at k. The start
+    state's last bit n stands above every bit. The DP reads a DAG only
+    through ``Dag.pred``, so it runs once per bit index for the life of the
+    process, and relabelled DAGs share it. Callers must not mutate the dict.
     """
     n = len(pred)
-    order = _topological_order(pred)
-    layers: list[dict[int, dict[int, int]]] = [{} for _ in range(n + 1)]
-    layers[0][0] = {0: 1}
+    # Down-set -> (last bit, ascended) -> the peak-mask counts reaching it.
+    layer = {0: {(n, False): [{0: 1}]}}
     for size in range(n):
-        for D, state in layers[size].items():
-            lifted = [(lift(key, n - size), c) for key, c in state.items()]
-            for D2, ways in _down_steps(D, pred, order):
-                target = layers[D2.bit_count()].setdefault(D2, {})
-                for key, c in lifted:
-                    target[key] = target.get(key, 0) + c * ways
-        layers[size] = {}
-    return layers[n][(1 << n) - 1]
+        peak = 1 << n - size
+        steps: dict[int, dict[tuple[int, bool], list[dict[int, int]]]] = {}
+        for D, parts in layer.items():
+            states = {state: _summed(p) for state, p in parts.items()}
+            for j in range(n):
+                if D >> j & 1 or pred[j] & ~D:
+                    continue
+                nxt = steps.setdefault(D | 1 << j, {})
+                for (k, up), counts in states.items():
+                    if up and k > j:
+                        counts = {S | peak: c for S, c in counts.items()}
+                    nxt.setdefault((j, k < j), []).append(counts)
+        layer = steps
+    return _summed(c for parts in layer[(1 << n) - 1].values() for c in parts)
 
 
-def _down_steps(D: int, pred: Sequence[int], order: list[int]) -> Iterator[tuple[int, int]]:
-    """Each down-set D' above the down-set D with its number of legal blocks.
-
-    A block B = D' minus D splits into A- and A+. An arc inside B into a
-    larger label forces its head into A+, and one into a smaller label
-    forces its tail into A-; no arc then runs from A+ to A-, so every split
-    that respects the forced vertices is legal, and there are none when a
-    vertex is forced both ways. Bit k is the k-th smallest label, and bits
-    join B in the topological ``order``, so a vertex is added only after
-    all of its predecessors.
-    """
-    free = [k for k in order if not D >> k & 1]
-    stack = [(0, 0, 0, 0)]  # (position in free, B, forced +, forced -)
-    while stack:
-        t, B, plus, minus = stack.pop()
-        if t == len(free):
-            if B:
-                yield D | B, 1 << (B.bit_count() - (plus | minus).bit_count())
+def _summed(dists: Iterable[Mapping[int, int]]) -> dict[int, int]:
+    """The sum of count dicts, as a new dict."""
+    out: dict[int, int] = {}
+    for counts in dists:
+        if not out:
+            out.update(counts)
             continue
-        stack.append((t + 1, B, plus, minus))
-        k = free[t]
-        if pred[k] & ~(D | B):
-            continue
-        inner, lower = pred[k] & B, (1 << k) - 1
-        if inner & lower:
-            plus |= 1 << k
-        minus |= inner & ~lower
-        if not plus & minus:
-            stack.append((t + 1, B | 1 << k, plus, minus))
+        for S, c in counts.items():
+            out[S] = out.get(S, 0) + c
+    return out
+
+
+def _delta_from_peaks(n: int, counts: Mapping[int, int]) -> QSym:
+    """Σ_S c_S·K_S for peak masks S of degree n: by ``delta_from_peak_set``,
+    M_E gets 2^{|E|+1} (1 in degree 0) times the sum of the c_S with S
+    inside E ∪ (E+1), whose mask is E | E >> 1. One subset-sum transform
+    over all n bits, bit 0 (element n) included, gives every such sum."""
+    sums = [counts.get(T, 0) for T in range(1 << n)]
+    for b in range(n):
+        h = 1 << b
+        for lo in range(h, len(sums), 2 * h):
+            sums[lo : lo + h] = map(operator.add, sums[lo : lo + h], sums[lo - h : lo])
+    terms = {E: sums[E | E >> 1] << E.bit_count() + (n > 0) for E in range(0, 1 << n, 2)}
+    return QSym._make(n, terms)
 
 
 def k_peak(S: Iterable[int], n: int) -> QSym:
@@ -322,14 +303,22 @@ def delta_toric(tc: ToricClass) -> CQSym:
     members' ``delta_dag``. The class puts no condition on a bridge (see
     ``dag._without_bridges``), and disjoint unions multiply, so that sum is
     the product, over the 2-edge-connected components C of the canonical
-    member, of the member sums of [C]; the product is folded once. With one
-    component, the class's own members are summed.
+    member, of the member sums of [C] (``_toric_peaks``), folded once.
     """
-    sums = (
-        sum(map(delta_dag, c.members), QSym.zero(len(c.canonical.vertices)))
+    sums = (_delta_from_peaks(n, counts) for n, counts in _toric_peaks(tc))
+    return from_qsym(math.prod(sums, start=QSym.unit()))
+
+
+@functools.cache
+def _toric_peaks(tc: ToricClass) -> tuple[tuple[int, dict[int, int]], ...]:
+    """For each 2-edge-connected component C of tc's canonical member, its
+    degree and the summed peak distributions of the members of [C]. Kept
+    per class, so Δ and Ω of a class, or Ω at a second m, build its
+    component classes once. Callers must not mutate the dicts."""
+    return tuple(
+        (len(c.canonical.pred), _summed(_peak_distribution(e.pred) for e in c.members))
         for c in _bridgeless_classes(tc)
     )
-    return from_qsym(math.prod(sums, start=QSym.unit()))
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:

@@ -13,9 +13,10 @@ from collections import Counter
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .dag import Dag, ToricClass, _bridgeless_classes, _components
-from .enriched import _down_walk, enumerate_enriched, is_enriched
+from .dag import Dag, ToricClass, _components
+from .enriched import _peak_distribution, _toric_peaks, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
+from .setcomp import _mask
 
 Poly = list[int]
 
@@ -87,50 +88,33 @@ def omega(w: Sequence[int], m: int) -> int:
     word = check_word(w)
     if not word:
         raise ValueError("need a nonempty word")
-    pk = len(peak_set(word))
-    return 2 ** (2 * pk + 1) * _peak_sum(len(word), pk, m)
+    n = len(word)
+    return _omega_from_peaks(n, {_mask(peak_set(word), n): 1}, m)
+
+
+def _omega_from_peaks(n: int, counts: Mapping[int, int], m: int) -> int:
+    """Σ_S c_S·2^{2|S|+1}·``_peak_sum``(n, |S|, m): the enriched partitions
+    with values at most m of the n-letter total orders counted by peak
+    mask in c. By ``omega``'s closed form, each counts by its number of
+    peaks alone, so c is graded first. The empty word has one partition."""
+    if n == 0:
+        return counts[0]
+    graded: Counter = Counter()
+    for S, c in counts.items():
+        graded[S.bit_count()] += c
+    return sum(c * _peak_sum(n, k, m) << 2 * k + 1 for k, c in graded.items())
 
 
 def omega_dag(d: Dag, m: int) -> int:
-    """Number of enriched partitions of d with values at most m.
-
-    An enriched partition of a disjoint union is one of each part, so this
-    is the product, over the connected components C of d, of C's chain
-    counts a_j weighted by C(m, j) (``_chain_counts``). A component's DP
-    walks only its own down-sets: on an antichain the product costs n
-    one-vertex DPs, not one over all 2^n subsets. The counts are memoised
-    by each component's bit index, which is all they depend on, so a table
-    over m, or components of one shape, pay one DP.
+    """Number of enriched partitions of d with values at most m: the
+    product, over the connected components C of d, of Ω summed over C's
+    linear extensions by peak set (``enriched._peak_distribution``), whose
+    DP walks only C's down-sets and is memoised by C's bit index. A table
+    over m, another component of C's shape, or Δ of C, runs no new DP.
     """
-    return prod(_count(_chain_counts(c), m) for c in _components(d))
-
-
-def _count(a: Sequence[int], m: int) -> int:
-    """Σ_j a_j·C(m, j): the partitions whose levels, packed to 1..j, are
-    placed among the m levels 1..m."""
-    return sum(c * comb(m, j) for j, c in enumerate(a) if c)
-
-
-def _chain_counts(d: Dag) -> list[int]:
-    """The list a_0, ..., a_n where a_j counts the enriched partitions of d
-    with the absolute levels 1..j, each used.
-
-    ``delta_dag``'s walk over down-sets (``enriched._down_walk``), with the
-    M-basis keys forgotten: a chain's key is its number of steps j, each
-    step weighted by its number of legal blocks. The M-basis key E of such
-    a chain has j - 1 elements and M_E at m ones is C(m, j), so
-    Ω_d(m) = Σ_j a_j·C(m, j);
-    and a_n = 2^n·e(d), e(d) the number of linear extensions, as n steps
-    add one vertex each, with two signs. The walk is memoised by the bit
-    index and lift, and not m; each call returns a new list.
-    """
-    a = _down_walk(d.pred, _next_level)
-    return [a.get(j, 0) for j in range(len(d.pred) + 1)]
-
-
-def _next_level(j: int, rest: int) -> int:
-    """``_chain_counts``' lift: one more step, one more level."""
-    return j + 1
+    return prod(
+        _omega_from_peaks(len(c.pred), _peak_distribution(c.pred), m) for c in _components(d)
+    )
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
@@ -158,20 +142,12 @@ def omega_cyc(w: Sequence[int], m: int) -> int:
 
 def omega_toric(tc: ToricClass, m: int) -> int:
     """Toric order polynomial of a toric class: the number of its enriched
-    toric partitions with values at most m.
-
-    The members' enriched sets are disjoint, the class puts no condition on
-    a bridge, and disjoint unions multiply (see ``enriched.delta_toric``).
-    So this is the product, over the 2-edge-connected components C of the
-    canonical member, of the counts of the members of [C], in plain
-    integers. Those members are connected, so each count is one
-    ``_chain_counts`` DP with no split into components, run once per
-    member's bit index for the life of the process: a second m, or another
-    class whose members have the same shapes, reruns none of them.
+    toric partitions with values at most m. As for ``enriched.delta_toric``,
+    it is the product over the 2-edge-connected components C of the
+    canonical member of Ω summed over the members of [C], here by the
+    per-class peak distributions of ``enriched._toric_peaks``.
     """
-    return prod(
-        sum(_count(_chain_counts(e), m) for e in c.members) for c in _bridgeless_classes(tc)
-    )
+    return prod(_omega_from_peaks(n, counts, m) for n, counts in _toric_peaks(tc))
 
 
 def gf_omega(w: Sequence[int], order: int) -> list[int]:

@@ -30,6 +30,7 @@ from .dag import (
     toric_extensions,
 )
 from .enriched import (
+    _peak_distribution,
     cyclic_peak_product,
     delta_dag,
     delta_from_peak_set,
@@ -44,7 +45,6 @@ from .enriched import (
 )
 from .orderpoly import (
     Marking,
-    _chain_counts,
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
@@ -72,12 +72,14 @@ from .setcomp import _canonical_mask, _mask, _set, shift_set
 
 def _check(checks: list, name: str, ok: bool | list[bool], detail: str = "") -> None:
     """Append one check. ``ok`` is one outcome, or a list with one outcome
-    per instance, which fails when any entry is false and is detailed by
-    its failure count."""
+    per instance, which fails when any entry is false, is detailed by its
+    failure count and records its number of instances."""
+    check = {"name": name}
     if isinstance(ok, list):
         detail = f"{sum(not x for x in ok)} failures"
+        check["instances"] = len(ok)
         ok = all(ok)
-    checks.append({"name": name, "pass": bool(ok), "detail": detail})
+    checks.append({**check, "pass": bool(ok), "detail": detail})
 
 
 def _report(suite: str, checks: list) -> dict:
@@ -555,9 +557,8 @@ def suite_fundamental_lemma(
         delta = delta_dag(d)
         linear.append(delta == _delta_by_extensions(d))
         words = _linear_extensions_of(d)
-        # The count DP's top entry: n one-vertex steps, two signs each.
-        n = len(d.vertices)
-        spec.append(_chain_counts(d)[n] == 2**n * len(words))
+        # The peak DP's total is the number of linear extensions.
+        spec.append(sum(_peak_distribution(d.pred).values()) == len(words))
         for m in range(1, max_m + 1):
             whole = _enriched_set(d, m)
             pieces = [_enriched_set(_word_dag(w), m) for w in words]
@@ -565,6 +566,8 @@ def suite_fundamental_lemma(
             if m <= 2:
                 brute = frozenset(map(_values_key(d), _brute_enriched(d, m)))
                 linear.append(whole == brute)
+            # Brute-force weights, which do not rest on the lemma.
+            linear.append(delta.truncate(m) == _weight_poly(whole, m))
             spec.append(delta.specialize_ones(m) == len(whole))
             spec.append(omega_dag(d, m) == len(whole))
         linear_ok += linear * draws
@@ -581,10 +584,9 @@ def suite_fundamental_lemma(
         toric_ok.append(extensions == _toric_extensions_by_rotation(tc))
         toric_ok.append(_delta_toric(tc) == _delta_toric_by_cpk(tc))
         # The members' linear extensions are the n rotations of the toric
-        # extensions, so their count DPs' top entries sum to 2^n·n for each.
-        spec_ok.append(
-            sum(_chain_counts(e)[n] for e in tc.members) == 2**n * n * len(extensions)
-        )
+        # extensions, so their peak DPs' totals sum to n for each.
+        totals = sum(sum(_peak_distribution(e.pred).values()) for e in tc.members)
+        spec_ok.append(totals == len(d.vertices) * len(extensions))
         for m in range(1, max_m + 1):
             whole = _toric_enriched_set(tc, m)
             members = [_enriched_set(member, m) for member in tc.members]
@@ -593,6 +595,7 @@ def suite_fundamental_lemma(
                 _toric_enriched_set(_toric_of(_word_dag(w)), m) for w in extensions
             ]
             toric_ok.append(_is_disjoint_cover(whole, pieces))
+            toric_ok.append(_delta_toric(tc).truncate(m) == _weight_poly(whole, m))
             spec_ok.append(_delta_toric(tc).specialize_ones(m) == len(whole))
             spec_ok.append(omega_toric(tc, m) == len(whole))
     _check(checks, f"linear decomposition, {len(dags)} DAGs, m<={max_m}", linear_ok)

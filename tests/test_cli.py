@@ -363,6 +363,21 @@ def test_verify_n_bounds_the_product_degree(capsys, suite, kind):
     assert out.splitlines()[0] == f"PASS  {suite}: 1 {kind} products, degrees <= 2"
 
 
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["shuffle", "--n", "1"], "EMPTY  shuffle: 0 shuffle products, degrees <= 1"),
+        (["enumerator", "--n", "0"], "EMPTY  enumerator: delta oracles all words n<=0"),
+    ],
+)
+def test_verify_marks_a_check_over_no_instance_empty(capsys, argv, line):
+    # The report still passes, so the exit code is 0.
+    code, out = run(capsys, "verify", *argv)
+    assert code == 0
+    assert line in out.splitlines()
+    assert out.splitlines()[-1] == "OK"
+
+
 def test_deterministic_output(capsys):
     _, first = run(capsys, "expand", "Kcyc", "5", "1,3")
     _, second = run(capsys, "expand", "Kcyc", "5", "1,3")

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from toricpeaks.dag import Dag, disjoint_union, toric_class
 from toricpeaks.enriched import (
-    _down_walk,
+    _peak_distribution,
     cyclic_peak_product,
     delta_dag,
     delta_from_peak_set,
@@ -143,16 +143,16 @@ def test_down_set_dp_edge_cases():
 def test_delta_dag_runs_once_per_shape():
     tc = toric_class(Dag.make(range(1, 5), [(1, 2), (2, 3), (1, 4), (4, 3)]))
     shapes = {e.pred for e in tc.members}
-    _down_walk.cache_clear()
+    _peak_distribution.cache_clear()
     for e in tc.members:
         assert delta_dag(e) == _delta_by_extensions(e)
-    assert _down_walk.cache_info().misses == len(shapes)
+    assert _peak_distribution.cache_info().misses == len(shapes)
     # Labels + 10 give the same bit index: a hit, and an equal element.
     shifted = Dag.make([v + 10 for v in D3.vertices], [(i + 10, j + 10) for i, j in D3.arcs])
     expected = delta_dag(D3)
-    misses = _down_walk.cache_info().misses
+    misses = _peak_distribution.cache_info().misses
     assert delta_dag(shifted) == expected
-    assert _down_walk.cache_info().misses == misses
+    assert _peak_distribution.cache_info().misses == misses
 
 
 def test_delta_dag_hands_out_its_own_masks():

@@ -11,7 +11,7 @@ from toricpeaks.orderpoly import (
     Marking,
     RationalSeries,
     RunDecomposition,
-    _chain_counts,
+    _omega_from_peaks,
     _peak_sum,
     enumerate_markings,
     gf_omega,
@@ -33,8 +33,18 @@ from toricpeaks.dag import (
     linear_extensions,
     toric_class,
 )
-from toricpeaks.enriched import _down_walk, delta_dag, enumerate_enriched, enumerate_enriched_toric
+from toricpeaks.enriched import (
+    _peak_distribution,
+    _toric_peaks,
+    delta_dag,
+    delta_from_peak_set,
+    delta_toric,
+    enumerate_enriched,
+    enumerate_enriched_toric,
+)
 from toricpeaks.permstat import peak_set, rotations
+from toricpeaks.qsym import QSym
+from toricpeaks.setcomp import _mask, _set
 from toricpeaks.verify import _delta_by_extensions, _interpolate, random_dags, small_dags
 
 from test_dag import labeled_dags
@@ -118,92 +128,105 @@ def test_omega_matches_enumeration():
 def test_omega_dag_and_toric():
     d = Dag.from_word((1, 2))
     assert omega_dag(d, 2) == 8
-    assert _chain_counts(Dag.make([], [])) == [1]
-    assert _chain_counts(Dag.make([7], [])) == [0, 2]
-    # One level: {1: -1, 2: 1} and {1: 1, 2: 1}. Two: {1: ±1, 2: ±2}.
-    assert _chain_counts(d) == [0, 2, 4]
+    assert [omega_dag(Dag.make([], []), m) for m in range(3)] == [1, 1, 1]
+    assert [omega_dag(Dag.make([7], []), m) for m in range(3)] == [0, 2, 4]
+    # m = 1: {1: -1, 2: 1} and {1: 1, 2: 1}; m = 2 adds those two at level 2
+    # and the four {1: ±1, 2: ±2}.
+    assert [omega_dag(d, m) for m in range(3)] == [0, 2, 8]
+    # The chain 1 < 3 > 2 has its peak at position 2, bit n - 2 = 1.
+    assert _peak_distribution(Dag.make([1, 2, 3], [(1, 3), (3, 2)]).pred) == {0b010: 1}
+    assert _peak_distribution(Dag.make([], []).pred) == {0: 1}
     tc = toric_class(d)
     assert omega_toric(tc, 1) == omega_cyc((1, 2), 1) == 4
 
 
-def test_chain_counts_run_once_per_shape():
+def test_omega_dag_runs_once_per_shape():
     # Two one-arc components share a shape; the in-star is a third shape.
     d = Dag.make(range(1, 8), [(1, 2), (3, 4), (5, 6), (7, 6)])
-    _down_walk.cache_clear()
+    _peak_distribution.cache_clear()
     table = [omega_dag(d, m) for m in range(6)]
-    assert _down_walk.cache_info().misses == len({c.pred for c in _components(d)}) == 2
+    assert _peak_distribution.cache_info().misses == len({c.pred for c in _components(d)}) == 2
     assert table == [len(enumerate_enriched(d, m)) for m in range(6)]
     # Labels + 10 give the same index: no new DP, the same counts.
     shifted = Dag.make([v + 10 for v in d.vertices], [(i + 10, j + 10) for i, j in d.arcs])
     assert [omega_dag(shifted, m) for m in range(6)] == table
-    assert _down_walk.cache_info().misses == 2
+    assert _peak_distribution.cache_info().misses == 2
     # A 4-cycle with a pendant arc: one DP per shape among the members of
-    # its bridgeless pieces' classes, whatever m.
+    # its bridgeless pieces' classes, and one build of those classes,
+    # whatever m.
     tc = toric_class(Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)]))
     shapes = {e.pred for c in _bridgeless_classes(tc) for e in c.members}
-    _down_walk.cache_clear()
+    _peak_distribution.cache_clear()
+    _toric_peaks.cache_clear()
     counts = [omega_toric(tc, m) for m in range(6)]
-    assert _down_walk.cache_info().misses == len(shapes)
+    assert _peak_distribution.cache_info().misses == len(shapes)
+    assert _toric_peaks.cache_info().misses == 1
     assert counts == [len(enumerate_enriched_toric(tc, m)) for m in range(6)]
 
 
-def test_delta_and_chain_counts_are_two_walks():
-    # One shape, two lifts: the lift is part of the memo key.
+def test_delta_and_omega_share_one_dp():
+    # One shape, one DP: Δ and Ω both read the peak distribution.
     d = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
-    _down_walk.cache_clear()
+    _peak_distribution.cache_clear()
     assert delta_dag(d) == _delta_by_extensions(d)
-    a = _chain_counts(d)
-    assert _down_walk.cache_info().misses == 2
-    assert [sum(c * comb(m, j) for j, c in enumerate(a)) for m in range(4)] == [
-        len(enumerate_enriched(d, m)) for m in range(4)
-    ]
+    table = [omega_dag(d, m) for m in range(4)]
+    assert _peak_distribution.cache_info().misses == 1
+    assert table == [len(enumerate_enriched(d, m)) for m in range(4)]
 
 
-def assert_counts_project_delta(d):
-    """a_j sums the coefficients of the keys of Δ_d with j - 1 elements,
-    and a_0 = 1 exactly when d is empty."""
-    n, a = len(d.vertices), _chain_counts(d)
-    sums: Counter = Counter()
-    for E, c in delta_dag(d).masks.items():
-        sums[E.bit_count() + 1] += c
-    assert a[0] == (n == 0), d
-    assert a[1:] == [sums[j] for j in range(1, n + 1)], d
+def assert_peaks_project_delta(d):
+    """The peak DP counts the linear extensions of d by peak set; its
+    K-expansion, by the per-set filter, is Δ_d, and Δ_d at m ones is
+    Ω_d(m)."""
+    n, counts = len(d.vertices), _peak_distribution(d.pred)
+    assert counts == Counter(_mask(peak_set(w), n) for w in linear_extensions(d)), d
+    delta = delta_dag(d)
+    expansion = QSym.zero(n)
+    for S, c in counts.items():
+        expansion += delta_from_peak_set(_set(S, n), n).scale(c)
+    assert delta == expansion, d
+    assert [omega_dag(d, m) for m in range(4)] == [delta.specialize_ones(m) for m in range(4)], d
 
 
-def test_chain_counts_project_delta_on_small_dags():
+def test_peak_distribution_projects_delta_on_small_dags():
     for d in [Dag.make([], []), *small_dags(4)]:
-        assert_counts_project_delta(d)
+        assert_peaks_project_delta(d)
 
 
 @settings(deadline=None)
 @given(labeled_dags(7))
-def test_chain_counts_project_delta(d):
-    assert_counts_project_delta(d)
+def test_peak_distribution_projects_delta(d):
+    assert_peaks_project_delta(d)
 
 
-def test_chain_counts_hand_out_their_own_list():
+def test_delta_and_omega_hand_out_their_own_results():
     d = Dag.from_word((2, 1, 3))
-    a = _chain_counts(d)
-    expected = list(a)
-    a[3] += 1
-    a.append(5)
-    assert _chain_counts(d) == expected
+    expected = delta_dag(d)
+    delta = delta_dag(d)
+    delta.masks[next(iter(delta.masks))] += 1
+    delta.masks[0] = 7
+    assert delta_dag(d) == expected
+    tc = toric_class(d)
+    expected = delta_toric(tc)
+    cyc = delta_toric(tc)
+    cyc.masks[next(iter(cyc.masks))] += 1
+    assert delta_toric(tc) == expected
     assert omega_dag(d, 3) == len(enumerate_enriched(d, 3))
+    assert omega_toric(tc, 3) == len(enumerate_enriched_toric(tc, 3))
 
 
 def assert_omega_counts(dags, ms):
     """``omega_dag`` and ``omega_toric``, products over components, are the
-    lengths of the listings, which multiply nothing. So is the chain-count
-    DP of the whole DAG, unsplit, whose top entry is 2^n times the number
-    of linear extensions."""
+    lengths of the listings, which multiply nothing. So is the peak DP of
+    the whole DAG, unsplit, whose total is the number of linear
+    extensions."""
     for d in dags:
-        n, a = len(d.vertices), _chain_counts(d)
-        assert len(a) == n + 1
-        assert a[n] == 2**n * len(linear_extensions(d)), d
+        n, counts = len(d.vertices), _peak_distribution(d.pred)
+        assert sum(counts.values()) == len(linear_extensions(d)), d
         for m in ms:
             count = len(enumerate_enriched(d, m))
             assert omega_dag(d, m) == count, (d, m)
-            assert sum(c * comb(m, j) for j, c in enumerate(a)) == count, (d, m)
+            assert _omega_from_peaks(n, counts, m) == count, (d, m)
     for tc in {toric_class(d) for d in dags}:
         for m in ms:
             assert omega_toric(tc, m) == len(enumerate_enriched_toric(tc, m)), (tc.canonical, m)

@@ -25,17 +25,19 @@ def test_enumerator_catches_a_wrong_kcyc(monkeypatch):
 
 
 def test_fundamental_lemma_catches_a_wrong_delta_dag(monkeypatch):
-    # delta_toric sums delta_dag over the members of each 2-edge-connected
-    # component's class. Doubling it in degree 3 doubles the triangles'
-    # classes, which have no bridge: the sums stay cyclic but break against
-    # the cPk oracle.
-    delta_dag = enriched.delta_dag
+    # delta_toric transforms, per 2-edge-connected component, the summed
+    # peak distributions of the members of the component's class. Doubling
+    # them in degree 3 doubles the triangles' classes, which have no
+    # bridge: the sums stay cyclic but break against the cPk oracle.
+    toric_peaks = enriched._toric_peaks
 
-    def doubled_in_degree_3(d):
-        delta = delta_dag(d)
-        return delta.scale(2) if len(d.vertices) == 3 else delta
+    def doubled_in_degree_3(tc):
+        return tuple(
+            (n, {S: 2 * c for S, c in counts.items()} if n == 3 else counts)
+            for n, counts in toric_peaks(tc)
+        )
 
-    monkeypatch.setattr(enriched, "delta_dag", doubled_in_degree_3)
+    monkeypatch.setattr(enriched, "_toric_peaks", doubled_in_degree_3)
     verify._delta_toric.cache_clear()
     try:
         report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
@@ -43,6 +45,30 @@ def test_fundamental_lemma_catches_a_wrong_delta_dag(monkeypatch):
         verify._delta_toric.cache_clear()
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
     assert failed == ["toric decomposition", "specialization counts"]
+
+
+def test_fundamental_lemma_checks_delta_without_the_lemma(monkeypatch):
+    # With the lemma's oracle replaced by the fast path itself, a peak DP
+    # that records each peak one position late still fails against the
+    # brute-force weight polynomials in two variables; one variable sees
+    # only the empty peak set. Such a DP breaks the cyclic symmetry of the
+    # toric sums, so the toric route reads its cPk oracle here.
+    peaks = enriched._peak_distribution
+
+    def one_late(pred):
+        return {S >> 1: c for S, c in peaks(pred).items()}
+
+    monkeypatch.setattr(verify, "_delta_by_extensions", verify.delta_dag)
+    monkeypatch.setattr(verify, "_delta_toric", verify._delta_toric_by_cpk)
+    monkeypatch.setattr(enriched, "_peak_distribution", one_late)
+    enriched._toric_peaks.cache_clear()
+    try:
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2, random_count=0)
+    finally:
+        enriched._toric_peaks.cache_clear()
+    failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
+    # A peak moved to the last position also changes Δ at ones.
+    assert failed == ["linear decomposition", "specialization counts"]
 
 
 def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
@@ -168,8 +194,9 @@ def test_a_repeated_dag_fails_once_per_draw(monkeypatch):
     report = verify.run_suite("fundamental-lemma", max_m=1)
     linear = report["checks"][0]
     assert linear["name"].startswith("linear decomposition, 772 DAGs")
-    # Once from small_dags, once per random draw.
-    assert linear["detail"] == f"{k + 1} failures"
+    # Once from small_dags, once per random draw; each time against the
+    # lemma's oracle and against the brute-force weights at m = 1.
+    assert linear["detail"] == f"{2 * (k + 1)} failures"
 
 
 @pytest.mark.parametrize(
