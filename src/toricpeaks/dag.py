@@ -88,7 +88,18 @@ class Dag:
                 )
         if any(type(v) is not int for arc in arcs for v in arc):
             raise ValueError("arc endpoints must be integers")
+        _listed_once(vertices, "vertex")
+        _listed_once(map(tuple, arcs), "arc")
         return cls.make(vertices, arcs)
+
+
+def _listed_once(items: Iterable, what: str) -> None:
+    """Refuse a JSON list that repeats an item, which a set would drop."""
+    seen = set()
+    for x in items:
+        if x in seen:
+            raise ValueError(f"{what} {json.dumps(x)} is listed twice")
+        seen.add(x)
 
 
 def _index(

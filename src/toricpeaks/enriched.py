@@ -3,15 +3,16 @@ the (cyclic) peak functions they generate.
 
 Values live in the nonzero integers ordered -1 < 1 < -2 < 2 < ...; an
 assignment is a dict from vertex labels to such values. Weight enumerators
-expand in the monomial bases of qsym: via the peak-set formulas for total
-orders and cyclic peak sets, and for a DAG via the fundamental lemma, from
-one DP over the peak sets of its linear extensions. An enriched toric
-partition of [D] is an enriched partition of exactly one member of [D],
-and the class puts no condition on a bridge, an arc on no cycle
-(``dag._without_bridges``). So Δ_[D] is the folded product, over the
-2-edge-connected components C, of the sums over the members of [C]. The
-enumerations here are the combinatorial side of every identity the test
-suite checks.
+expand in the monomial bases of qsym. Those of a total order, a peak set, a
+DAG and a toric class are one K-expansion (``_delta_from_peaks``) of a
+count of peak sets; for a DAG, by the fundamental lemma, the count is one
+DP over the peak sets of its linear extensions. Kcyc comes from the cyclic
+peak-set formula. An enriched toric partition of [D] is an enriched
+partition of exactly one member of [D], and the class puts no condition
+on a bridge, an arc on no cycle (``dag._without_bridges``). So Δ_[D] is
+the folded product, over the 2-edge-connected components C, of the sums
+over the members of [C]. The enumerations here are the combinatorial side
+of every identity the test suite checks.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import functools
 import heapq
 import math
-import operator
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -35,6 +35,7 @@ from .dag import (
 )
 from .permstat import (
     Word,
+    check_word,
     cpeak_set,
     cyclic_peak_witness,
     is_cyclic_peak_set,
@@ -42,7 +43,7 @@ from .permstat import (
     peak_set,
 )
 from .qsym import CQSym, QSym, from_qsym
-from .setcomp import _class_list, _mask, canonical_subset_class
+from .setcomp import _class_list, _mask, _submasks, canonical_subset_class
 
 Assignment = dict[int, int]
 
@@ -165,26 +166,12 @@ def iter_enriched_toric(tc: ToricClass, m: int) -> Iterator[Assignment]:
     return heapq.merge(*streams, key=lambda f: sorted(f.items()))
 
 
-def delta_from_peak_set(S: frozenset[int], n: int) -> QSym:
-    """Weight enumerator of any permutation with peak set S.
-
-    Sum of 2^{|E|+1} M_{n,E} over E in [n-1] with S inside E ∪ (E+1).
-    """
-    if n == 0:
-        return QSym.unit(1)
-    # Masks in degree n hold e at bit n - e, so E + 1 is mask >> 1; the
-    # subsets of [n-1] are the even masks.
-    peaks = _mask(S, n)
-    terms: dict[int, int] = {}
-    for E in range(0, 1 << n, 2):
-        if not peaks & ~(E | E >> 1):
-            terms[E] = 2 << E.bit_count()
-    return QSym._make(n, terms)
-
-
 def delta_perm(w: Sequence[int]) -> QSym:
-    """Weight enumerator of the enriched partitions of a total order."""
-    return delta_from_peak_set(peak_set(w), len(w))
+    """Weight enumerator of the enriched partitions of a total order, K of
+    its peak set."""
+    word = check_word(w)
+    n = len(word)
+    return _delta_from_peaks(n, {_mask(peak_set(word), n): 1})
 
 
 def delta_dag(d: Dag) -> QSym:
@@ -239,30 +226,32 @@ def _summed(dists: Iterable[Mapping[int, int]]) -> dict[int, int]:
 
 
 def _delta_from_peaks(n: int, counts: Mapping[int, int]) -> QSym:
-    """Σ_S c_S·K_S for peak masks S of degree n: by ``delta_from_peak_set``,
-    M_E gets 2^{|E|+1} (1 in degree 0) times the sum of the c_S with S
-    inside E ∪ (E+1), whose mask is E | E >> 1. One subset-sum transform
-    over all n bits, bit 0 (element n) included, gives every such sum."""
-    sums = [counts.get(T, 0) for T in range(1 << n)]
-    for b in range(n):
-        h = 1 << b
-        for lo in range(h, len(sums), 2 * h):
-            sums[lo : lo + h] = map(operator.add, sums[lo : lo + h], sums[lo - h : lo])
-    terms = {E: sums[E | E >> 1] << E.bit_count() + (n > 0) for E in range(0, 1 << n, 2)}
+    """Σ_S c_S·K_S for peak masks S of degree n, the one K-expansion. By
+    Stembridge's formula, M_E for E in [n-1] (an even mask) gets 2^{|E|+1}
+    (1 in degree 0) times the sum of the c_S with S inside E ∪ (E+1), mask
+    E | E >> 1. One subset-sum over the submasks of U, the union of the S,
+    one pass per bit of U, gives every such sum at (E | E >> 1) & U."""
+    U = functools.reduce(int.__or__, counts, 0)
+    sums = {T: counts.get(T, 0) for T in _submasks(U)}
+    rest = U
+    while rest:
+        h = rest & -rest
+        rest ^= h
+        for T in sums:
+            if T & h:
+                sums[T] += sums[T ^ h]
+    unit, evens = n > 0, range(0, 1 << n, 2)
+    terms = {E: c << E.bit_count() + unit for E in evens if (c := sums[(E | E >> 1) & U])}
     return QSym._make(n, terms)
 
 
 def k_peak(S: Iterable[int], n: int) -> QSym:
-    """K_S, the peak function of a valid linear peak set S in [n].
-
-    Stembridge's formula gives it from S alone, as the weight enumerator of
-    any permutation with peak set S; the tests compare it with ``delta_perm``
-    of a witness built by ``permstat._witness``.
-    """
+    """K_S, the peak function of a valid linear peak set S in [n]: the
+    weight enumerator of any permutation with peak set S."""
     S = frozenset(S)
     if not is_peak_set(S, n):
         raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
-    return delta_from_peak_set(S, n)
+    return _delta_from_peaks(n, {_mask(S, n): 1})
 
 
 def kcyc(S: Iterable[int], n: int) -> CQSym:
@@ -309,33 +298,35 @@ def delta_toric(tc: ToricClass) -> CQSym:
     return from_qsym(math.prod(sums, start=QSym.unit()))
 
 
-@functools.cache
+_TORIC_PEAKS: dict[tuple[int, ...], tuple[tuple[int, dict[int, int]], ...]] = {}
+
+
 def _toric_peaks(tc: ToricClass) -> tuple[tuple[int, dict[int, int]], ...]:
     """For each 2-edge-connected component C of tc's canonical member, its
-    degree and the summed peak distributions of the members of [C]. Kept
-    per class, so Δ and Ω of a class, or Ω at a second m, build its
-    component classes once. Callers must not mutate the dicts."""
-    return tuple(
-        (len(c.canonical.pred), _summed(_peak_distribution(e.pred) for e in c.members))
-        for c in _bridgeless_classes(tc)
-    )
+    degree and the summed peak distributions of the members of [C]. They
+    depend only on that member's bit index, and are kept in
+    ``_TORIC_PEAKS`` under it: Δ and Ω of a class, or Ω at a second m,
+    build its component classes once, relabelled classes share the entry,
+    and no ``Dag`` is kept. Callers must not mutate the dicts."""
+    key = tc.canonical.pred
+    if key not in _TORIC_PEAKS:
+        _TORIC_PEAKS[key] = tuple(
+            (len(c.canonical.pred), _summed(_peak_distribution(e.pred) for e in c.members))
+            for c in _bridgeless_classes(tc)
+        )
+    return _TORIC_PEAKS[key]
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
-    """Independent route: fold the linear enumerators of every rotation.
-
-    Sums delta_perm over all n rotations of every toric extension, one
-    ``delta_from_peak_set`` call per distinct peak set, and folds the
-    result into the cyclic monomial basis.
-    """
+    """Independent route: one K-expansion of the peak sets of all n
+    rotations of every toric extension, folded into the Mcyc basis."""
     n = len(tc.canonical.vertices)
     if n == 0:
         return CQSym.unit(1)
     counts = Counter(
-        peak_set(w[i:] + w[:i]) for w in _toric_extensions(tc.members) for i in range(n)
+        _mask(peak_set(w[i:] + w[:i]), n) for w in _toric_extensions(tc.members) for i in range(n)
     )
-    deltas = (delta_from_peak_set(S, n).scale(c) for S, c in counts.items())
-    return from_qsym(sum(deltas, QSym.zero(n)))
+    return from_qsym(_delta_from_peaks(n, counts))
 
 
 def standardize(w: Sequence[int], offset: int) -> Word:

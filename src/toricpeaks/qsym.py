@@ -491,24 +491,22 @@ def from_qsym(a: QSym) -> CQSym:
     if n == 0:
         return CQSym.unit(a.masks.get(0, 0))
     # M_{n,L} occurs in Mcyc_{n,E} exactly when L ∪ {n} lies in the class of
-    # E; n is bit 0.
+    # E; n is bit 0. Each class's coefficient is read off its first term,
+    # and the expansion back must give a.
     coeffs: dict[int, int] = {}
-    reconstructed: dict[int, int] = {}
     for key in {_canonical_mask(L | 1, n) for L in a.masks}:
-        expansion = _class_expansion(key, n)
-        L0, mult0 = expansion[0]
+        L0, mult0 = _class_expansion(key, n)[0]
         c0 = a.masks.get(L0, 0)
         if c0 % mult0 != 0:
             raise NotCyclicError(
                 f"coefficient {c0} of M_{{{n},{sorted(_set(L0, n))}}} is not "
                 f"divisible by its class multiplicity {mult0}"
             )
-        c = coeffs[key] = c0 // mult0
-        for L, mult in expansion:
-            reconstructed[L] = reconstructed.get(L, 0) + c * mult
-    if _clean(reconstructed) != a.masks:
+        coeffs[key] = c0 // mult0
+    result = CQSym._make(n, coeffs)
+    if result.as_qsym() != a:
         raise NotCyclicError("coefficients are inconsistent across a cyclic class")
-    return CQSym._make(n, coeffs)
+    return result
 
 
 class TruncPoly:

@@ -30,10 +30,10 @@ from .dag import (
     toric_extensions,
 )
 from .enriched import (
+    _delta_from_peaks,
     _peak_distribution,
     cyclic_peak_product,
     delta_dag,
-    delta_from_peak_set,
     delta_perm,
     delta_toric,
     delta_toric_by_rotations,
@@ -213,11 +213,17 @@ def _brute_enriched(d: Dag, m: int) -> list[dict[int, int]]:
 
 
 def _delta_by_extensions(d: Dag) -> QSym:
-    """Oracle for ``delta_dag``: the sum of ``delta_perm`` over the linear
-    extensions of d (the fundamental lemma), one ``delta_from_peak_set``
-    call per distinct peak set."""
+    """Oracle for ``delta_dag``: the sum of Δ_w over the linear extensions w
+    of d (the fundamental lemma). Each distinct peak set is expanded in the
+    fundamental basis by ``_k_fundamental``, and the summed coefficients
+    convert to the monomial basis once, so no K-expansion of the library
+    takes part."""
     n, counts = len(d.vertices), Counter(map(peak_set, _linear_extensions_of(d)))
-    return sum((delta_from_peak_set(S, n).scale(c) for S, c in counts.items()), QSym.zero(n))
+    coeffs: Counter = Counter()
+    for S, c in counts.items():
+        for D, k in _k_fundamental(S, n).items():
+            coeffs[D] += c * k
+    return QSym.from_fundamental(n, coeffs)
 
 
 def _toric_class_by_flips(d: Dag) -> frozenset[Dag]:
@@ -310,13 +316,11 @@ def _fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> TruncPoly:
     return TruncPoly(m, out)
 
 
-def _delta_fundamental_expansion(w: Sequence[int]) -> dict[frozenset, int]:
-    """Oracle for ``delta_perm(w).to_fundamental()``, Stembridge's peak-set
-    expansion: coefficient 2^{pk+1} on each D in [n-1] with Pk w inside
+def _k_fundamental(S: frozenset[int], n: int) -> dict[frozenset, int]:
+    """K_S in the fundamental basis by Stembridge's peak-set expansion:
+    coefficient 2^{|S|+1} (1 in degree 0) on each D in [n-1] with S inside
     D △ (D+1)."""
-    n = len(w)
-    S = peak_set(w)
-    coeff = 2 ** (len(S) + 1)
+    coeff = 1 << len(S) + (n > 0)
     peaks = _mask(S, n)
     return {_set(D, n): coeff for D in range(0, 1 << n, 2) if not peaks & ~(D ^ D >> 1)}
 
@@ -522,7 +526,7 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> list:
                 for m in range(1, max_m + 1):
                     brute = _weight_poly(_enriched_set(_word_dag(w), m), m)
                     agree.append(brute == dperm.truncate(m))
-            agree.append(_delta_fundamental_expansion(w) == dperm.to_fundamental())
+            agree.append(_k_fundamental(peak_set(w), n) == dperm.to_fundamental())
     _check(checks, f"delta oracles all words n<={max_n}", agree)
     # Kcyc of the cyclic peak set against the rotation route, which sums
     # the linear enumerators of all n rotations of the cyclic order w.
@@ -617,7 +621,7 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
                 omega(w, m) == _count_enriched_word(w, m) for m in range(1, max_m + 1)
             ]
             formula_ok.append(omega(w, 0) == 0)
-            if n <= 4:  # the down-set count of w's chain DAG
+            if n <= 4:  # the peak-set DP of w's chain DAG
                 chain = _word_dag(w)
                 formula_ok += [omega_dag(chain, m) == omega(w, m) for m in range(max_m + 1)]
             classes.add(canonical_rotation(w))
@@ -797,11 +801,8 @@ def suite_shuffle(max_n: int = 6, **_) -> list:
                     sig = standardize(sig0, a)
                     lhs = _k_peak_product(peak_set(pi), a, peak_set(sig0), b)
                     taus = shuffle_set(pi, sig)
-                    counts = Counter(peak_set(tau) for tau in taus)
-                    rhs = sum(
-                        (_k_peak(S, a + b).scale(c) for S, c in counts.items()),
-                        QSym.zero(a + b),
-                    )
+                    counts = Counter(_mask(peak_set(tau), a + b) for tau in taus)
+                    rhs = _delta_from_peaks(a + b, counts)
                     products.append(lhs == rhs and len(taus) == math.comb(a + b, a))
     _check(checks, f"{len(products)} shuffle products, degrees <= {max_n}", products)
     return checks

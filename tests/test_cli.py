@@ -147,6 +147,8 @@ def test_expand_without_degree_is_one_line_error():
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[1]]}'),
         ("extensions", "linear", "--dag", '{"vertices":5,"arcs":[]}'),
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":{"1":2}}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,1,2],"arcs":[[1,2],[1,2]]}'),
+        ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[[1,2],[1,2]]}'),
         ("extensions", "linear", "--dag", '{"vertices":[1,2],"arcs":[]}', "--word", "21"),
         ("enumerate", "markings", "--word", "21", "--dag", "x", "--m", "2"),
         ("expand", "M", "3", "1", "--word", "12"),

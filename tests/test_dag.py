@@ -223,6 +223,14 @@ def test_json_roundtrip():
     assert '"size": 5' in tc.to_json()
 
 
+def test_from_json_refuses_repeated_input():
+    # A set would silently collapse a repeated vertex or arc.
+    with pytest.raises(ValueError, match=r"^vertex 1 is listed twice$"):
+        Dag.from_json('{"vertices":[1,1,2],"arcs":[[1,2],[1,2]]}')
+    with pytest.raises(ValueError, match=r"^arc \[1, 2\] is listed twice$"):
+        Dag.from_json('{"vertices":[1,2],"arcs":[[1,2],[1,2]]}')
+
+
 @st.composite
 def labeled_dags(draw, max_n):
     """A random arc subset of the transitive tournament of a random order

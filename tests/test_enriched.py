@@ -10,7 +10,6 @@ from toricpeaks.enriched import (
     _peak_distribution,
     cyclic_peak_product,
     delta_dag,
-    delta_from_peak_set,
     delta_perm,
     delta_toric,
     delta_toric_by_rotations,
@@ -22,7 +21,7 @@ from toricpeaks.enriched import (
     kcyc,
     signed_key,
 )
-from toricpeaks.permstat import cyclic_peak_sets, is_cyclic_peak_set
+from toricpeaks.permstat import cyclic_peak_sets, is_cyclic_peak_set, peak_set
 from toricpeaks.qsym import (
     CQSym,
     QSym,
@@ -35,8 +34,8 @@ from toricpeaks.setcomp import _canonical_mask, _mask, shift_set
 from toricpeaks.verify import (
     _brute_enriched,
     _delta_by_extensions,
-    _delta_fundamental_expansion,
     _delta_toric_by_cpk,
+    _k_fundamental,
     _kcyc_triangular_matrix,
     _matrix_rank,
     random_dags,
@@ -87,7 +86,7 @@ def test_delta_of_2431():
         },
     )
     assert delta_perm((2, 4, 3, 1)) == expected
-    assert delta_from_peak_set(frozenset({2}), 4) == expected
+    assert k_peak({2}, 4) == expected
 
 
 def test_delta_dag_sums_linear_extensions():
@@ -173,7 +172,7 @@ def test_delta_dag_of_two_five_chains():
 def test_fundamental_expansion_matches_basis_change():
     for n in range(1, 6):
         for w in itertools.permutations(range(1, n + 1)):
-            assert _delta_fundamental_expansion(w) == delta_perm(w).to_fundamental()
+            assert _k_fundamental(peak_set(w), n) == delta_perm(w).to_fundamental()
 
 
 def test_k_peak_square_identity():
@@ -195,6 +194,28 @@ def test_k_peak_rejects_invalid_sets():
         k_peak({1}, 3)
     with pytest.raises(ValueError):
         kcyc({1, 2}, 4)
+
+
+@pytest.mark.parametrize("w", [(2, 2, 1), (0, 3)])
+def test_delta_perm_refuses_an_invalid_word(w):
+    with pytest.raises(ValueError, match="^labels must be (distinct|positive)"):
+        delta_perm(w)
+
+
+def peak_set_filter(S, n):
+    """K_S by a pass over all 2^{n-1} subsets E of [n-1]: 2^{|E|+1} M_{n,E}
+    for each E with S inside E ∪ (E+1), whose mask is E | E >> 1."""
+    if n == 0:
+        return QSym.unit(1)
+    peaks = _mask(S, n)
+    terms = {E: 2 << E.bit_count() for E in range(0, 1 << n, 2) if not peaks & ~(E | E >> 1)}
+    return QSym._make(n, terms)
+
+
+def test_k_expansion_of_one_peak_set_is_the_filter():
+    for n in range(13):
+        for S in peak_sets(n):
+            assert k_peak(S, n) == peak_set_filter(S, n), (S, n)
 
 
 def test_kcyc_of_single_cyclic_peak():

@@ -33,11 +33,10 @@ from toricpeaks.dag import (
     linear_extensions,
     toric_class,
 )
+from toricpeaks import enriched
 from toricpeaks.enriched import (
     _peak_distribution,
-    _toric_peaks,
     delta_dag,
-    delta_from_peak_set,
     delta_toric,
     enumerate_enriched,
     enumerate_enriched_toric,
@@ -45,7 +44,13 @@ from toricpeaks.enriched import (
 from toricpeaks.permstat import peak_set, rotations
 from toricpeaks.qsym import QSym
 from toricpeaks.setcomp import _mask, _set
-from toricpeaks.verify import _delta_by_extensions, _interpolate, random_dags, small_dags
+from toricpeaks.verify import (
+    _delta_by_extensions,
+    _interpolate,
+    _k_fundamental,
+    random_dags,
+    small_dags,
+)
 
 from test_dag import labeled_dags
 
@@ -157,11 +162,31 @@ def test_omega_dag_runs_once_per_shape():
     tc = toric_class(Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)]))
     shapes = {e.pred for c in _bridgeless_classes(tc) for e in c.members}
     _peak_distribution.cache_clear()
-    _toric_peaks.cache_clear()
+    enriched._TORIC_PEAKS.clear()
     counts = [omega_toric(tc, m) for m in range(6)]
     assert _peak_distribution.cache_info().misses == len(shapes)
-    assert _toric_peaks.cache_info().misses == 1
+    assert list(enriched._TORIC_PEAKS) == [tc.canonical.pred]
     assert counts == [len(enumerate_enriched_toric(tc, m)) for m in range(6)]
+
+
+def test_toric_peaks_are_kept_per_bit_index():
+    # Labels + 10 give the class the same canonical bit index: no new
+    # entry, and equal Δ and Ω. An entry holds degrees and count dicts of
+    # integers, no Dag.
+    d = Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)])
+    shifted = Dag.make([v + 10 for v in d.vertices], [(i + 10, j + 10) for i, j in d.arcs])
+    enriched._TORIC_PEAKS.clear()
+    delta = delta_toric(toric_class(d))
+    table = [omega_toric(toric_class(d), m) for m in range(4)]
+    assert len(enriched._TORIC_PEAKS) == 1
+    assert delta_toric(toric_class(shifted)) == delta
+    assert [omega_toric(toric_class(shifted), m) for m in range(4)] == table
+    assert len(enriched._TORIC_PEAKS) == 1
+    for key, pieces in enriched._TORIC_PEAKS.items():
+        assert all(type(x) is int for x in key)
+        for n, counts in pieces:
+            assert type(n) is int and type(counts) is dict
+            assert all(type(S) is int and type(c) is int for S, c in counts.items())
 
 
 def test_delta_and_omega_share_one_dp():
@@ -176,15 +201,16 @@ def test_delta_and_omega_share_one_dp():
 
 def assert_peaks_project_delta(d):
     """The peak DP counts the linear extensions of d by peak set; its
-    K-expansion, by the per-set filter, is Δ_d, and Δ_d at m ones is
-    Ω_d(m)."""
+    K-expansion, through Stembridge's F-basis formula, is Δ_d, and Δ_d at
+    m ones is Ω_d(m)."""
     n, counts = len(d.vertices), _peak_distribution(d.pred)
     assert counts == Counter(_mask(peak_set(w), n) for w in linear_extensions(d)), d
     delta = delta_dag(d)
-    expansion = QSym.zero(n)
+    coeffs = Counter()
     for S, c in counts.items():
-        expansion += delta_from_peak_set(_set(S, n), n).scale(c)
-    assert delta == expansion, d
+        for D, k in _k_fundamental(_set(S, n), n).items():
+            coeffs[D] += c * k
+    assert delta == QSym.from_fundamental(n, coeffs), d
     assert [omega_dag(d, m) for m in range(4)] == [delta.specialize_ones(m) for m in range(4)], d
 
 

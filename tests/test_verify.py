@@ -1,5 +1,6 @@
 """The verify suites catch what they claim to check, and share their memos."""
 
+import inspect
 import random
 from collections import Counter
 
@@ -61,14 +62,30 @@ def test_fundamental_lemma_checks_delta_without_the_lemma(monkeypatch):
     monkeypatch.setattr(verify, "_delta_by_extensions", verify.delta_dag)
     monkeypatch.setattr(verify, "_delta_toric", verify._delta_toric_by_cpk)
     monkeypatch.setattr(enriched, "_peak_distribution", one_late)
-    enriched._toric_peaks.cache_clear()
+    enriched._TORIC_PEAKS.clear()
     try:
         report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2, random_count=0)
     finally:
-        enriched._toric_peaks.cache_clear()
+        enriched._TORIC_PEAKS.clear()
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
     # A peak moved to the last position also changes Δ at ones.
     assert failed == ["linear decomposition", "specialization counts"]
+
+
+def test_fundamental_lemma_catches_a_wrong_k_expansion(monkeypatch):
+    # The one K-expansion, mutated to read S inside E ∪ (E-1) instead of
+    # E ∪ (E+1), fails against the lemma's oracle, which expands in the F
+    # basis without it. The mutated sums are not cyclic and folding them
+    # raises, so the toric route reads its cPk oracle here.
+    source = inspect.getsource(enriched._delta_from_peaks)
+    assert source.count("sums[(E | E >> 1) & U]") == 1
+    namespace = dict(vars(enriched))
+    exec(source.replace("sums[(E | E >> 1) & U]", "sums[(E | E << 1) & U]"), namespace)
+    monkeypatch.setattr(enriched, "_delta_from_peaks", namespace["_delta_from_peaks"])
+    monkeypatch.setattr(verify, "_delta_toric", verify._delta_toric_by_cpk)
+    report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+    failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
+    assert failed == ["linear decomposition"]
 
 
 def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
