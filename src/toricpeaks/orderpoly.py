@@ -58,6 +58,14 @@ class RationalSeries:
         return out
 
 
+def _nonempty(w: Sequence[int]) -> Word:
+    """w as checked by ``check_word``, refused when it has no letter."""
+    word = check_word(w)
+    if not word:
+        raise ValueError("need a nonempty word")
+    return word
+
+
 def multiset_coeff(a: int, k: int) -> int:
     """Number of k-element multisets on an a-element set."""
     return comb(a + k - 1, k) if k >= 0 else 0
@@ -85,9 +93,7 @@ def omega(w: Sequence[int], m: int) -> int:
     Closed form 2^{2pk+1} * sum over k of ((n+1 multichoose k)) *
     C(n - 2pk - 1, m - 1 - pk - k).
     """
-    word = check_word(w)
-    if not word:
-        raise ValueError("need a nonempty word")
+    word = _nonempty(w)
     n = len(word)
     return _omega_from_peaks(n, {_mask(peak_set(word), n): 1}, m)
 
@@ -134,9 +140,7 @@ def omega_cyc(w: Sequence[int], m: int) -> int:
     The ``order-poly`` verify suite checks it against the sum of linear
     order polynomials over all rotations of w.
     """
-    word = check_word(w)
-    if not word:
-        raise ValueError("need a nonempty word")
+    word = _nonempty(w)
     return omega_cyc_formula(len(word), len(cpeak_set(word)), m)
 
 
@@ -155,9 +159,7 @@ def gf_omega(w: Sequence[int], order: int) -> list[int]:
 
     2^{2pk+1} t^{pk+1} (1+t)^{n-2pk-1} / (1-t)^{n+1}.
     """
-    word = check_word(w)
-    if not word:
-        raise ValueError("need a nonempty word")
+    word = _nonempty(w)
     n = len(word)
     pk = len(peak_set(word))
     num = poly_mul(
@@ -174,9 +176,7 @@ def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
     (4t/(1+t)^2)^cpk ((1+t)/(1-t))^(n-1) (cpk + 2nt/(1-t)^2), cleared to
     an integer numerator and denominator.
     """
-    word = check_word(w)
-    if not word:
-        raise ValueError("need a nonempty word")
+    word = _nonempty(w)
     n = len(word)
     cpk = len(cpeak_set(word))
     inner = [cpk, 2 * n - 2 * cpk, cpk]  # cpk*(1-t)^2 + 2nt
@@ -206,9 +206,7 @@ class RunDecomposition:
 
 def runs(w: Sequence[int]) -> RunDecomposition:
     """Greedy alternating decreasing/increasing factorization."""
-    word = check_word(w)
-    if not word:
-        raise ValueError("need a nonempty word")
+    word = _nonempty(w)
     n = len(word)
     sentinel = max(word) + 1
     seq = (sentinel,) + word + (sentinel,)
@@ -246,9 +244,7 @@ class Marking:
 
 def enumerate_markings(w: Sequence[int], m: int) -> list[Marking]:
     """All (w, m)-markings: b bars plus d marks with b + d = m - 1 - pk."""
-    word = check_word(w)
-    if not word:
-        raise ValueError("need a nonempty word")
+    word = _nonempty(w)
     n = len(word)
     pk = len(peak_set(word))
     budget = m - 1 - pk
@@ -274,37 +270,26 @@ def partition_to_marking(f: Mapping[int, int], w: Sequence[int], m: int) -> Mark
     flags a negative value in an increasing run.
     """
     word = check_word(w)
-    _check_partition(f, Dag.from_word(word), m)
+    if not is_enriched(f, Dag.from_word(word)):
+        raise ValueError("f is not an enriched partition of w")
+    if any(abs(v) > m for v in f.values()):
+        raise ValueError(f"absolute values exceed {m}")
     return _marker(word, m)(f)
 
 
 def marking_fibers(w: Sequence[int], m: int) -> Counter:
     """Sizes of the fibers of partition_to_marking over all markings.
 
-    The chain DAG and the runs of w are built once, not once per
-    partition; every partition is still checked against them.
+    The runs of w are read once, not once per partition. The partitions
+    come from ``enumerate_enriched`` on w's chain DAG, so none is checked
+    again as ``partition_to_marking`` checks outside input.
     """
     word = check_word(w)
-    d = Dag.from_word(word)
-    mark = _marker(word, m)
-    out: Counter = Counter()
-    for f in enumerate_enriched(d, m):
-        _check_partition(f, d, m)
-        out[mark(f)] += 1
-    return out
-
-
-def _check_partition(f: Mapping[int, int], d: Dag, m: int) -> None:
-    """Refuse f unless it is an enriched partition of the chain d with
-    |f| <= m."""
-    if not is_enriched(f, d):
-        raise ValueError("f is not an enriched partition of w")
-    if any(abs(v) > m for v in f.values()):
-        raise ValueError(f"absolute values exceed {m}")
+    return Counter(map(_marker(word, m), enumerate_enriched(Dag.from_word(word), m)))
 
 
 def _marker(word: Word, m: int) -> Callable[[Mapping[int, int]], Marking]:
-    """``partition_to_marking`` on ``word`` for checked partitions, with
+    """``partition_to_marking`` on ``word`` for valid partitions, with
     what depends on the word and m alone found once: each column's label,
     the ceil(i/2) and trend of its run i, whether it is markable, and the
     bars' and marks' total m - 1 - pk."""

@@ -6,9 +6,8 @@ coefficients; a ``CQSym`` maps canonical cyclic subset classes in [n] to
 integers. Both key their maps by the bitmasks of setcomp (element e at
 bit n - e) and show frozenset keys only at the API edge: the ``terms``
 view and the public constructors. JSON and ``repr`` rows are sorted
-element lists read straight from the masks. Fundamental bases, cyclic
-bases and truncation to finitely many variables are views and
-constructors on top of these.
+element lists read straight from the masks. Fundamental and cyclic
+bases are views and constructors on top of these.
 
 Products walk the quasi-shuffle lattice paths one grid column at a time,
 sharing the columns that consecutive right terms have in common (see
@@ -22,7 +21,6 @@ All coefficients are exact Python integers.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from collections import Counter
 from math import comb
@@ -264,19 +262,6 @@ class QSym(_Homogeneous):
         extra = 1 if self.degree else 0
         return sum(c * comb(m, E.bit_count() + extra) for E, c in self.masks.items())
 
-    def truncate(self, m: int) -> "TruncPoly":
-        """Exact polynomial in m variables: x_{m+1} = x_{m+2} = ... = 0."""
-        out: Counter = Counter()
-        for E, c in self.masks.items():
-            sums = _partial_sums(E, self.degree)
-            alpha = [b - a for a, b in zip(sums, sums[1:])]
-            for idx in itertools.combinations(range(m), len(alpha)):
-                expo = [0] * m
-                for pos, a in zip(idx, alpha):
-                    expo[pos] = a
-                out[tuple(expo)] += c
-        return TruncPoly(m, out)
-
     def to_json(self, basis: str = "M") -> str:
         if basis == "M":
             return self._json(basis, self.masks)
@@ -438,9 +423,6 @@ class CQSym(_Homogeneous):
     def specialize_ones(self, m: int) -> int:
         return self.as_qsym().specialize_ones(m)
 
-    def truncate(self, m: int) -> "TruncPoly":
-        return self.as_qsym().truncate(m)
-
     @classmethod
     def from_json(cls, payload: str) -> "CQSym":
         data = json.loads(payload)
@@ -507,31 +489,4 @@ def from_qsym(a: QSym) -> CQSym:
     if result.as_qsym() != a:
         raise NotCyclicError("coefficients are inconsistent across a cyclic class")
     return result
-
-
-class TruncPoly:
-    """Exact polynomial in m variables, sparse map exponent-vector -> int."""
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: Mapping[tuple[int, ...], int]):
-        self.m = m
-        self.terms = {k: v for k, v in terms.items() if v != 0}
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncPoly)
-            and self.m == other.m
-            and self.terms == other.terms
-        )
-
-    def __mul__(self, other: "TruncPoly") -> "TruncPoly":
-        out: Counter = Counter()
-        for ka, va in self.terms.items():
-            for kb, vb in other.terms.items():
-                out[tuple(x + y for x, y in zip(ka, kb))] += va * vb
-        return TruncPoly(self.m, out)
-
-    def __repr__(self) -> str:
-        return f"TruncPoly(m={self.m}, {len(self.terms)} terms)"
 

@@ -370,6 +370,12 @@ def test_verify_n_bounds_the_product_degree(capsys, suite, kind):
     [
         (["shuffle", "--n", "1"], "EMPTY  shuffle: 0 shuffle products, degrees <= 1"),
         (["enumerator", "--n", "0"], "EMPTY  enumerator: delta oracles all words n<=0"),
+        (["triangularity", "--n", "1"], "EMPTY  triangularity: triangularity and rank n<=1"),
+        (["cyclic-f", "--m", "0"], "EMPTY  cyclic-f: pair oracle m<=0"),
+        (
+            ["enumerator", "--m", "0"],
+            "EMPTY  enumerator: delta-cyc brute-force weights m<=0",
+        ),
     ],
 )
 def test_verify_marks_a_check_over_no_instance_empty(capsys, argv, line):
