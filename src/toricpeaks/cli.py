@@ -128,8 +128,9 @@ def cmd_expand(args) -> int:
     try:
         if kind == "delta":
             elem = enriched.delta_dag(load_dag(args))
-        elif kind == "delta-cyc":
-            elem = enriched.delta_toric(dagmod.toric_class(load_dag(args)))
+        elif kind == "delta-cyc":  # [D] and [D minus its bridges] share Δ
+            bare = dagmod._without_bridges(load_dag(args))
+            elem = enriched.delta_toric(dagmod.toric_class(bare))
         else:
             elem = BUILDERS[kind](args.n, parse_subset(args.set))
         basis = args.basis or ("Mcyc" if kind in ("Mcyc", "Kcyc", "delta-cyc") else "M")

@@ -48,31 +48,32 @@ from .setcomp import _class_list, _mask, _submasks, canonical_subset_class
 Assignment = dict[int, int]
 
 
-def signed_key(v: int) -> tuple[int, int]:
-    """Sort key realizing -1 < 1 < -2 < 2 < ... on nonzero integers."""
-    if v == 0:
-        raise ValueError("0 is not an admissible value")
-    return (abs(v), 0 if v < 0 else 1)
+def _rank(x: int) -> int:
+    """The rank 2|x| - (x < 0) of a nonzero int x in -1 < 1 < -2 < 2 < ..."""
+    if type(x) is not int or x == 0:
+        raise ValueError(f"{x!r} is not an admissible value")
+    return 2 * abs(x) - (x < 0)
+
+
+def _fits(a: int, b: int, up: bool) -> bool:
+    """Whether an arc with tail rank a and head rank b passes, ``up`` when
+    the tail's label is the smaller: a < b, or a tie at a positive value
+    (even rank) exactly when the arc is up."""
+    return a < b or a == b and (a % 2 == 0) == up
 
 
 def is_enriched(f: Mapping[int, int], d: Dag) -> bool:
-    """Whether f is an enriched partition of d.
-
-    Along every arc i -> j the value must weakly increase, positive ties
-    force i < j and negative ties force i > j.
-    """
+    """Whether f, an assignment of exactly d's vertices, is an enriched
+    partition of d: every arc passes ``_fits``."""
     missing = d.vertices - f.keys()
     if missing:
         raise ValueError(f"assignment misses vertices {sorted(missing)}")
+    if len(f) != len(d.vertices):
+        raise ValueError(f"assignment has labels {sorted(f.keys() - d.vertices)} outside d")
+    rank = {v: _rank(x) for v, x in f.items()}
     for i, j in d.arcs:
-        a, b = f[i], f[j]
-        if signed_key(a) > signed_key(b):
+        if not _fits(rank[i], rank[j], i < j):
             return False
-        if a == b:
-            if a > 0 and not i < j:
-                return False
-            if a < 0 and not i > j:
-                return False
     return True
 
 
@@ -104,13 +105,10 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
     # arcs k -> e.
     tails = [[e for e in range(k) if pred[k] >> e & 1] for k in range(n)]
     heads = [[e for e in range(k) if pred[e] >> k & 1] for k in range(n)]
-    # With rank 2|x| - (x < 0), i.e. -1 < 1 < -2 < 2 < ..., an arc into a
-    # larger label may tie only at a positive value and an arc into a
-    # smaller label only at a negative one.
-    values = [(x, 2 * abs(x) - (x < 0)) for x in [*range(-m, 0), *range(1, m + 1)]]
+    values = [(x, _rank(x)) for x in [*range(-m, 0), *range(1, m + 1)]]
     top = 2 * m + 1
-    # The values vertex k allows, keyed by its bounds: the largest rank
-    # among its tails and the smallest among its heads.
+    # The values vertex k allows, keyed by its bounds: ``_fits`` grows with
+    # the rank, so the largest among its tails and smallest among its heads.
     allowed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     rank = [0] * n
     row = dict.fromkeys(labels, 0)
@@ -125,7 +123,7 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
             found = allowed.get((lo, hi))
             if found is None:
                 found = allowed[lo, hi] = [
-                    (x, r) for x, r in values if lo <= r - (x < 0) and r + (x > 0) <= hi
+                    (x, r) for x, r in values if _fits(lo, r, True) and _fits(r, hi, False)
                 ]
             if k == last:
                 for x, _ in found:

@@ -36,26 +36,16 @@ def poly_pow(a: Poly, k: int) -> Poly:
     return out
 
 
-@dataclasses.dataclass
-class RationalSeries:
-    """num/den with den(0) = ±1; expansion by exact long division."""
-
-    num: Poly
-    den: Poly
-
-    def __post_init__(self):
-        if not self.den or self.den[0] not in (1, -1):
-            raise ValueError("denominator must have constant term ±1")
-
-    def coefficients(self, order: int) -> list[int]:
-        """Series coefficients c_0 .. c_order."""
-        out = []
-        for j in range(order + 1):
-            acc = self.num[j] if j < len(self.num) else 0
-            for i in range(1, min(j, len(self.den) - 1) + 1):
-                acc -= self.den[i] * out[j - i]
-            out.append(acc * self.den[0])
-        return out
+def _series(num: Poly, den: Poly, order: int) -> list[int]:
+    """Coefficients c_0 .. c_order of num/den, by exact long division; the
+    callers' denominators have constant term 1."""
+    out: list[int] = []
+    for j in range(order + 1):
+        acc = num[j] if j < len(num) else 0
+        for i in range(1, min(j, len(den) - 1) + 1):
+            acc -= den[i] * out[j - i]
+        out.append(acc)
+    return out
 
 
 def _nonempty(w: Sequence[int]) -> Word:
@@ -167,7 +157,7 @@ def gf_omega(w: Sequence[int], order: int) -> list[int]:
         poly_pow([1, 1], n - 2 * pk - 1),
     )
     den = poly_pow([1, -1], n + 1)
-    return RationalSeries(num, den).coefficients(order)
+    return _series(num, den, order)
 
 
 def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
@@ -187,7 +177,7 @@ def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
         num = poly_mul(num, poly_pow([1, 1], extra))
     else:
         den = poly_mul(den, poly_pow([1, 1], -extra))
-    return RationalSeries(num, den).coefficients(order)
+    return _series(num, den, order)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -240,6 +230,8 @@ class Marking:
         n = len(self.w)
         if any(not 0 <= g <= n for g in self.bars):
             raise ValueError("bar outside the gap range")
+        if any(not 1 <= k <= n for k in self.marked):
+            raise ValueError("mark outside the column range")
 
 
 def enumerate_markings(w: Sequence[int], m: int) -> list[Marking]:

@@ -125,12 +125,13 @@ def is_cyclic_peak_set(S: frozenset[int] | set[int], n: int) -> bool:
     """Whether some w in S_n has cPk w = S.
 
     Fast path: for n >= 2, S is nonempty, inside [n], with no two
-    cyclically adjacent elements. For n <= 1 only the empty set occurs.
-    Validated against exhaustive search in the test suite.
+    cyclically adjacent elements. For n = 0, 1 only the empty set occurs,
+    and for n < 0 none. Validated against exhaustive search in the test
+    suite.
     """
     S = frozenset(S)
     if n <= 1:
-        return not S
+        return not S and n >= 0
     if not S or not S <= frozenset(range(1, n + 1)):
         return False
     return all((i % n) + 1 not in S for i in S)
@@ -142,6 +143,8 @@ def cyclic_peak_sets(n: int) -> list[frozenset[int]]:
     doubled cover has 4|K| elements. Sorted first by cardinality, then
     lexicographically.
     """
+    if n < 0:
+        raise ValueError(f"degree {n} is not a nonnegative integer")
     if n <= 1:
         return [frozenset()]
     peak_sets = (

@@ -72,7 +72,7 @@ class _Homogeneous:
         _degree(degree)
         masks = {}
         for E, c in terms.items():
-            if not isinstance(c, int):
+            if type(c) is not int:  # a bool or other subclass prints as itself
                 raise ValueError(f"coefficient {c!r} of {sorted(E)} is not an integer")
             key = cls._key(degree, E)
             if c:
@@ -130,6 +130,8 @@ class _Homogeneous:
         return self + (-other)
 
     def scale(self, c: int):
+        if type(c) is not int:
+            raise ValueError(f"scalar {c!r} is not an integer")
         return self._make(self.degree, {k: c * v for k, v in self.masks.items()})
 
     def __rmul__(self, c: int):
@@ -200,7 +202,7 @@ class QSym(_Homogeneous):
 
     @classmethod
     def unit(cls, coeff: int = 1) -> "QSym":
-        return cls._make(0, {0: coeff})
+        return cls._make(0, {0: 1}).scale(coeff)
 
     @staticmethod
     def _key(degree: int, E: Iterable[int]) -> int:
@@ -381,7 +383,7 @@ class CQSym(_Homogeneous):
 
     @classmethod
     def unit(cls, coeff: int = 1) -> "CQSym":
-        return cls._make(0, {0: coeff})
+        return cls._make(0, {0: 1}).scale(coeff)
 
     @staticmethod
     def _key(degree: int, E: Iterable[int]) -> int:

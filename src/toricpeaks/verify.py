@@ -15,7 +15,7 @@ import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
     Dag,
@@ -38,7 +38,6 @@ from .enriched import (
     delta_toric,
     delta_toric_by_rotations,
     enumerate_enriched,
-    is_enriched,
     k_peak,
     kcyc,
     standardize,
@@ -199,18 +198,28 @@ def random_dags(count: int, max_n: int = 4, seed: int = 0) -> list[Dag]:
     return out
 
 
+def _brute_values(n: int, arcs: Sequence[tuple[int, int, bool]], m: int) -> Iterator[tuple]:
+    """Every n-tuple over ±[m], in lex order, that satisfies each arc
+    (a, b, up) between positions a and b: the key (|x|, x > 0) weakly
+    increases, and a tie is at a positive value exactly when the arc is
+    up. It shares no code with the library's rank and arc test."""
+    keys = [(abs(x), x > 0) for x in [*range(-m, 0), *range(1, m + 1)]]
+    for combo in itertools.product(keys, repeat=n):
+        for a, b, up in arcs:
+            x, y = combo[a], combo[b]
+            if x > y or x == y and x[1] != up:
+                break
+        else:
+            yield tuple([k if positive else -k for k, positive in combo])
+
+
 def _brute_enriched(d: Dag, m: int) -> list[dict[int, int]]:
-    """Oracle for ``enumerate_enriched``: filter all (2m)^n assignments,
-    then sort them."""
+    """Oracle for ``enumerate_enriched``: ``_brute_values`` over d's
+    vertices in label order, so the assignments come sorted."""
     verts = sorted(d.vertices)
-    values = [v for k in range(1, m + 1) for v in (-k, k)]
-    out = []
-    for combo in itertools.product(values, repeat=len(verts)):
-        f = dict(zip(verts, combo))
-        if is_enriched(f, d):
-            out.append(f)
-    out.sort(key=lambda f: sorted(f.items()))
-    return out
+    pos = {v: k for k, v in enumerate(verts)}
+    arcs = [(pos[i], pos[j], i < j) for i, j in d.arcs]
+    return [dict(zip(verts, combo)) for combo in _brute_values(len(verts), arcs, m)]
 
 
 def _delta_by_extensions(d: Dag) -> QSym:
@@ -259,27 +268,11 @@ def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:
 
 
 def _count_enriched_word(w: tuple[int, ...], m: int) -> int:
-    """Independent brute-force count for a total order.
-
-    Checks only consecutive pairs; transitivity of the signed order makes
-    that equivalent to the full arc set of the chain.
-    """
-    vals = [v for k in range(1, m + 1) for v in (-k, k)]
-    n = len(w)
-    count = 0
-    for combo in itertools.product(vals, repeat=n):
-        ok = True
-        for i in range(n - 1):
-            a, b = combo[i], combo[i + 1]
-            if (abs(a), a > 0) > (abs(b), b > 0):
-                ok = False
-                break
-            if a == b and ((a > 0) != (w[i] < w[i + 1])):
-                ok = False
-                break
-        if ok:
-            count += 1
-    return count
+    """Independent brute-force count for a total order: ``_brute_values``
+    over w's consecutive pairs, which transitivity makes equivalent to the
+    full arc set of the chain."""
+    arcs = [(i, i + 1, w[i] < w[i + 1]) for i in range(len(w) - 1)]
+    return sum(1 for _ in _brute_values(len(w), arcs, m))
 
 
 def _cyclic_fundamental_via_F(n: int, E: Iterable[int]) -> QSym:

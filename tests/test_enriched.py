@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from toricpeaks.dag import Dag, disjoint_union, toric_class
 from toricpeaks.enriched import (
     _peak_distribution,
+    _rank,
     cyclic_peak_product,
     delta_dag,
     delta_perm,
@@ -19,7 +20,6 @@ from toricpeaks.enriched import (
     iter_enriched,
     k_peak,
     kcyc,
-    signed_key,
 )
 from toricpeaks.permstat import cyclic_peak_sets, is_cyclic_peak_set, peak_set
 from toricpeaks.qsym import (
@@ -49,9 +49,9 @@ D3 = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
 
 
 def test_signed_order():
-    assert signed_key(-1) < signed_key(1) < signed_key(-2) < signed_key(2)
-    with pytest.raises(ValueError):
-        signed_key(0)
+    assert _rank(-1) < _rank(1) < _rank(-2) < _rank(2)
+    with pytest.raises(ValueError, match="0 is not an admissible value"):
+        _rank(0)
 
 
 def test_is_enriched_tie_rules():
@@ -64,6 +64,36 @@ def test_is_enriched_tie_rules():
     assert is_enriched({1: -1, 2: -1}, d21)
     with pytest.raises(ValueError):
         is_enriched({1: 1}, d)
+
+
+def test_is_enriched_refuses_outside_input():
+    d = Dag.make([1, 2], [(1, 2)])
+    with pytest.raises(ValueError, match=r"labels \[99\] outside d"):
+        is_enriched({1: 1, 2: 1, 99: 5}, d)
+    for bad in (1.5, 0, True, "1"):
+        with pytest.raises(ValueError, match="is not an admissible value"):
+            is_enriched({1: bad, 2: 2}, d)
+    # A vertex on no arc is checked too.
+    with pytest.raises(ValueError, match="0 is not an admissible value"):
+        is_enriched({1: 1, 2: 1, 3: 0}, Dag.make([1, 2, 3], [(1, 2)]))
+
+
+def test_is_enriched_agrees_with_the_brute_force_filter():
+    # verify's filter keeps its own copy of the rule, so no verify suite
+    # needs to call is_enriched: this compares the two on every assignment.
+    for d in small_dags(4):
+        verts = sorted(d.vertices)
+        for m in (1, 2):
+            values = [*range(-m, 0), *range(1, m + 1)]
+            rows = (dict(zip(verts, c)) for c in itertools.product(values, repeat=len(verts)))
+            assert [f for f in rows if is_enriched(f, d)] == _brute_enriched(d, m)
+
+
+def test_peak_functions_refuse_a_negative_degree():
+    with pytest.raises(ValueError, match=r"^\[\] is not a peak set in \[-1\]$"):
+        k_peak(set(), -1)
+    with pytest.raises(ValueError, match=r"^\[\] is not a cyclic peak set in \[-1\]$"):
+        kcyc(set(), -1)
 
 
 def test_enumeration_counts_match_enumerator():

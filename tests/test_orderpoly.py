@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from toricpeaks.orderpoly import (
     Marking,
-    RationalSeries,
     RunDecomposition,
     _omega_from_peaks,
     _peak_sum,
+    _series,
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
@@ -63,10 +63,8 @@ def test_poly_helpers():
 
 def test_rational_series_expansion():
     # 1/(1-t) and t/(1-t)^2
-    assert RationalSeries([1], [1, -1]).coefficients(4) == [1, 1, 1, 1, 1]
-    assert RationalSeries([0, 1], [1, -2, 1]).coefficients(5) == [0, 1, 2, 3, 4, 5]
-    with pytest.raises(ValueError):
-        RationalSeries([1], [2, 1])
+    assert _series([1], [1, -1], 4) == [1, 1, 1, 1, 1]
+    assert _series([0, 1], [1, -2, 1], 5) == [0, 1, 2, 3, 4, 5]
 
 
 def _peak_sum_unbounded(n, p, m):
@@ -375,6 +373,8 @@ def test_partition_to_marking_domain_errors():
         partition_to_marking({1: 1, 2: -1}, (1, 2), 2)
     with pytest.raises(ValueError, match="^absolute values exceed 2$"):
         partition_to_marking({1: 3}, (1,), 2)
+    with pytest.raises(ValueError, match=r"labels \[99\] outside d"):
+        partition_to_marking({1: 1, 2: 1, 99: 5}, (1, 2), 5)
 
 
 def test_marking_fibers_match_partition_to_marking():
@@ -397,6 +397,9 @@ def test_fibers_of_1324():
 def test_marking_validation():
     with pytest.raises(ValueError):
         Marking((1, 2), (3,), frozenset())
+    for mark in (0, 3, 7):
+        with pytest.raises(ValueError, match="mark outside the column range"):
+            Marking((1, 2), (0,), frozenset({mark}))
 
 
 def test_interpolation_reproduces_polynomial_values():

@@ -131,6 +131,13 @@ def test_peak_set_enumerations():
     assert cyclic_peak_sets(1) == [frozenset()]
 
 
+def test_negative_degrees_have_no_cyclic_peak_set():
+    assert not is_cyclic_peak_set(set(), -1)
+    assert not is_peak_set(set(), -1)
+    with pytest.raises(ValueError, match="degree -1 is not a nonnegative integer"):
+        cyclic_peak_sets(-1)
+
+
 def cyclic_peak_sets_by_subsets(n):
     """Oracle: canonicalise every cyclic peak set of at most n/2 elements."""
     if n <= 1:

@@ -251,6 +251,17 @@ def test_public_constructors_reject_bad_degrees_coefficients_and_rows():
         QSym(2, {frozenset({1}): 1.5})
     with pytest.raises(ValueError, match="not an integer"):
         QSym.from_fundamental(2, {frozenset(): 0.5})
+    for cls in (QSym, CQSym):
+        with pytest.raises(ValueError, match=r"coefficient True of \[1\] is not an integer"):
+            cls(3, {frozenset({1}): True})
+    true_row = '[{"set": [1], "coeff": true}]'
+    for cls, basis in ((QSym, "M"), (QSym, "F"), (CQSym, "Mcyc")):
+        with pytest.raises(ValueError, match="is not an integer"):
+            cls.from_json(f'{{"basis": "{basis}", "degree": 3, "terms": {true_row}}}')
+    for c in (0.5, True, 1.0):
+        for make in (monomial(3, {1}).scale, cyclic_monomial(3, {1}).scale, QSym.unit, CQSym.unit):
+            with pytest.raises(ValueError, match="is not an integer"):
+                make(c)
     rows = {
         "listed twice": '[{"set": [1], "coeff": 1}, {"set": [1], "coeff": 2}]',
         "repeats an element": '[{"set": [1, 1], "coeff": 1}]',

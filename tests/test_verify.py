@@ -88,6 +88,27 @@ def test_fundamental_lemma_catches_a_wrong_k_expansion(monkeypatch):
     assert failed == ["linear decomposition"]
 
 
+def test_fundamental_lemma_checks_the_listing_against_its_own_rule(monkeypatch):
+    # The brute-force oracle of enumerate_enriched filters by verify's own
+    # copy of the rule, so a library arc test whose ties take the other
+    # sign fails against it, although is_enriched and iter_enriched agree.
+    def flipped(a, b, up):
+        return a < b or a == b and (a % 2 == 0) != up
+
+    monkeypatch.setattr(enriched, "_fits", flipped)
+    memos = (verify._enriched_set, verify._toric_enriched_set)
+    for memo in memos:
+        memo.cache_clear()
+    try:
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2, random_count=0)
+    finally:
+        for memo in memos:
+            memo.cache_clear()
+    failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
+    # Δ at ones no longer counts the listing either.
+    assert failed == ["linear decomposition", "specialization counts"]
+
+
 def _memos_clear():
     for memo in (verify._delta_toric, verify._k_peak, verify._k_peak_product):
         memo.cache_clear()
