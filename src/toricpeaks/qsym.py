@@ -163,7 +163,7 @@ class _Homogeneous:
 
 def _degree(n: int) -> int:
     """n, checked to be a nonnegative integer."""
-    if not isinstance(n, int) or n < 0:
+    if type(n) is not int or n < 0:
         raise ValueError(f"degree {n!r} is not a nonnegative integer")
     return n
 

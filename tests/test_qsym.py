@@ -244,6 +244,8 @@ def test_public_constructors_reject_bad_degrees_coefficients_and_rows():
         lambda: monomial(-1, ()),
         lambda: fundamental(-2, ()),
         lambda: cyclic_monomial(-1, ()),
+        lambda: QSym(True, {}),
+        lambda: QSym.from_json('{"basis": "M", "degree": 1.0, "terms": []}'),
     ):
         with pytest.raises(ValueError, match="not a nonnegative integer"):
             make()
