@@ -107,8 +107,8 @@ def iter_enriched(d: Dag, m: int) -> Iterator[Assignment]:
     heads = [[e for e in range(k) if pred[e] >> k & 1] for k in range(n)]
     values = [(x, _rank(x)) for x in [*range(-m, 0), *range(1, m + 1)]]
     top = 2 * m + 1
-    # The values vertex k allows, keyed by its bounds: ``_fits`` grows with
-    # the rank, so the largest among its tails and smallest among its heads.
+    # The values vertex k allows, keyed by its bounds: ``_fits`` is monotone
+    # in each rank, so the largest tail rank and smallest head rank decide.
     allowed: dict[tuple[int, int], list[tuple[int, int]]] = {}
     rank = [0] * n
     row = dict.fromkeys(labels, 0)
