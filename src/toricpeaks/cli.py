@@ -128,9 +128,8 @@ def cmd_expand(args) -> int:
     try:
         if kind == "delta":
             elem = enriched.delta_dag(load_dag(args))
-        elif kind == "delta-cyc":  # [D] and [D minus its bridges] share Δ
-            bare = dagmod._without_bridges(load_dag(args))
-            elem = enriched.delta_toric(dagmod.toric_class(bare))
+        elif kind == "delta-cyc":
+            elem = enriched.delta_toric(dagmod._class_without_bridges(load_dag(args)))
         else:
             elem = BUILDERS[kind](args.n, parse_subset(args.set))
         basis = args.basis or ("Mcyc" if kind in ("Mcyc", "Kcyc", "delta-cyc") else "M")
@@ -161,8 +160,7 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
     """Exit 1 when the n-vertex members have more than ``MAX_ENUMERATED``
     enriched partitions in all. Counted per member, this is exact for a
     toric class too, as its members' enriched sets are disjoint; for
-    ``--toric`` the members are those of the class of the DAG minus its
-    bridges, which has the same enriched toric partitions.
+    ``--toric`` the members are those of ``dag._class_without_bridges``.
 
     The count is skipped when (2m)^n candidates per member cannot exceed
     the limit, and otherwise streams the rows and stops one past it, so a
@@ -205,7 +203,7 @@ def cmd_enumerate(args) -> int:
     """
     if args.what == "enriched":
         d = load_dag(args)
-        tc = dagmod.toric_class(dagmod._without_bridges(d)) if args.toric else None
+        tc = dagmod._class_without_bridges(d) if args.toric else None
         _refuse_huge_listing(tc.members if tc else [d], len(d.vertices), args.m)
         if tc:
             found = enriched.iter_enriched_toric(tc, args.m)

@@ -8,11 +8,11 @@ DAG and a toric class are one K-expansion (``_delta_from_peaks``) of a
 count of peak sets; for a DAG, by the fundamental lemma, the count is one
 DP over the peak sets of its linear extensions. Kcyc comes from the cyclic
 peak-set formula. An enriched toric partition of [D] is an enriched
-partition of exactly one member of [D], and the class puts no condition
-on a bridge, an arc on no cycle (``dag._without_bridges``). So Δ_[D] is
-the folded product, over the 2-edge-connected components C, of the sums
-over the members of [C]. The enumerations here are the combinatorial side
-of every identity the test suite checks.
+partition of exactly one member of [D], and [D] may drop its bridges
+(``dag._class_without_bridges``), so Δ_[D] is the folded product, over
+the 2-edge-connected components C, of the sums over the members of [C].
+The enumerations here are the combinatorial side of every identity the
+test suite checks.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def iter_enriched_toric(tc: ToricClass, m: int) -> Iterator[Assignment]:
     Each one fixes the direction of every arc (the values order its ends,
     and on a tie the sign does), so it belongs to exactly one member and
     the members' sorted streams merge lazily without duplicates. The
-    members walked are those of the class of the canonical member minus
-    its bridges, which has the same enriched toric partitions.
+    members walked are those of ``dag._class_without_bridges``.
     """
     bare = _without_bridges(tc.canonical)
     members = tc.members if bare is tc.canonical else toric_class(bare).members
@@ -193,34 +192,31 @@ def _peak_distribution(pred: tuple[int, ...]) -> dict[int, int]:
     """
     n = len(pred)
     # Down-set -> (last bit, ascended) -> the peak-mask counts reaching it.
-    layer = {0: {(n, False): [{0: 1}]}}
+    layer = {0: {(n, False): {0: 1}}}
     for size in range(n):
         peak = 1 << n - size
-        steps: dict[int, dict[tuple[int, bool], list[dict[int, int]]]] = {}
-        for D, parts in layer.items():
-            states = {state: _summed(p) for state, p in parts.items()}
+        steps: dict[int, dict[tuple[int, bool], dict[int, int]]] = {}
+        for D, states in layer.items():
             for j in range(n):
                 if D >> j & 1 or pred[j] & ~D:
                     continue
                 nxt = steps.setdefault(D | 1 << j, {})
                 for (k, up), counts in states.items():
-                    if up and k > j:
-                        counts = {S | peak: c for S, c in counts.items()}
-                    nxt.setdefault((j, k < j), []).append(counts)
+                    into = nxt.setdefault((j, k < j), {})
+                    bit = peak if up and k > j else 0
+                    for S, c in counts.items():
+                        S |= bit
+                        into[S] = into.get(S, 0) + c
         layer = steps
-    return _summed(c for parts in layer[(1 << n) - 1].values() for c in parts)
+    return _summed(layer[(1 << n) - 1].values())
 
 
 def _summed(dists: Iterable[Mapping[int, int]]) -> dict[int, int]:
-    """The sum of count dicts, as a new dict."""
-    out: dict[int, int] = {}
+    """The sum of count dicts, as a new plain dict."""
+    out: Counter = Counter()
     for counts in dists:
-        if not out:
-            out.update(counts)
-            continue
-        for S, c in counts.items():
-            out[S] = out.get(S, 0) + c
-    return out
+        out.update(counts)
+    return dict(out)
 
 
 def _delta_from_peaks(n: int, counts: Mapping[int, int]) -> QSym:
@@ -287,10 +283,10 @@ def delta_toric(tc: ToricClass) -> CQSym:
     """Cyclic weight enumerator of a toric class.
 
     The members' enriched sets are disjoint, so in QSym the class sums its
-    members' ``delta_dag``. The class puts no condition on a bridge (see
-    ``dag._without_bridges``), and disjoint unions multiply, so that sum is
-    the product, over the 2-edge-connected components C of the canonical
-    member, of the member sums of [C] (``_toric_peaks``), folded once.
+    members' ``delta_dag``. By ``dag._class_without_bridges``, and as
+    disjoint unions multiply, that sum is the product, over the
+    2-edge-connected components C of the canonical member, of the member
+    sums of [C] (``_toric_peaks``), folded once.
     """
     sums = (_delta_from_peaks(n, counts) for n, counts in _toric_peaks(tc))
     return from_qsym(math.prod(sums, start=QSym.unit()))

@@ -16,7 +16,6 @@ from typing import Callable, Mapping, Sequence
 from .dag import Dag, ToricClass, _components
 from .enriched import _peak_distribution, _toric_peaks, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
-from .setcomp import _mask
 
 Poly = list[int]
 
@@ -62,13 +61,7 @@ def multiset_coeff(a: int, k: int) -> int:
 
 
 def _peak_sum(n: int, p: int, m: int) -> int:
-    """Sum over k < m - p of ((n+1 multichoose k)) * C(n - 2p - 1, m - 1 - p - k).
-
-    The binomial is zero when n - 2p - 1 < 0. The cyclic closed formula
-    reaches that case exactly when its prefactor n - 2 cpk vanishes.
-    """
-    if n - 2 * p - 1 < 0:
-        return 0
+    """Sum over k < m - p of ((n+1 multichoose k)) * C(n - 2p - 1, m - 1 - p - k)."""
     # C(n - 2p - 1, m - 1 - p - k) is zero below k = m - n + p, so a large
     # m costs at most n - 2p terms, not m - p.
     return sum(
@@ -84,21 +77,25 @@ def omega(w: Sequence[int], m: int) -> int:
     C(n - 2pk - 1, m - 1 - pk - k).
     """
     word = _nonempty(w)
-    n = len(word)
-    return _omega_from_peaks(n, {_mask(peak_set(word), n): 1}, m)
+    return _omega_by_peak_number(len(word), {len(peak_set(word)): 1}, m)
 
 
 def _omega_from_peaks(n: int, counts: Mapping[int, int], m: int) -> int:
-    """Σ_S c_S·2^{2|S|+1}·``_peak_sum``(n, |S|, m): the enriched partitions
-    with values at most m of the n-letter total orders counted by peak
-    mask in c. By ``omega``'s closed form, each counts by its number of
-    peaks alone, so c is graded first. The empty word has one partition."""
-    if n == 0:
-        return counts[0]
+    """``_omega_by_peak_number`` of the n-letter total orders counted by
+    peak mask in counts, graded first by number of peaks."""
     graded: Counter = Counter()
     for S, c in counts.items():
         graded[S.bit_count()] += c
-    return sum(c * _peak_sum(n, k, m) << 2 * k + 1 for k, c in graded.items())
+    return _omega_by_peak_number(n, graded, m)
+
+
+def _omega_by_peak_number(n: int, counts: Mapping[int, int], m: int) -> int:
+    """Σ_k p_k·2^{2k+1}·``_peak_sum``(n, k, m) over p_k ≠ 0: by ``omega``'s
+    closed form, the enriched partitions with values at most m of the
+    n-letter total orders, p_k of them with k peaks. The empty word has one."""
+    if n == 0:
+        return sum(counts.values())
+    return sum(c * _peak_sum(n, k, m) << 2 * k + 1 for k, c in counts.items() if c)
 
 
 def omega_dag(d: Dag, m: int) -> int:
@@ -114,14 +111,12 @@ def omega_dag(d: Dag, m: int) -> int:
 
 
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
-    """Closed formula for the toric order polynomial of a cyclic class.
-
-    Its second sum is the first taken at cpk - 1.
+    """Closed formula for the toric order polynomial of a cyclic class:
+    (n - 2cpk)·2^{2cpk+1}·P(cpk) + cpk·4^cpk·P(cpk - 1), with P(p) =
+    ``_peak_sum``(n, p, m). It is Ω summed over the n rotations of a word,
+    n - 2cpk of them with cpk peaks and 2cpk with cpk - 1.
     """
-    return (
-        (n - 2 * cpk) * 2 ** (2 * cpk + 1) * _peak_sum(n, cpk, m)
-        + cpk * 4 ** cpk * _peak_sum(n, cpk - 1, m)
-    )
+    return _omega_by_peak_number(n, {cpk: n - 2 * cpk, cpk - 1: 2 * cpk}, m)
 
 
 def omega_cyc(w: Sequence[int], m: int) -> int:

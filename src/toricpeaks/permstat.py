@@ -44,16 +44,12 @@ def peak_set(w: Sequence[int]) -> frozenset[int]:
 def cdes_set(w: Sequence[int]) -> frozenset[int]:
     """Positions i in [n] with w_i > w_{i+1}, indices modulo n."""
     n = len(w)
-    if n <= 1:
-        return frozenset()
     return frozenset(i + 1 for i in range(n) if w[i] > w[(i + 1) % n])
 
 
 def cpeak_set(w: Sequence[int]) -> frozenset[int]:
     """Positions i in [n] with w_{i-1} < w_i > w_{i+1}, indices modulo n."""
     n = len(w)
-    if n <= 1:
-        return frozenset()
     return frozenset(
         i + 1
         for i in range(n)

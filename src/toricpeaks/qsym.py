@@ -168,18 +168,27 @@ def _degree(n: int) -> int:
     return n
 
 
-def _json_terms(data: dict) -> dict[frozenset, int]:
-    """The coefficients of a JSON payload's term rows, refusing a set that
-    repeats an element or is listed twice."""
+def _json_terms(payload: str) -> tuple[object, object, dict[frozenset, int]]:
+    """The degree, basis and term coefficients of a JSON payload, refusing
+    a payload, row or set of the wrong shape and a set that repeats an
+    element or is listed twice; ``_keyed`` checks degree and coefficients."""
+    data = json.loads(payload)
+    keys = {"degree", "basis", "terms"}
+    if type(data) is not dict or not keys <= data.keys() or type(data["terms"]) is not list:
+        raise ValueError("expected a JSON object with degree, basis and a list of terms")
     coeffs = {}
     for t in data["terms"]:
+        if type(t) is not dict or not {"set", "coeff"} <= t.keys():
+            raise ValueError(f"a row must be an object with set and coeff, not {json.dumps(t)}")
+        if type(t["set"]) is not list or any(type(e) is not int for e in t["set"]):
+            raise ValueError(f"set {json.dumps(t['set'])} is not a list of integers")
         E = frozenset(t["set"])
         if len(E) != len(t["set"]):
             raise ValueError(f"set {t['set']} repeats an element")
         if E in coeffs:
             raise ValueError(f"set {sorted(E)} is listed twice")
         coeffs[E] = t["coeff"]
-    return coeffs
+    return data["degree"], data["basis"], coeffs
 
 
 def _rows(masks: Mapping[int, int], n: int) -> list[tuple[list[int], int]]:
@@ -260,6 +269,8 @@ class QSym(_Homogeneous):
 
     def specialize_ones(self, m: int) -> int:
         """Value at x_1 = ... = x_m = 1, all other variables 0."""
+        if type(m) is not int or m < 0:
+            raise ValueError(f"number of variables {m!r} is not a nonnegative integer")
         # A key E of degree n >= 1 has |E| + 1 parts; degree 0 has none.
         extra = 1 if self.degree else 0
         return sum(c * comb(m, E.bit_count() + extra) for E, c in self.masks.items())
@@ -273,13 +284,12 @@ class QSym(_Homogeneous):
 
     @classmethod
     def from_json(cls, payload: str) -> "QSym":
-        data = json.loads(payload)
-        coeffs = _json_terms(data)
-        if data["basis"] == "M":
-            return cls(data["degree"], coeffs)
-        if data["basis"] == "F":
-            return cls.from_fundamental(data["degree"], coeffs)
-        raise ValueError(f"unknown basis {data['basis']!r}")
+        degree, basis, coeffs = _json_terms(payload)
+        if basis == "M":
+            return cls(degree, coeffs)
+        if basis == "F":
+            return cls.from_fundamental(degree, coeffs)
+        raise ValueError(f"unknown basis {basis!r}")
 
 
 def _superset_sum(masks: Mapping[int, int], n: int, signed: bool) -> dict[int, int]:
@@ -427,10 +437,10 @@ class CQSym(_Homogeneous):
 
     @classmethod
     def from_json(cls, payload: str) -> "CQSym":
-        data = json.loads(payload)
-        if data["basis"] != "Mcyc":
-            raise ValueError(f"unknown basis {data['basis']!r}")
-        return cls(data["degree"], _json_terms(data))
+        degree, basis, coeffs = _json_terms(payload)
+        if basis != "Mcyc":
+            raise ValueError(f"unknown basis {basis!r}")
+        return cls(degree, coeffs)
 
 
 @functools.cache

@@ -594,12 +594,13 @@ def suite_fundamental_lemma(
         if tc in toric_done:
             continue
         toric_done.add(tc)
-        # The class and its toric extensions against their flip and
-        # rotation oracles, the member sum against its cPk oracle, and the
+        # The class and both routes to its toric extensions against their
+        # flip and rotation oracles, the member sum against its cPk oracle, and the
         # disjoint member sets it rests on, count as toric failures.
         extensions = _toric_extensions_of(tc)
+        rotated = _toric_extensions_by_rotation(tc)
         toric_ok.append(tc.members == _toric_class_by_flips(d))
-        toric_ok.append(extensions == _toric_extensions_by_rotation(tc))
+        toric_ok += [extensions == rotated, toric_extensions(tc.canonical) == rotated]
         toric_ok.append(_delta_toric(tc) == _delta_toric_by_cpk(tc))
         # The members' linear extensions are the n rotations of the toric
         # extensions, so their peak DPs' totals sum to n for each.

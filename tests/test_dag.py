@@ -184,6 +184,26 @@ def test_without_bridges():
         assert _without_bridges(d) is d
 
 
+def test_toric_extensions_build_one_member_of_a_tree(monkeypatch):
+    # Every arc of a path or a star is a bridge, so the class walked has one
+    # member where [d] has 2^(n-1).
+    sizes = []
+
+    def recording(d):
+        tc = toric_class(d)
+        sizes.append(len(tc.members))
+        return tc
+
+    monkeypatch.setattr(dagmod, "toric_class", recording)
+    # The listing, all (n-1)! cyclic orders of a tree, is not read here.
+    monkeypatch.setattr(dagmod, "_toric_extensions", lambda members: [])
+    path = Dag.make(range(1, 13), [(i, i + 1) for i in range(1, 12)])
+    star = Dag.make(range(1, 11), [(1, k) for k in range(2, 11)])
+    for d in (path, star):
+        toric_extensions(d)
+    assert sizes == [1, 1]
+
+
 def test_components():
     # A split that never splits leaves every count right; only this catches it.
     empty = Dag.make([], [])

@@ -20,6 +20,7 @@ from toricpeaks.orderpoly import (
     multiset_coeff,
     omega,
     omega_cyc,
+    omega_cyc_formula,
     omega_dag,
     omega_toric,
     partition_to_marking,
@@ -81,6 +82,32 @@ def test_peak_sum_skips_only_zero_terms():
         for p in range(-1, 6):
             for m in range(0, 30):
                 assert _peak_sum(n, p, m) == _peak_sum_unbounded(n, p, m), (n, p, m)
+
+
+def _omega_cyc_by_the_paper(n, cpk, m):
+    """The paper's closed formula, written out: (n - 2cpk)·2^{2cpk+1}·Σ_k
+    ((n+1 multichoose k))·C(n - 2cpk - 1, m - 1 - cpk - k) + cpk·4^cpk·Σ_k
+    ((n+1 multichoose k))·C(n - 2cpk + 1, m - cpk - k), a binomial with a
+    negative argument being 0."""
+
+    def binom(a, b):
+        return comb(a, b) if a >= 0 and b >= 0 else 0
+
+    first = sum(
+        multiset_coeff(n + 1, k) * binom(n - 2 * cpk - 1, m - 1 - cpk - k) for k in range(m)
+    )
+    second = sum(
+        multiset_coeff(n + 1, k) * binom(n - 2 * cpk + 1, m - cpk - k) for k in range(m + 1)
+    )
+    return (n - 2 * cpk) * 2 ** (2 * cpk + 1) * first + cpk * 4**cpk * second
+
+
+def test_omega_cyc_formula_is_the_papers():
+    for n in range(16):
+        for cpk in range(n // 2 + 1):
+            for m in range(12):
+                expected = _omega_cyc_by_the_paper(n, cpk, m)
+                assert omega_cyc_formula(n, cpk, m) == expected, (n, cpk, m)
 
 
 def test_omega_at_a_large_bound():

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import defaultdict
 
 import pytest
@@ -267,11 +268,30 @@ def test_public_constructors_reject_bad_degrees_coefficients_and_rows():
     rows = {
         "listed twice": '[{"set": [1], "coeff": 1}, {"set": [1], "coeff": 2}]',
         "repeats an element": '[{"set": [1, 1], "coeff": 1}]',
+        "a row must be an object with set and coeff, not 5": "[5]",
+        'not {"set": [1]}': '[{"set": [1]}]',
+        'not {"coeff": 1}': '[{"coeff": 1}]',
+        "set 1 is not a list of integers": '[{"set": 1, "coeff": 1}]',
+        'set ["a"] is not': '[{"set": ["a"], "coeff": 1}]',
+        "set [1.0] is not": '[{"set": [1.0], "coeff": 1}]',
+        "set [true] is not": '[{"set": [true], "coeff": 1}]',
     }
     for cls, basis in ((QSym, "M"), (QSym, "F"), (CQSym, "Mcyc")):
         for error, terms in rows.items():
-            with pytest.raises(ValueError, match=error):
+            with pytest.raises(ValueError, match=re.escape(error)):
                 cls.from_json(f'{{"basis": "{basis}", "degree": 3, "terms": {terms}}}')
+        for payload in (
+            "[1]",
+            f'{{"basis": "{basis}", "degree": 3}}',
+            '{"degree": 3, "terms": []}',
+            f'{{"basis": "{basis}", "terms": []}}',
+            f'{{"basis": "{basis}", "degree": 3, "terms": {{}}}}',
+        ):
+            with pytest.raises(ValueError, match="expected a JSON object with degree"):
+                cls.from_json(payload)
+    for elem in (monomial(2, {1}), cyclic_monomial(3, {1})):
+        with pytest.raises(ValueError, match="number of variables -1 is not a nonnegative"):
+            elem.specialize_ones(-1)
 
 
 def test_json_roundtrip_both_bases():

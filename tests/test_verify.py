@@ -172,6 +172,19 @@ def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
     assert failed == ["toric decomposition", "specialization counts"]
 
 
+def test_fundamental_lemma_checks_the_public_toric_extensions(monkeypatch):
+    toric_extensions = verify.toric_extensions
+
+    def one_short(d):
+        words = toric_extensions(d)
+        return words[:-1] if len(d.vertices) > 2 else words
+
+    monkeypatch.setattr(verify, "toric_extensions", one_short)
+    report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+    failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
+    assert failed == ["toric decomposition"]
+
+
 def test_a_failing_tally_reports_its_failure_count(monkeypatch):
     omega_toric = verify.omega_toric
     monkeypatch.setattr(verify, "omega_toric", lambda tc, m: omega_toric(tc, m) + 1)
