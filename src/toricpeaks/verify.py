@@ -594,8 +594,8 @@ def suite_fundamental_lemma(
         if tc in toric_done:
             continue
         toric_done.add(tc)
-        # The class and both routes to its toric extensions against their
-        # flip and rotation oracles, the member sum against its cPk oracle, and the
+        # The class and both toric-extension routes against their flip and
+        # rotation oracles, the member sum against its cPk oracle, and the
         # disjoint member sets it rests on, count as toric failures.
         extensions = _toric_extensions_of(tc)
         rotated = _toric_extensions_by_rotation(tc)
