@@ -1,8 +1,8 @@
 """Order polynomials, their rational generating functions, runs and markings.
 
-Everything is exact: polynomials are integer coefficient lists, series
-coefficients come from long division of integer polynomials, and counts
-are plain integers.
+Everything is exact: counts are plain integers, and series coefficients
+are integer lists, built as a numerator of binomial rows followed by one
+running sum for each factor 1/(1-t) of the denominator.
 """
 
 from __future__ import annotations
@@ -16,35 +16,6 @@ from typing import Callable, Mapping, Sequence
 from .dag import Dag, ToricClass, _components
 from .enriched import _peak_distribution, _toric_peaks, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
-
-Poly = list[int]
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def poly_pow(a: Poly, k: int) -> Poly:
-    out = [1]
-    for _ in range(k):
-        out = poly_mul(out, a)
-    return out
-
-
-def _series(num: Poly, den: Poly, order: int) -> list[int]:
-    """Coefficients c_0 .. c_order of num/den, by exact long division; the
-    callers' denominators have constant term 1."""
-    out: list[int] = []
-    for j in range(order + 1):
-        acc = num[j] if j < len(num) else 0
-        for i in range(1, min(j, len(den) - 1) + 1):
-            acc -= den[i] * out[j - i]
-        out.append(acc)
-    return out
 
 
 def _nonempty(w: Sequence[int]) -> Word:
@@ -98,6 +69,21 @@ def _omega_by_peak_number(n: int, counts: Mapping[int, int], m: int) -> int:
     return sum(c * _peak_sum(n, k, m) << 2 * k + 1 for k, c in counts.items() if c)
 
 
+def _gf_by_peak_number(n: int, counts: Mapping[int, int], order: int) -> list[int]:
+    """Coefficients of t^0 .. t^order of Σ_k p_k·2^{2k+1} t^{k+1}
+    (1+t)^{n-2k-1} / (1-t)^{n+1} over p_k ≠ 0: the series whose t^m
+    coefficient is ``_omega_by_peak_number``(n, counts, m). The numerator
+    is a sum of binomial rows; each factor 1/(1-t) is one running sum."""
+    series = [0] * (order + 1)
+    for k, c in counts.items():
+        if c:
+            for j in range(min(n - 2 * k - 1, order - k - 1) + 1):
+                series[k + 1 + j] += c * comb(n - 2 * k - 1, j) << 2 * k + 1
+    for _ in range(n + 1):
+        series = list(itertools.accumulate(series))
+    return series
+
+
 def omega_dag(d: Dag, m: int) -> int:
     """Number of enriched partitions of d with values at most m: the
     product, over the connected components C of d, of Ω summed over C's
@@ -110,13 +96,22 @@ def omega_dag(d: Dag, m: int) -> int:
     )
 
 
+def _rotation_peaks(n: int, cpk: int) -> dict[int, int]:
+    """Peak numbers of the n rotations of an n-letter word with cpk cyclic
+    peaks: n - 2cpk of them have cpk peaks and 2cpk have cpk - 1."""
+    if not 0 <= 2 * cpk <= n:
+        raise ValueError(f"no {n}-letter word has {cpk} cyclic peaks")
+    return {cpk: n - 2 * cpk, cpk - 1: 2 * cpk}
+
+
 def omega_cyc_formula(n: int, cpk: int, m: int) -> int:
     """Closed formula for the toric order polynomial of a cyclic class:
     (n - 2cpk)·2^{2cpk+1}·P(cpk) + cpk·4^cpk·P(cpk - 1), with P(p) =
     ``_peak_sum``(n, p, m). It is Ω summed over the n rotations of a word,
-    n - 2cpk of them with cpk peaks and 2cpk with cpk - 1.
+    split by peak number as ``_rotation_peaks`` gives. A pair outside
+    0 <= 2cpk <= n is refused.
     """
-    return _omega_by_peak_number(n, {cpk: n - 2 * cpk, cpk - 1: 2 * cpk}, m)
+    return _omega_by_peak_number(n, _rotation_peaks(n, cpk), m)
 
 
 def omega_cyc(w: Sequence[int], m: int) -> int:
@@ -145,34 +140,19 @@ def gf_omega(w: Sequence[int], order: int) -> list[int]:
     2^{2pk+1} t^{pk+1} (1+t)^{n-2pk-1} / (1-t)^{n+1}.
     """
     word = _nonempty(w)
-    n = len(word)
-    pk = len(peak_set(word))
-    num = poly_mul(
-        [0] * (pk + 1) + [2 ** (2 * pk + 1)],
-        poly_pow([1, 1], n - 2 * pk - 1),
-    )
-    den = poly_pow([1, -1], n + 1)
-    return _series(num, den, order)
+    return _gf_by_peak_number(len(word), {len(peak_set(word)): 1}, order)
 
 
 def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
     """Series coefficients of the cyclic generating function.
 
-    (4t/(1+t)^2)^cpk ((1+t)/(1-t))^(n-1) (cpk + 2nt/(1-t)^2), cleared to
-    an integer numerator and denominator.
+    (4t/(1+t)^2)^cpk ((1+t)/(1-t))^(n-1) (cpk + 2nt/(1-t)^2), which is
+    ``gf_omega`` summed over the n rotations of w, split by peak number as
+    ``_rotation_peaks`` gives.
     """
     word = _nonempty(w)
     n = len(word)
-    cpk = len(cpeak_set(word))
-    inner = [cpk, 2 * n - 2 * cpk, cpk]  # cpk*(1-t)^2 + 2nt
-    num = poly_mul([0] * cpk + [4 ** cpk], inner)
-    extra = n - 1 - 2 * cpk
-    den = poly_pow([1, -1], n + 1)
-    if extra >= 0:
-        num = poly_mul(num, poly_pow([1, 1], extra))
-    else:
-        den = poly_mul(den, poly_pow([1, 1], -extra))
-    return _series(num, den, order)
+    return _gf_by_peak_number(n, _rotation_peaks(n, len(cpeak_set(word))), order)
 
 
 @dataclasses.dataclass(frozen=True)

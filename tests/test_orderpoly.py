@@ -12,7 +12,6 @@ from toricpeaks.orderpoly import (
     RunDecomposition,
     _omega_from_peaks,
     _peak_sum,
-    _series,
     enumerate_markings,
     gf_omega,
     gf_omega_cyc,
@@ -24,7 +23,6 @@ from toricpeaks.orderpoly import (
     omega_dag,
     omega_toric,
     partition_to_marking,
-    poly_mul,
     runs,
 )
 from toricpeaks.dag import (
@@ -42,7 +40,7 @@ from toricpeaks.enriched import (
     enumerate_enriched,
     enumerate_enriched_toric,
 )
-from toricpeaks.permstat import peak_set, rotations
+from toricpeaks.permstat import cyclic_peak_sets, cyclic_peak_witness, peak_set, rotations
 from toricpeaks.qsym import QSym
 from toricpeaks.setcomp import _mask, _set
 from toricpeaks.verify import (
@@ -57,15 +55,8 @@ from test_dag import labeled_dags
 
 
 def test_poly_helpers():
-    assert poly_mul([1, 1], [1, -1]) == [1, 0, -1]
     assert multiset_coeff(3, 2) == 6
     assert multiset_coeff(3, 0) == 1
-
-
-def test_rational_series_expansion():
-    # 1/(1-t) and t/(1-t)^2
-    assert _series([1], [1, -1], 4) == [1, 1, 1, 1, 1]
-    assert _series([0, 1], [1, -2, 1], 5) == [0, 1, 2, 3, 4, 5]
 
 
 def _peak_sum_unbounded(n, p, m):
@@ -108,6 +99,65 @@ def test_omega_cyc_formula_is_the_papers():
             for m in range(12):
                 expected = _omega_cyc_by_the_paper(n, cpk, m)
                 assert omega_cyc_formula(n, cpk, m) == expected, (n, cpk, m)
+
+
+def test_omega_cyc_formula_refuses_impossible_peak_counts():
+    # No 5-letter word has 3 or -1 cyclic peaks; (5, 3, 3) once read 192.
+    for n, cpk in [(5, 3), (5, -1), (-2, 0)]:
+        with pytest.raises(ValueError, match=f"^no {n}-letter word has {cpk} cyclic peaks$"):
+            omega_cyc_formula(n, cpk, 3)
+    # The ends of the range stay: n = 0, and n = 2cpk as in 142536.
+    assert omega_cyc_formula(0, 0, 3) == 0
+    assert omega_cyc_formula(6, 3, 3) == omega_cyc((1, 4, 2, 5, 3, 6), 3) > 0
+
+
+def _poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _gf_omega_cyc_by_the_paper(n, cpk, order):
+    """The paper's cyclic series (4t/(1+t)²)^cpk ((1+t)/(1−t))^{n−1}
+    (cpk + 2nt/(1−t)²), cleared to num/den and expanded by long division
+    of integer polynomials; a negative power of 1 + t goes below the line."""
+    num = _poly_mul([0] * cpk + [4**cpk], [cpk, 2 * n - 2 * cpk, cpk])
+    den = [1]
+    for _ in range(n + 1):
+        den = _poly_mul(den, [1, -1])
+    extra = n - 1 - 2 * cpk
+    for _ in range(abs(extra)):
+        if extra > 0:
+            num = _poly_mul(num, [1, 1])
+        else:
+            den = _poly_mul(den, [1, 1])
+    out = []
+    for j in range(order + 1):
+        acc = num[j] if j < len(num) else 0
+        acc -= sum(den[i] * out[j - i] for i in range(1, min(j, len(den) - 1) + 1))
+        out.append(acc)
+    return out
+
+
+def test_gf_omega_cyc_is_the_papers():
+    for n in range(1, 13):
+        for S in cyclic_peak_sets(n):
+            w = cyclic_peak_witness(S, n)
+            for order in range(15):
+                expected = _gf_omega_cyc_by_the_paper(n, len(S), order)
+                assert gf_omega_cyc(w, order) == expected, (n, len(S), order)
+
+
+def test_gf_omega_cyc_is_the_rotation_sum():
+    # Verify's order-poly suite checks this only through Ω, up to n = 5.
+    for n in range(1, 8):
+        for w in itertools.permutations(range(1, n + 1)):
+            if w[0] != 1:  # one word per cyclic class
+                continue
+            total = [sum(col) for col in zip(*(gf_omega(v, 12) for v in rotations(w)))]
+            assert gf_omega_cyc(w, 12) == total, w
 
 
 def test_omega_at_a_large_bound():
