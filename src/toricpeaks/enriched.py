@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import heapq
-import math
+import operator
 from collections import Counter
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -160,7 +160,10 @@ def iter_enriched_toric(tc: ToricClass, m: int) -> Iterator[Assignment]:
     bare = _without_bridges(tc.canonical)
     members = tc.members if bare is tc.canonical else toric_class(bare).members
     streams = [iter_enriched(member, m) for member in members]
-    return heapq.merge(*streams, key=lambda f: sorted(f.items()))
+    # The members share one label set, so their values in label order sort
+    # as their sorted items do. The empty class has one member: no key.
+    labels = bare.labels
+    return heapq.merge(*streams, key=operator.itemgetter(*labels) if labels else None)
 
 
 def delta_perm(w: Sequence[int]) -> QSym:
@@ -288,8 +291,12 @@ def delta_toric(tc: ToricClass) -> CQSym:
     2-edge-connected components C of the canonical member, of the member
     sums of [C] (``_toric_peaks``), folded once.
     """
-    sums = (_delta_from_peaks(n, counts) for n, counts in _toric_peaks(tc))
-    return from_qsym(math.prod(sums, start=QSym.unit()))
+    # The product shares grid columns across the terms of its right
+    # operand, so the growing product goes on the right.
+    product = QSym.unit()
+    for n, counts in _toric_peaks(tc):
+        product = _delta_from_peaks(n, counts) * product
+    return from_qsym(product)
 
 
 _TORIC_PEAKS: dict[tuple[int, ...], tuple[tuple[int, dict[int, int]], ...]] = {}

@@ -82,14 +82,6 @@ def _check(checks: list, name: str, ok: bool | list[bool], detail: str = "") -> 
     checks.append({**check, "pass": bool(ok), "detail": detail})
 
 
-def _report(suite: str, checks: list) -> dict:
-    return {
-        "suite": suite,
-        "checks": checks,
-        "pass": all(c["pass"] for c in checks),
-    }
-
-
 def _values_key(d: Dag) -> Callable[[Mapping[int, int]], tuple[int, ...]]:
     """The key of an assignment on d's vertices: its values in label order.
     Sets of keys compare and join exactly when they share one vertex set,
@@ -279,8 +271,6 @@ def _cyclic_fundamental_via_F(n: int, E: Iterable[int]) -> QSym:
     """Oracle for ``cyclic_fundamental``: Fcyc_{n,E} as the sum over i in
     [n] of F_{n,L} with L the shift of E by -i, less n."""
     E = frozenset(E)
-    if not E:
-        raise ValueError("Fcyc requires a nonempty index set")
     shifted = Counter(shift_set(E, n, -i) - {n} for i in range(1, n + 1))
     return QSym.from_fundamental(n, shifted)
 
@@ -292,8 +282,6 @@ def _fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> dict[tuple[int, ...],
     index k and strict rises at positions of E other than k-1 (mod n).
     """
     E = frozenset(E)
-    if m < 1:
-        raise ValueError("need at least one variable")
     out: Counter = Counter()
     for w in itertools.product(range(1, m + 1), repeat=n):
         for k in range(1, n + 1):
@@ -319,53 +307,26 @@ def _k_fundamental(S: frozenset[int], n: int) -> dict[frozenset, int]:
     return {_set(D, n): coeff for D in range(0, 1 << n, 2) if not peaks & ~(D ^ D >> 1)}
 
 
-def _kcyc_triangular_matrix(
-    n: int,
-) -> tuple[list[frozenset[int]], list[list[int]], list[list[int]]]:
+def _kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int]]]:
     """The Kcyc of the canonical cyclic peak sets S_1, S_2, ... in [n], in
-    cardinality-then-lex order, as two matrices with one row per set.
+    cardinality-then-lex order, as a square matrix with one row per set.
 
-    Entry (i, j) of the first is the coefficient in Kcyc_{S_i} of the class
-    of f(S_j), where f(S) = {s_1} ∪ {s_k - 1 : k >= 2} for S = {s_1 < s_2 <
-    ...}; the ``triangularity`` suite checks that it is upper triangular
-    with a nonzero diagonal. The second has one column per class that
-    occurs in any row, for the rank.
+    Entry (i, j) is the coefficient in Kcyc_{S_i} of the class of f(S_j),
+    where f(S) = {s_1} ∪ {s_k - 1 : k >= 2} for S = {s_1 < s_2 < ...}. The
+    ``triangularity`` suite checks that it is upper triangular with a
+    nonzero diagonal, and that alone makes the Kcyc independent: such a
+    square matrix has full rank, and its columns are some coordinates of
+    the Kcyc. Two sets with one class f(S) give two equal columns, so the
+    later set's nonzero diagonal entry would also sit below the diagonal,
+    in the earlier set's column.
     """
-    if n < 2:
-        raise ValueError("need n >= 2")
     sets = cyclic_peak_sets(n)
     rows = [kcyc(S, n).masks for S in sets]
     mapped = []
     for S in sets:
         first, *rest = sorted(S)
         mapped.append(_canonical_mask(_mask([first, *(s - 1 for s in rest)], n), n))
-    classes = sorted(set().union(*rows))
-    return (
-        sets,
-        [[row.get(c, 0) for c in mapped] for row in rows],
-        [[row.get(c, 0) for c in classes] for row in rows],
-    )
-
-
-def _matrix_rank(rows: list[list[int]]) -> int:
-    """Exact rank over the rationals by Gaussian elimination."""
-    work = [[Fraction(x) for x in row] for row in rows]
-    rank, col = 0, 0
-    ncols = len(work[0]) if work else 0
-    while rank < len(work) and col < ncols:
-        pivot = next((r for r in range(rank, len(work)) if work[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        work[rank], work[pivot] = work[pivot], work[rank]
-        lead = work[rank][col]
-        for r in range(rank + 1, len(work)):
-            if work[r][col]:
-                factor = work[r][col] / lead
-                work[r] = [a - factor * b for a, b in zip(work[r], work[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return sets, [[row.get(c, 0) for c in mapped] for row in rows]
 
 
 def _interpolate(points: Sequence[tuple[int, int]], x: int) -> Fraction:
@@ -559,12 +520,11 @@ def _is_disjoint_cover(whole: frozenset, pieces: list[frozenset]) -> bool:
     return sum(map(len, pieces)) == len(whole) and frozenset().union(*pieces) == whole
 
 
-def suite_fundamental_lemma(
-    max_n: int = 4, max_m: int = 3, random_count: int = 200, seed: int = 0, **_
-) -> list:
-    """Disjoint-union decompositions of enriched partitions, all small DAGs."""
+def suite_fundamental_lemma(max_n: int = 4, max_m: int = 3, **_) -> list:
+    """Disjoint-union decompositions of enriched partitions, all small DAGs
+    and 200 seeded random draws."""
     checks: list = []
-    dags = small_dags(max_n) + random_dags(random_count, max_n, seed)
+    dags = small_dags(max_n) + random_dags(200, max_n)
     linear_ok, toric_ok, spec_ok = [], [], []
     toric_done: set = set()
     # A DAG drawn k times is checked once and its outcomes count k times.
@@ -623,15 +583,16 @@ def suite_fundamental_lemma(
     return checks
 
 
-def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> list:
+def suite_order_poly(max_n: int = 5, max_m: int = 3, **_) -> list:
     """Formula, brute force and series coefficients agree; run invariants."""
     checks: list = []
+    order = 6  # the series are checked at m = 0..order
     formula_ok, series_ok, cyc_ok = [], [], []
     for n in range(1, max_n + 1):
         classes: set = set()
         for w in itertools.permutations(range(1, n + 1)):
-            coeffs = gf_omega(w, series_m)
-            series_ok += [coeffs[m] == omega(w, m) for m in range(series_m + 1)]
+            coeffs = gf_omega(w, order)
+            series_ok += [coeffs[m] == omega(w, m) for m in range(order + 1)]
             formula_ok += [
                 omega(w, m) == _count_enriched_word(w, m) for m in range(1, max_m + 1)
             ]
@@ -641,19 +602,19 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, series_m: int = 6, **_) -> 
                 formula_ok += [omega_dag(chain, m) == omega(w, m) for m in range(max_m + 1)]
             classes.add(canonical_rotation(w))
         for w in sorted(classes):
-            cyc = [omega_cyc(w, m) for m in range(max(series_m, max_m) + 1)]
+            cyc = [omega_cyc(w, m) for m in range(max(order, max_m) + 1)]
             cyc_ok += [
                 value == sum(omega(v, m) for v in rotations(w)) for m, value in enumerate(cyc)
             ]
-            ccoeffs = gf_omega_cyc(w, series_m)
-            cyc_ok += [ccoeffs[m] == cyc[m] for m in range(series_m + 1)]
+            ccoeffs = gf_omega_cyc(w, order)
+            cyc_ok += [ccoeffs[m] == cyc[m] for m in range(order + 1)]
             if n <= 4:
                 tc = _toric_of(_word_dag(w))
                 for m in range(1, max_m + 1):
                     cyc_ok.append(omega_toric(tc, m) == cyc[m])
                     cyc_ok.append(len(_toric_enriched_set(tc, m)) == cyc[m])
     _check(checks, f"omega == brute force, n<={max_n}, m<={max_m}", formula_ok)
-    _check(checks, f"omega == series coefficients, m<={series_m}", series_ok)
+    _check(checks, f"omega == series coefficients, m<={order}", series_ok)
     _check(checks, f"cyclic triple agreement, n<={max_n}", cyc_ok)
     run_ok, rot_ok, poly_ok = [], [], []
     for n in range(1, 8):
@@ -740,18 +701,17 @@ def suite_triangularity(max_n: int = 6, **_) -> list:
     if max_n < 2:
         _check(checks, f"triangularity and rank n<={max_n}", [])
     for n in range(2, max_n + 1):
-        sets, matrix, full = _kcyc_triangular_matrix(n)
+        sets, matrix = _kcyc_triangular_matrix(n)
         bad = [
             (i, j)
             for i, row in enumerate(matrix)
             for j in range(i + 1)
             if (row[j] != 0) != (i == j)
         ]
-        # Columns that are zero in every row do not change the rank.
         _check(
             checks,
             f"triangularity and rank n={n}",
-            not bad and _matrix_rank(full) == len(sets),
+            not bad,
             f"bad entry at {bad[0]}" if bad else f"{len(sets)} classes",
         )
     _check(
@@ -848,13 +808,12 @@ def _run(name: str, kwargs: dict) -> dict:
     except Exception as exc:
         checks = []
         _check(checks, f"raised {type(exc).__name__}", False, str(exc).partition("\n")[0])
-    return _report(name, checks)
+    return {"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 
 def run_suite(name: str, **kwargs) -> dict:
-    passed = {k: v for k, v in kwargs.items() if v is not None}
     if name == "all":
-        reports = [_run(key, passed) for key in SUITES]
+        reports = [_run(key, kwargs) for key in SUITES]
         return {
             "suite": "all",
             "reports": reports,
@@ -862,4 +821,4 @@ def run_suite(name: str, **kwargs) -> dict:
         }
     if name not in SUITES:
         raise KeyError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    return _run(name, passed)
+    return _run(name, kwargs)

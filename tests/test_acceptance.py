@@ -38,7 +38,6 @@ def test_criterion_05_fundamental_lemmas():
         "fundamental-lemma",
         max_n=4,
         max_m=3,
-        random_count=200,
     )
 
 
@@ -49,7 +48,6 @@ def test_criterion_06_order_polynomial_triple_agreement():
         "order-poly",
         max_n=5,
         max_m=3,
-        series_m=6,
     )
 
 

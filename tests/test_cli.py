@@ -156,6 +156,8 @@ def test_expand_without_degree_is_one_line_error():
         ("expand", "M", "3", "1,1"),
         ("expand", "delta", "3", "7", "--word", "12"),
         ("expand", "delta-cyc", "3", "--word", "12"),
+        ("extensions", "linear"),
+        ("extensions", "linear", "--dag", ""),
     ],
 )
 def test_bad_input_is_one_line_error(argv):

@@ -37,7 +37,6 @@ from toricpeaks.verify import (
     _delta_toric_by_cpk,
     _k_fundamental,
     _kcyc_triangular_matrix,
-    _matrix_rank,
     random_dags,
     small_dags,
 )
@@ -446,15 +445,9 @@ def test_kcyc_fund_expansion_degenerates_at_n_1():
 
 
 def test_triangular_matrix_n4():
-    sets, matrix, _ = _kcyc_triangular_matrix(4)
+    sets, matrix = _kcyc_triangular_matrix(4)
     assert sets == [frozenset({1}), frozenset({1, 3})]
     assert matrix[0][0] == 4 and matrix[1][0] == 0 and matrix[1][1] != 0
-
-
-def test_matrix_rank():
-    assert _matrix_rank([[1, 2], [2, 4]]) == 1
-    assert _matrix_rank([[1, 0], [3, 5]]) == 2
-    assert _matrix_rank([]) == 0
 
 
 def test_cyclic_peak_product_small_cases():

@@ -58,6 +58,12 @@ def test_psi_undefined_on_empty():
         psi(set(), 4)
 
 
+def test_psi_rejects_out_of_range():
+    for E in ({5}, {0, 2}):
+        with pytest.raises(ValueError, match=r"not contained in \[4\]"):
+            psi(E, 4)
+
+
 def test_shift_set_wraps():
     assert shift_set({3, 4}, 4, 1) == frozenset({4, 1})
     assert shift_set({1}, 4, -1) == frozenset({4})

@@ -41,7 +41,7 @@ def test_fundamental_lemma_catches_a_wrong_delta_dag(monkeypatch):
     monkeypatch.setattr(enriched, "_toric_peaks", doubled_in_degree_3)
     verify._delta_toric.cache_clear()
     try:
-        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1)
     finally:
         verify._delta_toric.cache_clear()
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
@@ -64,7 +64,7 @@ def test_fundamental_lemma_checks_delta_without_the_lemma(monkeypatch):
     monkeypatch.setattr(enriched, "_peak_distribution", one_late)
     enriched._TORIC_PEAKS.clear()
     try:
-        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2, random_count=0)
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2)
     finally:
         enriched._TORIC_PEAKS.clear()
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
@@ -83,7 +83,7 @@ def test_fundamental_lemma_catches_a_wrong_k_expansion(monkeypatch):
     exec(source.replace("sums[(E | E >> 1) & U]", "sums[(E | E << 1) & U]"), namespace)
     monkeypatch.setattr(enriched, "_delta_from_peaks", namespace["_delta_from_peaks"])
     monkeypatch.setattr(verify, "_delta_toric", verify._delta_toric_by_cpk)
-    report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+    report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1)
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
     assert failed == ["linear decomposition"]
 
@@ -100,7 +100,7 @@ def test_fundamental_lemma_checks_the_listing_against_its_own_rule(monkeypatch):
     for memo in memos:
         memo.cache_clear()
     try:
-        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2, random_count=0)
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=2)
     finally:
         for memo in memos:
             memo.cache_clear()
@@ -164,7 +164,7 @@ def test_fundamental_lemma_catches_a_missing_toric_extension(monkeypatch):
     monkeypatch.setattr(verify, "_toric_extensions", one_short)
     verify._toric_extensions_of.cache_clear()
     try:
-        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+        report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1)
     finally:
         verify._toric_extensions_of.cache_clear()
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
@@ -180,7 +180,7 @@ def test_fundamental_lemma_checks_the_public_toric_extensions(monkeypatch):
         return words[:-1] if len(d.vertices) > 2 else words
 
     monkeypatch.setattr(verify, "toric_extensions", one_short)
-    report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1, random_count=0)
+    report = verify.run_suite("fundamental-lemma", max_n=3, max_m=1)
     failed = [c["name"].split(",")[0] for c in report["checks"] if not c["pass"]]
     assert failed == ["toric decomposition"]
 
@@ -197,15 +197,32 @@ def test_triangularity_names_a_bad_entry(monkeypatch):
     matrix = verify._kcyc_triangular_matrix
 
     def zero_last_diagonal(n):
-        sets, rows, full = matrix(n)
+        sets, rows = matrix(n)
         if n == 4:
             rows[-1][-1] = 0
-        return sets, rows, full
+        return sets, rows
 
     monkeypatch.setattr(verify, "_kcyc_triangular_matrix", zero_last_diagonal)
     report = verify.run_suite("triangularity", max_n=4)
     failed = [(c["name"], c["detail"]) for c in report["checks"] if not c["pass"]]
     assert failed == [("triangularity and rank n=4", "bad entry at (1, 1)")]
+
+
+def test_triangularity_alone_catches_dependent_rows(monkeypatch):
+    # No rank is computed: a repeated Kcyc row shows as a nonzero entry
+    # below the diagonal.
+    matrix = verify._kcyc_triangular_matrix
+
+    def repeat_first_row(n):
+        sets, rows = matrix(n)
+        if n == 6:
+            rows[1] = list(rows[0])
+        return sets, rows
+
+    monkeypatch.setattr(verify, "_kcyc_triangular_matrix", repeat_first_row)
+    report = verify.run_suite("triangularity", max_n=6)
+    failed = [(c["name"], c["detail"]) for c in report["checks"] if not c["pass"]]
+    assert failed == [("triangularity and rank n=6", "bad entry at (1, 0)")]
 
 
 def test_small_degree_bounds_draw_no_random_dags():
