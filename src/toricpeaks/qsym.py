@@ -11,8 +11,10 @@ bases are views and constructors on top of these.
 
 Products walk the quasi-shuffle lattice paths one grid column at a time,
 sharing the columns that consecutive right terms have in common (see
-:meth:`QSym.__mul__`). A cyclic product goes through QSym, and the
-monomial expansion of each cyclic class is cached for the process.
+:meth:`QSym.__mul__`). Up to degree 10 each grid cell is one packed int,
+a digit per partial-sum mask; above it a cell is a dict holding only the
+masks that occur. A cyclic product goes through QSym, and the monomial
+expansion of each cyclic class is cached for the process.
 Multiplying a QSym by a CQSym, either way round, raises ``TypeError``.
 
 All coefficients are exact Python integers.
@@ -21,6 +23,7 @@ All coefficients are exact Python integers.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from collections import Counter
 from math import comb
@@ -168,6 +171,12 @@ def _degree(n: int) -> int:
     return n
 
 
+def _variables(m: int) -> None:
+    """Refuse m as a number of variables unless it is a nonnegative integer."""
+    if type(m) is not int or m < 0:
+        raise ValueError(f"number of variables {m!r} is not a nonnegative integer")
+
+
 def _json_terms(payload: str) -> tuple[object, object, dict[frozenset, int]]:
     """The degree, basis and term coefficients of a JSON payload, refusing
     a payload, row or set of the wrong shape and a set that repeats an
@@ -233,6 +242,14 @@ class QSym(_Homogeneous):
         partial-sum lists, and each recomputes only the columns past the
         prefix it shares with the one before it.
 
+        The degree n picks the cell type. Up to ``_PACKED_MAX_DEGREE`` (10)
+        a cell is one int with a fixed-width digit per mask
+        (:func:`_packed_product`): adding a bit to every mask is one shift
+        and merging three cells two additions. A packed cell costs 2^(n-1)
+        digits however few masks it holds, so above that degree a cell is
+        a dict of the masks that occur (:func:`_shuffle_into`), which
+        sparse high-degree products need.
+
         Multiplying by an int scales; any type other than ``int`` and
         ``QSym`` raises ``TypeError``.
         """
@@ -247,6 +264,8 @@ class QSym(_Homogeneous):
             return self.scale(other.masks.get(0, 0))
         n = p + q
         rights = sorted((_partial_sums(L, q), b) for L, b in other.masks.items())
+        if n <= _PACKED_MAX_DEGREE:
+            return QSym._make(n, _packed_product(self.masks, p, rights, n))
         out: dict[int, int] = {}
         for E, a in self.masks.items():
             _shuffle_into(out, _partial_sums(E, p), a, rights, n)
@@ -269,8 +288,7 @@ class QSym(_Homogeneous):
 
     def specialize_ones(self, m: int) -> int:
         """Value at x_1 = ... = x_m = 1, all other variables 0."""
-        if type(m) is not int or m < 0:
-            raise ValueError(f"number of variables {m!r} is not a nonnegative integer")
+        _variables(m)
         # A key E of degree n >= 1 has |E| + 1 parts; degree 0 has none.
         extra = 1 if self.degree else 0
         return sum(c * comb(m, E.bit_count() + extra) for E, c in self.masks.items())
@@ -311,18 +329,91 @@ def _partial_sums(mask: int, n: int) -> list[int]:
     return [0, *(n - b for b in range(n - 1, 0, -1) if mask >> b & 1), n] if n else [0]
 
 
+# Products of degree at most this pack their grid cells. At degree 10
+# packing runs dense products (Kcyc by Kcyc) about three times as fast and
+# a sparse one (2 M_1 by (2 M_1)^9) about 15 % slower; at degree 12 it
+# runs that sparse one three times slower.
+_PACKED_MAX_DEGREE = 10
+
+
+def _packed_product(
+    left: Mapping[int, int], p: int, rights: list[tuple[list[int], int]], n: int
+) -> dict[int, int]:
+    """The masks of sum of a * b * M_A * M_B over the left terms (E, a) and
+    the right terms (B, b), with every grid cell one packed int.
+
+    Digit d of a cell, W bits wide, counts the paths whose partial-sum
+    mask is d, where sum s sits at bit s - 1, so cells near (0, 0) stay
+    small. Adding sum s to every mask is a left shift by W << (s - 1).
+    A digit never exceeds sum |a| * sum |b| times the number of lattice
+    paths, at most 3^n, so W, a whole number of bytes, is at least that
+    product's bit length plus 2n + 1. Positive and negative terms go to
+    two accumulators, each decoded once.
+    """
+    size = sum(map(abs, left.values())) * sum(abs(b) for _, b in rights)
+    width = (size.bit_length() + 2 * n + 8) // 8  # bytes per digit
+    step = [0] + [8 * width << (s - 1) for s in range(1, n)]
+    acc = [0, 0]  # the positive and the negated negative terms
+    for E, a in left.items():
+        A = _partial_sums(E, p)
+        k = len(A) - 1
+        cell, first = 1, [1]
+        for x in A[1:]:
+            cell <<= step[x]
+            first.append(cell)
+        column = functools.partial(_packed_column, A, step)
+        for b, prev, last in _walk(first, rights, column, k):
+            ab = a * b
+            end = prev[k] + last[k - 1] + prev[k - 1]
+            if ab > 0:
+                acc[0] += ab * end
+            else:
+                acc[1] -= ab * end
+    masks = _unpacked_masks(n)
+    pos, neg = (_digits(total, width, len(masks)) for total in acc)
+    return {m: x - y for m, x, y in zip(masks, pos, neg) if x != y}
+
+
+def _digits(total: int, width: int, count: int) -> Iterable[int]:
+    """The count digits of total, width bytes each, lowest first."""
+    if not total:
+        return itertools.repeat(0)
+    raw = total.to_bytes(width * count, "little")
+    return [int.from_bytes(raw[at : at + width], "little") for at in range(0, len(raw), width)]
+
+
+def _packed_column(A: list[int], step: list[int], prev: list[int], x: int, rows: int) -> list[int]:
+    """Rows 0, ..., rows - 1 of the packed grid column with partial sum x,
+    from the column before it; see :func:`_packed_product`."""
+    cell = prev[0] << step[x]
+    col = [cell]
+    for i in range(1, rows):
+        cell = (cell + prev[i] + prev[i - 1]) << step[A[i] + x]
+        col.append(cell)
+    return col
+
+
+@functools.cache
+def _unpacked_masks(n: int) -> list[int]:
+    """setcomp's mask of degree n for each packed mask, whose bit s - 1
+    stands for the element s of [n-1]."""
+    out = [0]
+    for s in range(1, n):
+        out += [m | 1 << (n - s) for m in out]
+    return out
+
+
 def _shuffle_into(
     out: dict[int, int], A: list[int], a: int, rights: list[tuple[list[int], int]], n: int
 ) -> None:
-    """Add a * b * M_A * M_B into out for every right term (B, b).
+    """Add a * b * M_A * M_B into out for every right term (B, b), with
+    every grid cell a dict; products above degree 10 take this route.
 
     A and each B are partial-sum lists of positive degree, and rights is
     sorted by B. Cell (i, j) of the grid maps each partial-sum mask of the
-    paths from (0, 0) to (i, j) to their number; its own bit is that of
-    A_i + B_j. ``cols`` holds the columns of the current B before its last
-    one. The last column is rebuilt for every B, and its end cell, which
-    sets no bit (its sum is n), is never built: its three neighbours go
-    straight into out.
+    paths from (0, 0) to (i, j) to their number, in setcomp's encoding;
+    its own bit is that of A_i + B_j. The end cell, which sets no bit (its
+    sum is n), is never built: its three neighbours go straight into out.
     """
     k = len(A) - 1
     shifts = [n - x for x in A]
@@ -330,6 +421,24 @@ def _shuffle_into(
     for s in shifts[1:]:
         mask |= 1 << s
         first.append({mask: 1})
+    column = functools.partial(_column, shifts)
+    for b, prev, last in _walk(first, rights, column, k):
+        ab = a * b
+        for src in (prev[k], last[k - 1], prev[k - 1]):
+            for m, c in src.items():
+                out[m] = out.get(m, 0) + ab * c
+
+
+def _walk(first: list, rights: list[tuple[list[int], int]], column, k: int):
+    """For each right term (B, b), in order, yield b, the grid column
+    before B's last one and rows 0, ..., k - 1 of the last one.
+
+    ``first`` is column 0, and ``column(prev, x, rows)`` builds the column
+    with partial sum x from the one before it. ``cols`` holds the columns
+    of the current B before its last one; column j depends only on A and
+    B_0, ..., B_j, so each B rebuilds only the columns past the prefix it
+    shares with the B before it.
+    """
     cols, before = [first], [0]
     for B, b in rights:
         j = 1
@@ -337,18 +446,14 @@ def _shuffle_into(
             j += 1
         del cols[j:]
         for x in B[j:-1]:
-            cols.append(_column(cols[-1], shifts, x, k + 1))
+            cols.append(column(cols[-1], x, k + 1))
         prev = cols[-1]
-        last = _column(prev, shifts, B[-1], k)
-        ab = a * b
-        for src in (prev[k], last[k - 1], prev[k - 1]):
-            for m, c in src.items():
-                out[m] = out.get(m, 0) + ab * c
+        yield b, prev, column(prev, B[-1], k)
         before = B
 
 
 def _column(
-    prev: list[dict[int, int]], shifts: list[int], x: int, rows: int
+    shifts: list[int], prev: list[dict[int, int]], x: int, rows: int
 ) -> list[dict[int, int]]:
     """Rows 0, ..., rows - 1 of the grid column with partial sum x, from
     the column before it. No source mask holds the cell's own bit."""
@@ -433,7 +538,13 @@ class CQSym(_Homogeneous):
         return QSym._make(n, out)
 
     def specialize_ones(self, m: int) -> int:
-        return self.as_qsym().specialize_ones(m)
+        """Value at x_1 = ... = x_m = 1, all other variables 0. Each of the
+        |K| monomial terms M_L of Mcyc_K has |L| + 1 = |K| parts, so Mcyc_K
+        gives |K| * C(m, |K|); degree 0 gives its one coefficient."""
+        _variables(m)
+        if not self.degree:
+            return self.masks.get(0, 0)
+        return sum(c * K.bit_count() * comb(m, K.bit_count()) for K, c in self.masks.items())
 
     @classmethod
     def from_json(cls, payload: str) -> "CQSym":

@@ -812,6 +812,12 @@ def _run(name: str, kwargs: dict) -> dict:
 
 
 def run_suite(name: str, **kwargs) -> dict:
+    """The report of one suite, or of every suite for ``all``. The sizes a
+    user sets, ``max_n`` and ``max_m``, are the only keywords; a suite
+    ignores the one it has no use for."""
+    unknown = sorted(kwargs.keys() - {"max_n", "max_m"})
+    if unknown:
+        raise TypeError(f"run_suite takes only max_n and max_m, not {', '.join(unknown)}")
     if name == "all":
         reports = [_run(key, kwargs) for key in SUITES]
         return {

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 from collections import defaultdict
 
@@ -113,6 +114,31 @@ def _descending(x: QSym) -> QSym:
 _DENSE = fundamental(4, ())  # every subset of [3]
 _KCYC = kcyc({1, 3}, 5).as_qsym()
 _CANCEL = monomial(2, {1}) - monomial(2, ())  # M_1 times it cancels M_12, M_21
+# Coefficients near 10^30 of both signs, for the packed cells of degree at
+# most 10. A digit of 10^30 M_1 * 10^30 M_1 is 2 * 10^60, above 2^200, so
+# one byte less than its width of 26 bytes would drop its top bit.
+_HUGE_M1 = 10**30 * monomial(1, ())
+_HUGE = 10**30 * monomial(2, {1}) - (10**30 + 7) * monomial(2, ())
+_HUGE_RIGHT = (1 - 10**30) * monomial(2, {1}) + 10**30 * monomial(2, ())
+_HUGE_FOUR = QSym(
+    4, {frozenset(): -(10**30), frozenset({2}): 10**30 + 1, frozenset({1, 2, 3}): 3 * 10**30}
+)
+
+
+def _two_m1_power(k: int) -> QSym:
+    """(2 M_1)^k: 2^k times the multinomial coefficient of each composition
+    of k, built without a product."""
+    return QSym(
+        k,
+        {
+            frozenset(E): 2**k * math.factorial(k) // math.prod(map(math.factorial, phi(E, k)))
+            for r in range(k)
+            for E in itertools.combinations(range(1, k), r)
+        },
+    )
+
+
+_TWO_M1 = _two_m1_power(1)
 _KERNEL_CASES = [
     (monomial(3, {1}), _DENSE),
     (fundamental(3, ()), _DENSE),
@@ -129,6 +155,18 @@ _KERNEL_CASES = [
     (_CANCEL, 3 * _CANCEL),
     (monomial(2, {1}), _descending(_DENSE)),
     (fundamental(2, ()), _descending(_KCYC)),
+    (_HUGE_M1, _HUGE_M1),
+    (_HUGE_M1, -_HUGE_M1),
+    (_HUGE, monomial(1, ())),
+    (_HUGE, _HUGE_RIGHT),
+    (_HUGE, _HUGE_FOUR),
+    (_KCYC, fundamental(5, {2}) - _KCYC),  # degree 10, the last with packed cells
+    (_TWO_M1, _two_m1_power(9)),
+    # Above degree 10, where the grid cells are dicts.
+    (_KCYC, kcyc({1, 3, 5}, 6).as_qsym()),
+    (_TWO_M1, _two_m1_power(10)),
+    (_TWO_M1, _two_m1_power(12)),
+    (10**30 * _CANCEL, _two_m1_power(10)),
 ]
 
 
@@ -188,6 +226,18 @@ def test_specialize_ones():
     assert monomial(4, {1, 3}).specialize_ones(3) == 1
     assert monomial(4, set()).specialize_ones(3) == 3
     assert fundamental(2, set()).specialize_ones(2) == 3
+
+
+def test_cyclic_specialize_ones_counts_parts_per_class():
+    # Every cyclic class of degree 1 to 10 against its monomial expansion.
+    cases = 0
+    for n in range(1, 11):
+        for K, *_ in setcomp._class_list(n):
+            x = CQSym._make(n, {K: 3})
+            for m in range(7):
+                assert x.specialize_ones(m) == x.as_qsym().specialize_ones(m), (n, K, m)
+                cases += 1
+    assert cases == 1757
 
 
 def test_degree_mismatch_add_raises():
@@ -289,9 +339,10 @@ def test_public_constructors_reject_bad_degrees_coefficients_and_rows():
         ):
             with pytest.raises(ValueError, match="expected a JSON object with degree"):
                 cls.from_json(payload)
-    for elem in (monomial(2, {1}), cyclic_monomial(3, {1})):
-        with pytest.raises(ValueError, match="number of variables -1 is not a nonnegative"):
-            elem.specialize_ones(-1)
+    for elem in (monomial(2, {1}), cyclic_monomial(3, {1}), CQSym.unit(2)):
+        for m in (-1, 2.0, True):
+            with pytest.raises(ValueError, match=f"number of variables {m} is not a nonnegative"):
+                elem.specialize_ones(m)
 
 
 def test_json_roundtrip_both_bases():

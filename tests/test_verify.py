@@ -232,6 +232,21 @@ def test_small_degree_bounds_draw_no_random_dags():
         assert verify.run_suite(suite, max_n=max_n, max_m=1)["pass"]
 
 
+@pytest.mark.parametrize(
+    "name, kwargs, named",
+    [("order-poly", {"max_n": 2, "max_m": 1, "series_m": 2}, "series_m"), ("table1", {"bogus": 1}, "bogus")],
+)
+def test_run_suite_refuses_sizes_no_user_sets(name, kwargs, named):
+    with pytest.raises(TypeError, match=f"^run_suite takes only max_n and max_m, not {named}$"):
+        verify.run_suite(name, **kwargs)
+
+
+def test_a_suite_ignores_the_size_it_has_no_use_for(capsys):
+    assert verify.run_suite("table1", max_n=3)["pass"]
+    assert cli.main(["verify", "table1", "--n", "3"]) == 0
+    assert capsys.readouterr().out.endswith("OK\n")
+
+
 def test_is_disjoint_cover():
     whole = frozenset({1, 2, 3})
     assert verify._is_disjoint_cover(whole, [frozenset({1}), frozenset({2, 3})])
