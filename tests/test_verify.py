@@ -234,7 +234,10 @@ def test_small_degree_bounds_draw_no_random_dags():
 
 @pytest.mark.parametrize(
     "name, kwargs, named",
-    [("order-poly", {"max_n": 2, "max_m": 1, "series_m": 2}, "series_m"), ("table1", {"bogus": 1}, "bogus")],
+    [
+        ("order-poly", {"max_n": 2, "max_m": 1, "series_m": 2}, "series_m"),
+        ("table1", {"bogus": 1}, "bogus"),
+    ],
 )
 def test_run_suite_refuses_sizes_no_user_sets(name, kwargs, named):
     with pytest.raises(TypeError, match=f"^run_suite takes only max_n and max_m, not {named}$"):
