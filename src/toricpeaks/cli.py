@@ -170,15 +170,22 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
     The count is a pass of its own: a listing it lets through draws every
     row a second time, since keeping the drawn rows would hold up to the
     limit of them even to refuse.
+
+    A huge m is refused before any table of its 2m values is built:
+    strictly rising ranks along one linear extension pass every arc, so
+    each member has at least C(2m, n) >= 2m enriched partitions when
+    1 <= n < 2m.
     """
     if len(members) * (2 * m) ** n <= MAX_ENUMERATED:
         return
-    found = itertools.chain.from_iterable(enriched.iter_enriched(e, m) for e in members)
-    if sum(1 for _ in itertools.islice(found, MAX_ENUMERATED + 1)) > MAX_ENUMERATED:
-        raise SystemExit(
-            f"enumerate enriched would produce more than {MAX_ENUMERATED}"
-            " assignments, the limit"
-        )
+    if not 0 < n < 2 * m or 2 * m <= MAX_ENUMERATED:
+        found = itertools.chain.from_iterable(enriched.iter_enriched(e, m) for e in members)
+        if sum(1 for _ in itertools.islice(found, MAX_ENUMERATED + 1)) <= MAX_ENUMERATED:
+            return
+    raise SystemExit(
+        f"enumerate enriched would produce more than {MAX_ENUMERATED}"
+        " assignments, the limit"
+    )
 
 
 def _row_template(d: dagmod.Dag) -> tuple[str, operator.itemgetter]:

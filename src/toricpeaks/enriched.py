@@ -21,7 +21,7 @@ import functools
 import heapq
 import operator
 from collections import Counter
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
     Dag,
@@ -160,10 +160,18 @@ def iter_enriched_toric(tc: ToricClass, m: int) -> Iterator[Assignment]:
     bare = _without_bridges(tc.canonical)
     members = tc.members if bare is tc.canonical else toric_class(bare).members
     streams = [iter_enriched(member, m) for member in members]
-    # The members share one label set, so their values in label order sort
-    # as their sorted items do. The empty class has one member: no key.
-    labels = bare.labels
-    return heapq.merge(*streams, key=operator.itemgetter(*labels) if labels else None)
+    return heapq.merge(*streams, key=_values_key(bare))
+
+
+def _values_key(d: Dag) -> Callable[[Mapping[int, int]], tuple[int, ...]]:
+    """The key of an assignment on d's vertices: its values in label order.
+    Assignments of one vertex set sort by it as by their sorted items, and
+    sets of keys compare and join exactly when they share one vertex set."""
+    labels = d.labels
+    if len(labels) > 1:
+        return operator.itemgetter(*labels)
+    # itemgetter of one label returns a scalar, and of none raises.
+    return lambda f: tuple(f[v] for v in labels)
 
 
 def delta_perm(w: Sequence[int]) -> QSym:

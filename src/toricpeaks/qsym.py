@@ -55,10 +55,10 @@ class _Homogeneous:
     ``masks`` maps each key, as a bitmask of degree ``degree``, to its
     coefficient. Subclasses supply ``_key``, which validates a subset and
     returns its mask, the basis name ``_symbol`` and the classmethods
-    ``zero`` and ``unit``. The public constructor validates the degree,
-    every key and every coefficient; results the library builds itself
-    come from ``_make``, which takes masks already known to be valid and
-    adopts the dict it is handed.
+    ``zero`` and ``unit`` (of ``_zero`` and ``_unit``). The public
+    constructor validates the degree, every key and every coefficient;
+    results the library builds itself come from ``_make``, which takes
+    masks already known to be valid and adopts the dict it is handed.
     Elements of different subclasses never compare equal, add or multiply.
     """
 
@@ -205,22 +205,25 @@ def _rows(masks: Mapping[int, int], n: int) -> list[tuple[list[int], int]]:
     return sorted((_elements(m, n), c) for m, c in masks.items())
 
 
+def _zero(cls, degree: int):
+    return cls._make(degree, {})
+
+
+def _unit(cls, coeff: int = 1):
+    return cls._make(0, {0: 1}).scale(coeff)
+
+
 class QSym(_Homogeneous):
     """Homogeneous degree-n quasi-symmetric function in the monomial basis."""
 
     __slots__ = ()
     _symbol = "M"
 
-    # zero and unit live on each subclass: a classmethod of the base that
-    # is patched and then restored with getattr (as perfbench's tracer
-    # does) comes back bound to the base.
-    @classmethod
-    def zero(cls, degree: int) -> "QSym":
-        return cls._make(degree, {})
-
-    @classmethod
-    def unit(cls, coeff: int = 1) -> "QSym":
-        return cls._make(0, {0: 1}).scale(coeff)
+    # zero and unit have one body each but live on each subclass: a
+    # classmethod of the base that is patched and then restored with
+    # getattr (as perfbench's tracer does) comes back bound to the base.
+    zero = classmethod(_zero)
+    unit = classmethod(_unit)
 
     @staticmethod
     def _key(degree: int, E: Iterable[int]) -> int:
@@ -492,13 +495,8 @@ class CQSym(_Homogeneous):
     __slots__ = ()
     _symbol = "Mcyc"
 
-    @classmethod
-    def zero(cls, degree: int) -> "CQSym":
-        return cls._make(degree, {})
-
-    @classmethod
-    def unit(cls, coeff: int = 1) -> "CQSym":
-        return cls._make(0, {0: 1}).scale(coeff)
+    zero = classmethod(_zero)
+    unit = classmethod(_unit)
 
     @staticmethod
     def _key(degree: int, E: Iterable[int]) -> int:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from collections import Counter
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dag import (
     Dag,
@@ -32,6 +31,7 @@ from .dag import (
 from .enriched import (
     _delta_from_peaks,
     _peak_distribution,
+    _values_key,
     cyclic_peak_product,
     delta_dag,
     delta_perm,
@@ -65,8 +65,8 @@ from .permstat import (
     rotations,
     shuffle_set,
 )
-from .qsym import CQSym, QSym, _partial_sums, cyclic_fundamental, cyclic_monomial
-from .setcomp import _canonical_mask, _mask, _set, shift_set
+from .qsym import CQSym, QSym, _partial_sums, _superset_sum, cyclic_fundamental, cyclic_monomial
+from .setcomp import _canonical_mask, _mask, shift_set
 
 
 def _check(checks: list, name: str, ok: bool | list[bool], detail: str = "") -> None:
@@ -80,17 +80,6 @@ def _check(checks: list, name: str, ok: bool | list[bool], detail: str = "") -> 
         check["instances"] = len(ok)
         ok = all(ok)
     checks.append({**check, "pass": bool(ok), "detail": detail})
-
-
-def _values_key(d: Dag) -> Callable[[Mapping[int, int]], tuple[int, ...]]:
-    """The key of an assignment on d's vertices: its values in label order.
-    Sets of keys compare and join exactly when they share one vertex set,
-    as every set a suite compares or joins does."""
-    labels = d.labels
-    if len(labels) > 1:
-        return operator.itemgetter(*labels)
-    # itemgetter of one label returns a scalar, and of none raises.
-    return lambda f: tuple(f[v] for v in labels)
 
 
 # Process-wide memos of pure results. They fill across suites, as ``verify
@@ -136,11 +125,6 @@ def _toric_enriched_set(tc: ToricClass, m: int) -> frozenset:
 @functools.cache
 def _delta_toric(tc: ToricClass) -> CQSym:
     return delta_toric(tc)
-
-
-@functools.cache
-def _toric_extensions_of(tc: ToricClass) -> list[Word]:
-    return _toric_extensions(tc.members)
 
 
 @functools.cache
@@ -218,14 +202,15 @@ def _delta_by_extensions(d: Dag) -> QSym:
     """Oracle for ``delta_dag``: the sum of Δ_w over the linear extensions w
     of d (the fundamental lemma). Each distinct peak set is expanded in the
     fundamental basis by ``_k_fundamental``, and the summed coefficients
-    convert to the monomial basis once, so no K-expansion of the library
-    takes part."""
-    n, counts = len(d.vertices), Counter(map(peak_set, _linear_extensions_of(d)))
+    convert to the monomial basis once, by the unsigned superset sum, so
+    no K-expansion of the library takes part."""
+    n = len(d.vertices)
+    counts = Counter(_mask(peak_set(w), n) for w in _linear_extensions_of(d))
     coeffs: Counter = Counter()
     for S, c in counts.items():
         for D, k in _k_fundamental(S, n).items():
             coeffs[D] += c * k
-    return QSym.from_fundamental(n, coeffs)
+    return QSym._make(n, _superset_sum(coeffs, n, signed=False))
 
 
 def _toric_class_by_flips(d: Dag) -> frozenset[Dag]:
@@ -255,7 +240,7 @@ def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:
     """Oracle for ``delta_toric``: the sum of Kcyc_{cPk w} over the toric
     extensions w of the class, one ``kcyc`` call per distinct cPk set."""
     n = len(tc.canonical.vertices)
-    counts = Counter(cpeak_set(w) for w in _toric_extensions_of(tc))
+    counts = Counter(cpeak_set(w) for w in _toric_extensions(tc.members))
     return sum((kcyc(S, n).scale(c) for S, c in counts.items()), CQSym.zero(n))
 
 
@@ -298,13 +283,12 @@ def _fcyc_pair_oracle(n: int, E: Iterable[int], m: int) -> dict[tuple[int, ...],
     return dict(out)
 
 
-def _k_fundamental(S: frozenset[int], n: int) -> dict[frozenset, int]:
-    """K_S in the fundamental basis by Stembridge's peak-set expansion:
-    coefficient 2^{|S|+1} (1 in degree 0) on each D in [n-1] with S inside
-    D △ (D+1)."""
-    coeff = 1 << len(S) + (n > 0)
-    peaks = _mask(S, n)
-    return {_set(D, n): coeff for D in range(0, 1 << n, 2) if not peaks & ~(D ^ D >> 1)}
+def _k_fundamental(peaks: int, n: int) -> dict[int, int]:
+    """K_S in the fundamental basis by Stembridge's peak-set expansion, for
+    the mask ``peaks`` of S: coefficient 2^{|S|+1} (1 in degree 0) on the
+    mask of each D in [n-1] with S inside D △ (D+1)."""
+    coeff = 1 << peaks.bit_count() + (n > 0)
+    return {D: coeff for D in range(0, 1 << n, 2) if not peaks & ~(D ^ D >> 1)}
 
 
 def _kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int]]]:
@@ -501,7 +485,7 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> list:
                 for m in range(1, max_m + 1):
                     brute = _weight_poly(_enriched_set(_word_dag(w), m), m)
                     agree.append(brute == _truncate(dperm, m))
-            agree.append(_k_fundamental(peak_set(w), n) == dperm.to_fundamental())
+            agree.append(_k_fundamental(_mask(peak_set(w), n), n) == dperm._fundamental_masks())
     _check(checks, f"delta oracles all words n<={max_n}", agree)
     # Kcyc of the cyclic peak set against the rotation route, which sums
     # the linear enumerators of all n rotations of the cyclic order w.
@@ -557,7 +541,7 @@ def suite_fundamental_lemma(max_n: int = 4, max_m: int = 3, **_) -> list:
         # The class and both toric-extension routes against their flip and
         # rotation oracles, the member sum against its cPk oracle, and the
         # disjoint member sets it rests on, count as toric failures.
-        extensions = _toric_extensions_of(tc)
+        extensions = _toric_extensions(tc.members)
         rotated = _toric_extensions_by_rotation(tc)
         toric_ok.append(tc.members == _toric_class_by_flips(d))
         toric_ok += [extensions == rotated, toric_extensions(tc.canonical) == rotated]

@@ -183,6 +183,25 @@ def test_enumerate_enriched_refuses_a_huge_listing():
 
 
 @pytest.mark.parametrize("toric", [[], ["--toric"]])
+def test_enumerate_enriched_refuses_a_huge_m_before_listing(monkeypatch, toric):
+    # 1 <= n < 2m gives at least 2m rows, so the refusal builds no table of
+    # the 2m values and starts no listing; one that did would need GBs.
+    def no_listing(d, m):
+        raise AssertionError("a listing was started")
+
+    monkeypatch.setattr(enriched, "iter_enriched", no_listing)
+    argv = ["enumerate", "enriched", "--word", "12", "--m", str(10**9), *toric]
+    tracemalloc.start()
+    try:
+        with pytest.raises(SystemExit, match="^enumerate enriched would produce more than"):
+            main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024
+
+
+@pytest.mark.parametrize("toric", [[], ["--toric"]])
 def test_enumerate_enriched_lists_a_wide_antichain(capsys, toric):
     # 2^12 rows: within the limit, so listed whatever the (2m)^n candidates.
     antichain = Dag.make(range(1, 13), []).to_json()

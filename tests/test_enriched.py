@@ -30,7 +30,7 @@ from toricpeaks.qsym import (
     from_qsym,
     monomial,
 )
-from toricpeaks.setcomp import _canonical_mask, _mask, shift_set
+from toricpeaks.setcomp import _canonical_mask, _mask, _set, shift_set
 from toricpeaks.verify import (
     _brute_enriched,
     _delta_by_extensions,
@@ -201,7 +201,8 @@ def test_delta_dag_of_two_five_chains():
 def test_fundamental_expansion_matches_basis_change():
     for n in range(1, 6):
         for w in itertools.permutations(range(1, n + 1)):
-            assert _k_fundamental(peak_set(w), n) == delta_perm(w).to_fundamental()
+            F = _k_fundamental(_mask(peak_set(w), n), n)
+            assert {_set(D, n): c for D, c in F.items()} == delta_perm(w).to_fundamental()
 
 
 def test_k_peak_square_identity():

@@ -283,8 +283,8 @@ def assert_peaks_project_delta(d):
     delta = delta_dag(d)
     coeffs = Counter()
     for S, c in counts.items():
-        for D, k in _k_fundamental(_set(S, n), n).items():
-            coeffs[D] += c * k
+        for D, k in _k_fundamental(S, n).items():
+            coeffs[_set(D, n)] += c * k
     assert delta == QSym.from_fundamental(n, coeffs), d
     assert [omega_dag(d, m) for m in range(4)] == [delta.specialize_ones(m) for m in range(4)], d
 
