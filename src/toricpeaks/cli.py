@@ -10,6 +10,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import sys
@@ -152,7 +153,8 @@ def cmd_extensions(args) -> int:
     return 0
 
 
-# ``enumerate`` refuses to list more assignments or markings than this.
+# ``enumerate`` refuses to list more assignments or markings than this,
+# and ``series`` to print more coefficients.
 MAX_ENUMERATED = 10**6
 
 
@@ -163,22 +165,19 @@ def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> Non
     ``--toric`` the members are those of ``dag._class_without_bridges``.
 
     The count is skipped when (2m)^n candidates per member cannot exceed
-    the limit, and otherwise streams the rows and stops one past it, so a
-    refusal takes no longer than the largest listing allowed. The exact
-    count of ``orderpoly.omega_dag`` would not bound it so: its DP takes
-    about 2.6 s on a star with 13 leaves, three times as long as at 12.
-    The count is a pass of its own: a listing it lets through draws every
-    row a second time, since keeping the drawn rows would hold up to the
-    limit of them even to refuse.
-
-    A huge m is refused before any table of its 2m values is built:
-    strictly rising ranks along one linear extension pass every arc, so
-    each member has at least C(2m, n) >= 2m enriched partitions when
-    1 <= n < 2m.
+    the limit, and the listing refused at once when C(2m, n) per member
+    does, as strictly rising ranks along one linear extension pass every
+    arc. Otherwise the count streams the rows and stops one past the
+    limit, so a refusal takes no longer than the largest listing allowed.
+    The exact count of ``orderpoly.omega_dag`` would not bound it so: its
+    DP takes about 2.6 s on a star with 13 leaves, three times as long as
+    at 12. The count is a pass of its own: a listing it lets through draws
+    every row a second time, since keeping the drawn rows would hold up to
+    the limit of them even to refuse.
     """
     if len(members) * (2 * m) ** n <= MAX_ENUMERATED:
         return
-    if not 0 < n < 2 * m or 2 * m <= MAX_ENUMERATED:
+    if len(members) * math.comb(2 * m, n) <= MAX_ENUMERATED:
         found = itertools.chain.from_iterable(enriched.iter_enriched(e, m) for e in members)
         if sum(1 for _ in itertools.islice(found, MAX_ENUMERATED + 1)) <= MAX_ENUMERATED:
             return
@@ -258,6 +257,10 @@ def cmd_order_poly(args) -> int:
 
 def cmd_series(args) -> int:
     w = parse_word(args.word)
+    if args.order + 1 > MAX_ENUMERATED:
+        raise SystemExit(
+            f"series would produce more than {MAX_ENUMERATED} coefficients, the limit"
+        )
     emit(
         {
             "word": list(w),

@@ -1,7 +1,8 @@
 """Verification suites: exact identities checked on small instances.
 
-Each suite returns its list of checks, and ``run_suite`` wraps that list
-in a report dict. Everything is deterministic; the one randomized
+Each suite is a generator that yields one record per check, ``_suite``
+collects its records into the suite's list, and ``run_suite`` wraps that
+list in a report dict. Everything is deterministic; the one randomized
 ingredient (extra DAG samples in the fundamental-lemma suite) uses a fixed
 seed.
 """
@@ -69,17 +70,31 @@ from .qsym import CQSym, QSym, _partial_sums, _superset_sum, cyclic_fundamental,
 from .setcomp import _canonical_mask, _mask, shift_set
 
 
-def _check(checks: list, name: str, ok: bool | list[bool], detail: str = "") -> None:
-    """Append one check. ``ok`` is one outcome, or a list with one outcome
-    per instance, which fails when any entry is false, is detailed by its
-    failure count and records its number of instances. A family of checks,
-    one per size, over no size is recorded once, as a list of no outcome."""
+def _check(name: str, ok: bool | list[bool], detail: str = "") -> dict:
+    """The record of one check, which a suite yields. ``ok`` is one
+    outcome, or a list with one outcome per instance, which fails when any
+    entry is false, is detailed by its failure count and records its number
+    of instances. A family of checks, one per size, over no size is
+    recorded once, as a list of no outcome."""
     check = {"name": name}
     if isinstance(ok, list):
         detail = f"{sum(not x for x in ok)} failures"
         check["instances"] = len(ok)
         ok = all(ok)
-    checks.append({**check, "pass": bool(ok), "detail": detail})
+    return {**check, "pass": bool(ok), "detail": detail}
+
+
+def _suite(gen):
+    """A suite as a function that returns the list of records its
+    generator yields. It stays a plain function for perfbench's tracer,
+    which times a plain function as one span but only counts the calls of
+    a generator function."""
+
+    @functools.wraps(gen)
+    def suite(**kwargs) -> list:
+        return list(gen(**kwargs))
+
+    return suite
 
 
 # Process-wide memos of pure results. They fill across suites, as ``verify
@@ -128,13 +143,8 @@ def _delta_toric(tc: ToricClass) -> CQSym:
 
 
 @functools.cache
-def _k_peak(S: frozenset, n: int) -> QSym:
-    return k_peak(S, n)
-
-
-@functools.cache
 def _k_peak_product(S: frozenset, a: int, T: frozenset, b: int) -> QSym:
-    return _k_peak(S, a) * _k_peak(T, b)
+    return k_peak(S, a) * k_peak(T, b)
 
 
 def small_dags(max_n: int = 4) -> list[Dag]:
@@ -380,23 +390,21 @@ DELTA_CYC_D3 = CQSym(
 )
 
 
-def suite_table1(**_) -> list:
+@_suite
+def suite_table1(**_) -> Iterator[dict]:
     """The five degree-4 cyclic monomial expansions."""
-    checks: list = []
     for key, expected in TABLE1.items():
         got = cyclic_monomial(4, key).as_qsym()
-        _check(
-            checks,
+        yield _check(
             f"Mcyc class {sorted(key)} expansion",
             got == QSym(4, expected),
             repr(got),
         )
-    return checks
 
 
-def suite_cyclic_f(max_m: int = 5, **_) -> list:
+@_suite
+def suite_cyclic_f(max_m: int = 5, **_) -> Iterator[dict]:
     """The degree-4 cyclic fundamental expansion and its pair oracle."""
-    checks: list = []
     E = frozenset({1, 3})
     expected = QSym(
         4,
@@ -409,70 +417,61 @@ def suite_cyclic_f(max_m: int = 5, **_) -> list:
         },
     )
     elem = cyclic_fundamental(4, E)
-    _check(checks, "Fcyc_{4,{1,3}} monomial expansion", elem.as_qsym() == expected)
-    _check(
-        checks,
+    yield _check("Fcyc_{4,{1,3}} monomial expansion", elem.as_qsym() == expected)
+    yield _check(
         "Fcyc_{4,{1,3}} via shifted fundamentals",
         _cyclic_fundamental_via_F(4, E) == expected,
     )
     if max_m < 1:
-        _check(checks, f"pair oracle m<={max_m}", [])
+        yield _check(f"pair oracle m<={max_m}", [])
     for m in range(1, max_m + 1):
-        _check(
-            checks,
+        yield _check(
             f"pair oracle m={m}",
             _fcyc_pair_oracle(4, E, m) == _truncate(elem.as_qsym(), m),
         )
-    return checks
 
 
-def suite_extensions(**_) -> list:
+@_suite
+def suite_extensions(**_) -> Iterator[dict]:
     """Linear and toric extensions of the running 4-vertex example."""
-    checks: list = []
-    _check(
-        checks,
+    yield _check(
         "linear extensions",
         linear_extensions(D3) == [(2, 4, 1, 3), (2, 4, 3, 1)],
         str(linear_extensions(D3)),
     )
     tc = _toric_of(D3)
-    _check(checks, "toric class size 5", len(tc.members) == 5, str(len(tc.members)))
-    _check(
-        checks,
+    yield _check("toric class size 5", len(tc.members) == 5, str(len(tc.members)))
+    yield _check(
         "toric extensions",
         toric_extensions(D3) == [(1, 2, 4, 3), (1, 3, 2, 4)],
         str(toric_extensions(D3)),
     )
-    _check(
-        checks,
+    yield _check(
         "toric extensions as rotation classes of linear extensions",
         {canonical_rotation(w) for w in linear_extensions(D3)}
         == set(toric_extensions(D3)),
     )
-    return checks
 
 
-def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> list:
+@_suite
+def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> Iterator[dict]:
     """Cyclic weight enumerator of the example, two ways, plus oracles."""
-    checks: list = []
     tc = _toric_of(D3)
     delta = delta_toric(tc)
     via_cpk = _delta_toric_by_cpk(tc)
     via_rot = delta_toric_by_rotations(tc)
     # The member sum and its cPk oracle share one line.
-    _check(
-        checks,
+    yield _check(
         "delta-cyc via cPk formula",
         delta == via_cpk == DELTA_CYC_D3,
         f"member sum {delta!r}, cPk route {via_cpk!r}",
     )
-    _check(checks, "delta-cyc via rotation sums", via_rot == DELTA_CYC_D3, repr(via_rot))
+    yield _check("delta-cyc via rotation sums", via_rot == DELTA_CYC_D3, repr(via_rot))
     if max_m < 1:
-        _check(checks, f"delta-cyc brute-force weights m<={max_m}", [])
+        yield _check(f"delta-cyc brute-force weights m<={max_m}", [])
     for m in range(1, max_m + 1):
         brute = _weight_poly(_toric_enriched_set(tc, m), m)
-        _check(
-            checks,
+        yield _check(
             f"delta-cyc brute-force weights m={m}",
             brute == _truncate(delta.as_qsym(), m),
         )
@@ -486,7 +485,7 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> list:
                     brute = _weight_poly(_enriched_set(_word_dag(w), m), m)
                     agree.append(brute == _truncate(dperm, m))
             agree.append(_k_fundamental(_mask(peak_set(w), n), n) == dperm._fundamental_masks())
-    _check(checks, f"delta oracles all words n<={max_n}", agree)
+    yield _check(f"delta oracles all words n<={max_n}", agree)
     # Kcyc of the cyclic peak set against the rotation route, which sums
     # the linear enumerators of all n rotations of the cyclic order w.
     agree = []
@@ -495,8 +494,7 @@ def suite_enumerator(max_n: int = 4, max_m: int = 3, **_) -> list:
             w = (1, *rest)
             tc = toric_class(Dag.from_word(w))
             agree.append(delta_toric_by_rotations(tc) == kcyc(cpeak_set(w), n))
-    _check(checks, "enumerators depend only on peak data, n<=6", agree)
-    return checks
+    yield _check("enumerators depend only on peak data, n<=6", agree)
 
 
 def _is_disjoint_cover(whole: frozenset, pieces: list[frozenset]) -> bool:
@@ -504,10 +502,10 @@ def _is_disjoint_cover(whole: frozenset, pieces: list[frozenset]) -> bool:
     return sum(map(len, pieces)) == len(whole) and frozenset().union(*pieces) == whole
 
 
-def suite_fundamental_lemma(max_n: int = 4, max_m: int = 3, **_) -> list:
+@_suite
+def suite_fundamental_lemma(max_n: int = 4, max_m: int = 3, **_) -> Iterator[dict]:
     """Disjoint-union decompositions of enriched partitions, all small DAGs
     and 200 seeded random draws."""
-    checks: list = []
     dags = small_dags(max_n) + random_dags(200, max_n)
     linear_ok, toric_ok, spec_ok = [], [], []
     toric_done: set = set()
@@ -561,15 +559,14 @@ def suite_fundamental_lemma(max_n: int = 4, max_m: int = 3, **_) -> list:
             toric_ok.append(_truncate(_delta_toric(tc).as_qsym(), m) == _weight_poly(whole, m))
             spec_ok.append(_delta_toric(tc).specialize_ones(m) == len(whole))
             spec_ok.append(omega_toric(tc, m) == len(whole))
-    _check(checks, f"linear decomposition, {len(dags)} DAGs, m<={max_m}", linear_ok)
-    _check(checks, f"toric decomposition, {len(toric_done)} classes, m<={max_m}", toric_ok)
-    _check(checks, "specialization counts", spec_ok)
-    return checks
+    yield _check(f"linear decomposition, {len(dags)} DAGs, m<={max_m}", linear_ok)
+    yield _check(f"toric decomposition, {len(toric_done)} classes, m<={max_m}", toric_ok)
+    yield _check("specialization counts", spec_ok)
 
 
-def suite_order_poly(max_n: int = 5, max_m: int = 3, **_) -> list:
+@_suite
+def suite_order_poly(max_n: int = 5, max_m: int = 3, **_) -> Iterator[dict]:
     """Formula, brute force and series coefficients agree; run invariants."""
-    checks: list = []
     order = 6  # the series are checked at m = 0..order
     formula_ok, series_ok, cyc_ok = [], [], []
     for n in range(1, max_n + 1):
@@ -597,9 +594,9 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, **_) -> list:
                 for m in range(1, max_m + 1):
                     cyc_ok.append(omega_toric(tc, m) == cyc[m])
                     cyc_ok.append(len(_toric_enriched_set(tc, m)) == cyc[m])
-    _check(checks, f"omega == brute force, n<={max_n}, m<={max_m}", formula_ok)
-    _check(checks, f"omega == series coefficients, m<={order}", series_ok)
-    _check(checks, f"cyclic triple agreement, n<={max_n}", cyc_ok)
+    yield _check(f"omega == brute force, n<={max_n}, m<={max_m}", formula_ok)
+    yield _check(f"omega == series coefficients, m<={order}", series_ok)
+    yield _check(f"cyclic triple agreement, n<={max_n}", cyc_ok)
     run_ok, rot_ok, poly_ok = [], [], []
     for n in range(1, 8):
         for w in itertools.permutations(range(1, n + 1)):
@@ -614,15 +611,14 @@ def suite_order_poly(max_n: int = 5, max_m: int = 3, **_) -> list:
             if n <= 4:
                 pts = [(m, omega(w, m)) for m in range(1, n + 2)]
                 poly_ok += [_interpolate(pts, m) == omega(w, m) for m in range(n + 2, n + 5)]
-    _check(checks, "run invariants, n<=7", run_ok)
-    _check(checks, "rotation peak-count structure, n<=6", rot_ok)
-    _check(checks, "polynomiality of omega, n<=4", poly_ok)
-    return checks
+    yield _check("run invariants, n<=7", run_ok)
+    yield _check("rotation peak-count structure, n<=6", rot_ok)
+    yield _check("polynomiality of omega, n<=4", poly_ok)
 
 
-def suite_markings(max_m: int = 3, **_) -> list:
+@_suite
+def suite_markings(max_m: int = 3, **_) -> Iterator[dict]:
     """The enriched-partition-to-marking correspondence on 4-letter words."""
-    checks: list = []
     fiber_ok, image_ok, count_ok = [], [], []
     for w in itertools.permutations(range(1, 5)):
         pk = len(peak_set(w))
@@ -643,13 +639,12 @@ def suite_markings(max_m: int = 3, **_) -> list:
                 for k in range(0, m - pk)
             )
             count_ok.append(count == len(expected))
-    _check(checks, "marking image matches enumeration, S_4", image_ok)
-    _check(checks, "every fiber has size 2^(2pk+1)", fiber_ok)
-    _check(checks, "marking counts match omega", count_ok)
+    yield _check("marking image matches enumeration, S_4", image_ok)
+    yield _check("every fiber has size 2^(2pk+1)", fiber_ok)
+    yield _check("marking counts match omega", count_ok)
     w = (1, 4, 3, 2, 5, 6)
     decomp = runs(w)
-    _check(
-        checks,
+    yield _check(
         "run decomposition of 143256",
         [sorted(I) for I in decomp.index_sets]
         == [[0, 1], [2], [3, 4], [5, 6, 7]]
@@ -658,32 +653,28 @@ def suite_markings(max_m: int = 3, **_) -> list:
     )
     f = {1: 1, 4: -2, 3: -4, 2: -4, 5: -5, 6: 5}
     mk = partition_to_marking(f, w, 5)
-    _check(
-        checks,
+    yield _check(
         "displayed partition maps to bars {2,2}, mark {5}",
         mk == Marking(w, (2, 2), frozenset({5})),
         str(mk),
     )
     displayed = {Marking(w, (2, 2), frozenset({5})), Marking(w, (2, 6), frozenset({3}))}
-    _check(
-        checks,
+    yield _check(
         "both displayed markings occur for m=5",
         displayed <= set(enumerate_markings(w, 5)),
     )
     fibers1 = marking_fibers((1,), 1)
-    _check(
-        checks,
+    yield _check(
         "w=1, m=1 collapses to one empty marking with fiber 2",
         fibers1 == Counter({Marking((1,), (), frozenset()): 2}),
     )
-    return checks
 
 
-def suite_triangularity(max_n: int = 6, **_) -> list:
+@_suite
+def suite_triangularity(max_n: int = 6, **_) -> Iterator[dict]:
     """Kcyc against mapped cyclic monomial classes: triangular, full rank."""
-    checks: list = []
     if max_n < 2:
-        _check(checks, f"triangularity and rank n<={max_n}", [])
+        yield _check(f"triangularity and rank n<={max_n}", [])
     for n in range(2, max_n + 1):
         sets, matrix = _kcyc_triangular_matrix(n)
         bad = [
@@ -692,23 +683,20 @@ def suite_triangularity(max_n: int = 6, **_) -> list:
             for j in range(i + 1)
             if (row[j] != 0) != (i == j)
         ]
-        _check(
-            checks,
+        yield _check(
             f"triangularity and rank n={n}",
             not bad,
             f"bad entry at {bad[0]}" if bad else f"{len(sets)} classes",
         )
-    _check(
-        checks,
+    yield _check(
         "n=4 cyclic peak sets are {1} and {1,3}",
         cyclic_peak_sets(4) == [frozenset({1}), frozenset({1, 3})],
     )
-    return checks
 
 
-def suite_closure(max_n: int = 6, **_) -> list:
+@_suite
+def suite_closure(max_n: int = 6, **_) -> Iterator[dict]:
     """The cyclic peak functions form a subring: products decompose."""
-    checks: list = []
     products = []
     for mU in range(1, max_n):
         for nT in range(1, max_n - mU + 1):
@@ -720,10 +708,9 @@ def suite_closure(max_n: int = 6, **_) -> list:
                         CQSym.zero(mU + nT),
                     )
                     products.append(lhs == rhs)
-    _check(checks, f"{len(products)} witness products, degrees <= {max_n}", products)
+    yield _check(f"{len(products)} witness products, degrees <= {max_n}", products)
     k1 = kcyc({1}, 2)
-    _check(
-        checks,
+    yield _check(
         "degree-0 unit cases",
         cyclic_peak_product(frozenset(), 0, frozenset({1}), 2)[0] == k1
         and cyclic_peak_product(frozenset({1}), 2, frozenset(), 0)[0] == k1,
@@ -739,8 +726,7 @@ def suite_closure(max_n: int = 6, **_) -> list:
     unions = [(a, b) for a in left for b in shifted] + [
         (rng.choice(right), rng.choice(shifted)) for _ in range(20)
     ]
-    _check(
-        checks,
+    yield _check(
         f"delta-cyc product rule on {len(unions)} disjoint unions",
         [
             _delta_toric(_toric_of(a)) * _delta_toric(_toric_of(b))
@@ -748,12 +734,11 @@ def suite_closure(max_n: int = 6, **_) -> list:
             for a, b in unions
         ],
     )
-    return checks
 
 
-def suite_shuffle(max_n: int = 6, **_) -> list:
+@_suite
+def suite_shuffle(max_n: int = 6, **_) -> Iterator[dict]:
     """K_{Pk pi} K_{Pk sigma} = sum of K_{Pk tau} over interleavings."""
-    checks: list = []
     products = []
     for a in range(1, max_n):
         for b in range(1, max_n - a + 1):
@@ -765,8 +750,7 @@ def suite_shuffle(max_n: int = 6, **_) -> list:
                     counts = Counter(_mask(peak_set(tau), a + b) for tau in taus)
                     rhs = _delta_from_peaks(a + b, counts)
                     products.append(lhs == rhs and len(taus) == math.comb(a + b, a))
-    _check(checks, f"{len(products)} shuffle products, degrees <= {max_n}", products)
-    return checks
+    yield _check(f"{len(products)} shuffle products, degrees <= {max_n}", products)
 
 
 SUITES = {
@@ -790,8 +774,7 @@ def _run(name: str, kwargs: dict) -> dict:
     try:
         checks = SUITES[name](**kwargs)
     except Exception as exc:
-        checks = []
-        _check(checks, f"raised {type(exc).__name__}", False, str(exc).partition("\n")[0])
+        checks = [_check(f"raised {type(exc).__name__}", False, str(exc).partition("\n")[0])]
     return {"suite": name, "checks": checks, "pass": all(c["pass"] for c in checks)}
 
 

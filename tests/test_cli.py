@@ -202,6 +202,19 @@ def test_enumerate_enriched_refuses_a_huge_m_before_listing(monkeypatch, toric):
 
 
 @pytest.mark.parametrize("toric", [[], ["--toric"]])
+def test_enumerate_enriched_refuses_below_the_candidate_count(monkeypatch, toric):
+    # A 7-letter word at m = 20 has at least C(40, 7) = 18,643,560 rows,
+    # though its 40^7 candidates need no huge m, so no listing is started.
+    def no_listing(d, m):
+        raise AssertionError("a listing was started")
+
+    monkeypatch.setattr(enriched, "iter_enriched", no_listing)
+    argv = ["enumerate", "enriched", "--word", "1234567", "--m", "20", *toric]
+    with pytest.raises(SystemExit, match="^enumerate enriched would produce more than"):
+        main(argv)
+
+
+@pytest.mark.parametrize("toric", [[], ["--toric"]])
 def test_enumerate_enriched_lists_a_wide_antichain(capsys, toric):
     # 2^12 rows: within the limit, so listed whatever the (2m)^n candidates.
     antichain = Dag.make(range(1, 13), []).to_json()
@@ -358,6 +371,27 @@ def test_order_poly_tsv(capsys):
 def test_series_json(capsys):
     _, out = run(capsys, "series", "1", "--order", "4")
     assert json.loads(out)["omega"] == [0, 2, 4, 6, 8]
+
+
+def test_series_refuses_more_coefficients_than_the_limit(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "MAX_ENUMERATED", 8)
+    _, out = run(capsys, "series", "12", "--order", "7")
+    assert len(json.loads(out)["omega"]) == 8
+    with pytest.raises(
+        SystemExit, match="^series would produce more than 8 coefficients, the limit$"
+    ):
+        main(["series", "12", "--order", "8"])
+
+
+def test_series_refuses_a_huge_order_in_one_line():
+    # Each coefficient costs about 285 bytes, so 10^9 of them would not fit
+    # in memory.
+    proc = run_subprocess("series", "12", "--order", str(10**9))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.strip().splitlines() == [
+        "series would produce more than 1000000 coefficients, the limit"
+    ]
 
 
 def test_table_matches_expand(capsys):

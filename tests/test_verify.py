@@ -110,7 +110,7 @@ def test_fundamental_lemma_checks_the_listing_against_its_own_rule(monkeypatch):
 
 
 def _memos_clear():
-    for memo in (verify._delta_toric, verify._k_peak, verify._k_peak_product):
+    for memo in (verify._delta_toric, verify._k_peak_product):
         memo.cache_clear()
 
 
@@ -151,6 +151,23 @@ def test_verify_all_goes_on_after_a_suite_raises(monkeypatch, capsys):
         "PASS  extensions: toric class size 5",
         "PASS  extensions: toric extensions",
         "PASS  extensions: toric extensions as rotation classes of linear extensions",
+        "FAILED",
+    ]
+
+
+def test_a_suite_that_raises_after_a_check_is_one_failed_check(monkeypatch, capsys):
+    # The records yielded before the raise are dropped with the suite.
+    @verify._suite
+    def raising_late(**_):
+        yield verify._check("a passing check", True)
+        raise RuntimeError("first line\nsecond line")
+
+    monkeypatch.setattr(verify, "SUITES", {"raising-late": raising_late})
+    code = cli.main(["verify", "raising-late"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    assert out.splitlines() == [
+        "FAIL  raising-late: raised RuntimeError  [first line]",
         "FAILED",
     ]
 
