@@ -105,6 +105,11 @@ def cmd_stats(args) -> int:
     return 0
 
 
+# ``enumerate`` refuses to list more assignments or markings than this,
+# ``series`` to print more coefficients and ``expand`` more terms.
+MAX_ENUMERATED = 10**6
+
+
 # ``expand`` builds each kind read as a degree n and a set S by one call.
 BUILDERS = {
     "M": qsym.monomial,
@@ -114,6 +119,41 @@ BUILDERS = {
     "K": lambda n, S: enriched.k_peak(S, n),
     "Kcyc": lambda n, S: enriched.kcyc(S, n),
 }
+
+
+def _expand_terms(kind: str, n: int, S: frozenset[int], basis: str) -> int:
+    """The number of terms ``expand`` prints for the kind read as a degree
+    n and a set S in basis, or a bound on it, without building anything.
+
+    Exact for M and F (one term in their own basis, 2^(n-1-|S|) in the
+    other) and for K_S, a sum over the E with s or s - 1 in E for each
+    peak s (3^|S| 2^(n-1-2|S|) terms in M, 2^(n-1-|S|) in F). Elsewhere a
+    bound: Mcyc_S has at most |S| monomial terms, each 2^(n-|S|) in F; a
+    cyclic expansion has at most one term per nonempty cyclic class, and
+    Fcyc_S one per superset of S, Kcyc_S one per subset E of [n] with s or
+    s - 1 in E; any other QSym expansion has at most 2^(n-1) terms.
+    Degree 0 has one term at most. Exponents stop at 64, past any limit,
+    so a huge degree costs nothing; an S the builder refuses may give any count.
+    """
+    def two(k: int) -> int:
+        return 1 << max(0, min(k, 64))
+
+    k = len(S)
+    if n == 0:  # only the unit term
+        return 1
+    if kind in ("M", "F"):
+        return 1 if basis == kind else two(n - 1 - k)
+    if kind == "K":
+        return two(n - 1 - k) if basis == "F" else 3**k * two(n - 1 - 2 * k)
+    if basis == "Mcyc":
+        if kind == "Mcyc":
+            return 1
+        # The binary necklaces of length n, but the one of the empty set.
+        classes = sum(two(math.gcd(i, n)) for i in range(n)) // n - 1 if n <= 64 else two(64)
+        return min(two(n - k) if kind == "Fcyc" else 3**k * two(n - 2 * k), classes)
+    if kind == "Mcyc":
+        return k if basis == "M" else k * two(n - k)
+    return two(n - 1)
 
 
 def cmd_expand(args) -> int:
@@ -127,13 +167,19 @@ def cmd_expand(args) -> int:
         if args.n is None:
             raise SystemExit(f"expand {kind} needs a degree n")
     try:
+        basis = args.basis or ("Mcyc" if kind in ("Mcyc", "Kcyc", "delta-cyc") else "M")
         if kind == "delta":
             elem = enriched.delta_dag(load_dag(args))
         elif kind == "delta-cyc":
             elem = enriched.delta_toric(dagmod._class_without_bridges(load_dag(args)))
         else:
-            elem = BUILDERS[kind](args.n, parse_subset(args.set))
-        basis = args.basis or ("Mcyc" if kind in ("Mcyc", "Kcyc", "delta-cyc") else "M")
+            S = parse_subset(args.set)
+            if _expand_terms(kind, args.n, S, basis) > MAX_ENUMERATED:
+                raise SystemExit(
+                    f"expand {kind} of degree {args.n} may produce more than"
+                    f" {MAX_ENUMERATED} terms, the limit"
+                )
+            elem = BUILDERS[kind](args.n, S)
         if isinstance(elem, qsym.CQSym):
             print(elem.to_json() if basis == "Mcyc" else elem.as_qsym().to_json(basis))
         else:
@@ -151,11 +197,6 @@ def cmd_extensions(args) -> int:
         words = dagmod.toric_extensions(d)
     emit({"kind": args.kind, "extensions": [list(w) for w in words]})
     return 0
-
-
-# ``enumerate`` refuses to list more assignments or markings than this,
-# and ``series`` to print more coefficients.
-MAX_ENUMERATED = 10**6
 
 
 def _refuse_huge_listing(members: Collection[dagmod.Dag], n: int, m: int) -> None:
@@ -273,16 +314,18 @@ def cmd_series(args) -> int:
 
 
 def cmd_table(args) -> int:
-    rows = []
-    for key in sorted(verify.TABLE1, key=lambda S: (len(S), sorted(S))):
-        rows.append(
-            {
-                "class": sorted(key),
-                "composition": list(psi(key, 4)),
-                "expansion": json.loads(qsym.cyclic_monomial(4, key).as_qsym().to_json()),
-            }
+    """The Mcyc classes of degree 4 with their compositions and monomial
+    expansions; each expansion's JSON text goes into its row as it is."""
+    rows = [
+        '{"class": %s, "composition": %s, "expansion": %s}'
+        % (
+            json.dumps(sorted(key)),
+            json.dumps(psi(key, 4)),
+            qsym.cyclic_monomial(4, key).as_qsym().to_json(),
         )
-    emit({"degree": 4, "rows": rows})
+        for key in sorted(verify.TABLE1, key=lambda S: (len(S), sorted(S)))
+    ]
+    print('{"degree": 4, "rows": [%s]}' % ", ".join(rows))
     return 0
 
 

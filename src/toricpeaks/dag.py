@@ -263,13 +263,9 @@ class ToricClass:
     canonical: Dag
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "canonical": json.loads(self.canonical.to_json()),
-                "size": len(self.members),
-            },
-            sort_keys=True,
-        )
+        """``json.dumps`` of {"canonical", "size"} with sorted keys, the
+        canonical member's JSON text set in as it is."""
+        return '{"canonical": %s, "size": %d}' % (self.canonical.to_json(), len(self.members))
 
 
 def toric_class(d: Dag) -> ToricClass:

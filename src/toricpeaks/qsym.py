@@ -5,9 +5,12 @@ of degree n stores a sparse map from subsets of [n-1] to integer
 coefficients; a ``CQSym`` maps canonical cyclic subset classes in [n] to
 integers. Both key their maps by the bitmasks of setcomp (element e at
 bit n - e) and show frozenset keys only at the API edge: the ``terms``
-view and the public constructors. JSON and ``repr`` rows are sorted
-element lists read straight from the masks. Fundamental and cyclic
-bases are views and constructors on top of these.
+view and the public constructors. JSON and ``repr`` rows list the
+masks in the order of their sorted element lists, by an integer rank
+(:func:`_ranked`), and read each mask's elements and text from the two
+half tables of ``setcomp._halves``; a JSON row is one ``%`` template,
+byte for byte what ``json.dumps`` gives. Fundamental and cyclic bases
+are views and constructors on top of these.
 
 Products walk the quasi-shuffle lattice paths one grid column at a time,
 sharing the columns that consecutive right terms have in common (see
@@ -33,6 +36,7 @@ from typing import Iterable, Mapping
 from .setcomp import (
     _canonical_mask,
     _elements,
+    _halves,
     _mask,
     _orbit,
     _set,
@@ -143,25 +147,31 @@ class _Homogeneous:
         return self.scale(c)
 
     def __repr__(self) -> str:
-        name = type(self).__name__
+        name, n = type(self).__name__, self.degree
         if not self.masks:
-            return f"{name}({self.degree}, 0)"
+            return f"{name}({n}, 0)"
         parts = [
-            f"{c}*{self._symbol}{{{','.join(map(str, E))}}}"
-            for E, c in _rows(self.masks, self.degree)
+            f"{self.masks[m]}*{self._symbol}{{{','.join(map(str, _elements(m, n)))}}}"
+            for m in _ranked(self.masks, n)
         ]
-        return f"{name}({self.degree}, {' + '.join(parts)})"
+        return f"{name}({n}, {' + '.join(parts)})"
 
     def to_json(self) -> str:
         return self._json(self._symbol, self.masks)
 
     def _json(self, basis: str, masks: Mapping[int, int]) -> str:
-        payload = {
-            "degree": self.degree,
-            "basis": basis,
-            "terms": [{"set": E, "coeff": c} for E, c in _rows(masks, self.degree)],
-        }
-        return json.dumps(payload, sort_keys=True)
+        """The JSON text of the payload {"degree", "basis", "terms"} with
+        one row {"coeff", "set"} per mask in rank order, byte for byte
+        what ``json.dumps(payload, sort_keys=True)`` gives. Each row is one
+        ``%`` template over the coefficient and the text of the two half
+        tables of ``setcomp._halves``."""
+        n = self.degree
+        h, low, hi, lo = _halves(n)
+        rows = [
+            '{"coeff": %d, "set": [%s]}' % (masks[m], (hi[m >> h][1] + lo[m & low][1])[2:])
+            for m in _ranked(masks, n)
+        ]
+        return '{"basis": "%s", "degree": %d, "terms": [%s]}' % (basis, n, ", ".join(rows))
 
 
 def _degree(n: int) -> int:
@@ -200,9 +210,18 @@ def _json_terms(payload: str) -> tuple[object, object, dict[frozenset, int]]:
     return data["degree"], data["basis"], coeffs
 
 
-def _rows(masks: Mapping[int, int], n: int) -> list[tuple[list[int], int]]:
-    """(sorted elements, coefficient) per key, ordered by the element lists."""
-    return sorted((_elements(m, n), c) for m, c in masks.items())
+def _ranked(masks: Iterable[int], n: int) -> list[int]:
+    """The masks of degree n in the order of their sorted element lists.
+
+    That order ranks the subsets of [n] from 0, the empty set, to
+    2^n - 1. A nonempty set's rank counts one for each of its elements,
+    and 2^(n-e) for each absent element e below its largest, for the
+    subsets that take e at that place. For the mask m those absent
+    elements are the bits of ``full ^ m`` above its lowest set bit, so
+    the rank is ``popcount(m) + ((full ^ m) & -((m & -m) << 1))``.
+    """
+    full = (1 << n) - 1
+    return sorted(masks, key=lambda m: m.bit_count() + ((full ^ m) & -((m & -m) << 1)))
 
 
 def _zero(cls, degree: int):
@@ -594,8 +613,9 @@ def from_qsym(a: QSym) -> CQSym:
     if n == 0:
         return CQSym.unit(a.masks.get(0, 0))
     # M_{n,L} occurs in Mcyc_{n,E} exactly when L ∪ {n} lies in the class of
-    # E; n is bit 0. Each class's coefficient is read off its first term,
-    # and the expansion back must give a.
+    # E; n is bit 0. So the classes' expansions have disjoint terms, and
+    # together they hold every term of a. Each class's coefficient is read
+    # off its first term, and every term of its expansion must match.
     coeffs: dict[int, int] = {}
     for key in {_canonical_mask(L | 1, n) for L in a.masks}:
         L0, mult0 = _class_expansion(key, n)[0]
@@ -606,8 +626,9 @@ def from_qsym(a: QSym) -> CQSym:
                 f"divisible by its class multiplicity {mult0}"
             )
         coeffs[key] = c0 // mult0
-    result = CQSym._make(n, coeffs)
-    if result.as_qsym() != a:
-        raise NotCyclicError("coefficients are inconsistent across a cyclic class")
-    return result
-
+    get = a.masks.get
+    for key, c in coeffs.items():
+        for L, mult in _class_expansion(key, n):
+            if get(L, 0) != c * mult:
+                raise NotCyclicError("coefficients are inconsistent across a cyclic class")
+    return CQSym._make(n, coeffs)

@@ -11,6 +11,11 @@ n - e; the elements of qsym store their keys this way. A cyclic shift by
 lex-least sorted element list is the largest mask, so the canonical
 cyclic class of E is the largest mask in its rotation orbit.
 
+Masks decode to elements through two tables per degree n (``_halves``),
+one for the high ⌈n/2⌉ bits and one for the low ⌊n/2⌋: each maps a
+half's value to its element tuple and its text, and is filled on first
+use, so it holds at most 2^⌈n/2⌉ entries and never a whole mask.
+
 One map per degree, filled a whole orbit at a time, holds the canonical
 masks met so far; no degree allocates a 2^n table. The class list of a
 degree, built on first use by ``_class_list``, holds every cyclic class of
@@ -90,19 +95,47 @@ def _mask(E: Iterable[int], n: int) -> int:
     return mask
 
 
-def _elements(mask: int, n: int) -> list[int]:
+def _elements(mask: int, n: int) -> tuple[int, ...]:
     """The elements of the subset of [n] with this mask, in increasing order."""
-    elems = []
-    while mask:
-        top = mask.bit_length()  # bit top - 1 holds element n + 1 - top
-        elems.append(n + 1 - top)
-        mask ^= 1 << (top - 1)
-    return elems
+    h, low, hi, lo = _halves(n)
+    return hi[mask >> h][0] + lo[mask & low][0]
 
 
 def _set(mask: int, n: int) -> frozenset[int]:
     """Inverse of :func:`_mask`."""
     return frozenset(_elements(mask, n))
+
+
+class _Half(dict):
+    """The decoded values of one half of degree-n masks, filled on first
+    use: the value x of the half maps to its elements, a tuple in
+    increasing order, and their text with ", " before each element. Bit b
+    of x holds the element ``top - b``."""
+
+    __slots__ = ("top",)
+
+    def __init__(self, top: int):
+        self.top = top
+
+    def __missing__(self, x: int) -> tuple[tuple[int, ...], str]:
+        elems, rest = [], x
+        while rest:
+            b = rest.bit_length() - 1
+            elems.append(self.top - b)
+            rest ^= 1 << b
+        entry = self[x] = (tuple(elems), "".join(f", {e}" for e in elems))
+        return entry
+
+
+@functools.cache
+def _halves(n: int) -> tuple[int, int, _Half, _Half]:
+    """(h, 2^h - 1, hi, lo) for degree n, with h = n // 2: a mask m of
+    degree n has the elements ``hi[m >> h][0] + lo[m & (2^h - 1)][0]`` and
+    the text ``(hi[m >> h][1] + lo[m & (2^h - 1)][1])[2:]``. The tables
+    are filled on first use, so each holds at most 2^⌈n/2⌉ entries and a
+    sparse element of high degree only the halves its keys have."""
+    h = n // 2
+    return h, (1 << h) - 1, _Half(n - h), _Half(n)
 
 
 def _submasks(mask: int) -> Iterator[int]:

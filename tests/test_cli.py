@@ -1,4 +1,5 @@
 import contextlib
+import itertools
 import json
 import os
 import subprocess
@@ -165,6 +166,68 @@ def test_bad_input_is_one_line_error(argv):
     assert proc.returncode != 0
     assert proc.stdout == ""
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("expand", "F", "21", "-"),
+        ("expand", "K", "24", "-"),
+        ("expand", "M", "40", "1", "--basis", "F"),
+        ("expand", "Kcyc", "30", "1"),
+        ("expand", "Fcyc", "28", "1", "--basis", "M"),
+        ("expand", "F", str(10**9), "-"),
+    ],
+)
+def test_expand_refuses_a_huge_output_in_one_line(monkeypatch, argv):
+    proc = run_subprocess(*argv)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    kind, n = argv[1], argv[2]
+    assert proc.stderr.strip().splitlines() == [
+        f"expand {kind} of degree {n} may produce more than 1000000 terms, the limit"
+    ]
+    # The refusal comes before the element is built.
+    monkeypatch.setitem(cli.BUILDERS, kind, lambda n, S: pytest.fail("the element was built"))
+    with pytest.raises(SystemExit, match="may produce more than 1000000 terms"):
+        main(list(argv))
+
+
+def test_expand_below_the_limit_still_answers(capsys):
+    code, out = run(capsys, "expand", "M", "40", "1")
+    assert code == 0
+    assert json.loads(out)["terms"] == [{"coeff": 1, "set": [1]}]
+    # 2^19 = 524,288 terms, the most an F or K expansion of nothing may have.
+    for kind in ("F", "K"):
+        assert cli._expand_terms(kind, 20, frozenset(), "M") == 2**19
+        assert cli._expand_terms(kind, 21, frozenset(), "M") == 2**20
+
+
+def test_expand_term_count_is_exact_or_a_bound():
+    # Exact for M, F and K, an upper bound for the cyclic kinds.
+    for n in range(8):
+        for k in range(n + 1):
+            for S in itertools.combinations(range(1, n + 1), k):
+                S = frozenset(S)
+                for kind, build in cli.BUILDERS.items():
+                    try:
+                        elem = build(n, S)
+                    except ValueError:
+                        continue
+                    for basis in ("M", "F", "Mcyc"):
+                        if basis == "Mcyc":
+                            if not isinstance(elem, CQSym):
+                                continue
+                            masks = elem.masks
+                        else:
+                            q = elem.as_qsym() if isinstance(elem, CQSym) else elem
+                            masks = q.masks if basis == "M" else q._fundamental_masks()
+                        count = len(masks)
+                        bound = cli._expand_terms(kind, n, S, basis)
+                        if kind in ("M", "F", "K") and n:
+                            assert count == bound, (kind, n, S, basis)
+                        else:
+                            assert count <= bound, (kind, n, S, basis)
 
 
 def test_empty_dag_word_is_named():

@@ -1,6 +1,9 @@
 import itertools
+import json
 import math
+import random
 import re
+import time
 from collections import defaultdict
 
 import pytest
@@ -11,6 +14,8 @@ from toricpeaks.qsym import (
     CQSym,
     NotCyclicError,
     QSym,
+    _class_expansion,
+    _ranked,
     cyclic_fundamental,
     cyclic_monomial,
     from_qsym,
@@ -524,3 +529,191 @@ def test_results_own_their_masks():
         assert z.masks == {} and not z
     # cyclic_fundamental hands _make a Counter, which is copied into a dict.
     assert type(b.masks) is dict
+
+
+# --- the output edge against the per-bit decode and json.dumps -------------
+
+
+def _bit_elements(mask, n):
+    """The elements of a degree-n mask, one set bit at a time."""
+    elems = []
+    while mask:
+        top = mask.bit_length()  # bit top - 1 holds element n + 1 - top
+        elems.append(n + 1 - top)
+        mask ^= 1 << (top - 1)
+    return elems
+
+
+def _reference_json(basis, n, masks):
+    rows = sorted((_bit_elements(m, n), c) for m, c in masks.items())
+    payload = {"degree": n, "basis": basis, "terms": [{"set": E, "coeff": c} for E, c in rows]}
+    return json.dumps(payload, sort_keys=True)
+
+
+def _reference_repr(x):
+    name = type(x).__name__
+    if not x.masks:
+        return f"{name}({x.degree}, 0)"
+    rows = sorted((_bit_elements(m, x.degree), c) for m, c in x.masks.items())
+    parts = [f"{c}*{x._symbol}{{{','.join(map(str, E))}}}" for E, c in rows]
+    return f"{name}({x.degree}, {' + '.join(parts)})"
+
+
+def _reference_terms(n, masks):
+    return {frozenset(_bit_elements(m, n)): c for m, c in masks.items()}
+
+
+def _coefficient(rng):
+    """A small coefficient of either sign, or one above 2^64."""
+    return rng.choice([1, -1, 2, -3, 7, 2**64 + rng.randrange(1, 10**6), -(2**70) - 1])
+
+
+def _seeded_qsym(rng, n):
+    """The unit at degree 0; above it the empty set, sparse terms at
+    degree 17 and up and denser ones below."""
+    if n == 0:
+        return QSym.unit(_coefficient(rng))
+    terms = {frozenset(): _coefficient(rng)}
+    density = rng.choice([0.1, 0.5, 0.9]) if n >= 17 else 0.5
+    for _ in range(rng.randrange(1, 6 if n >= 17 else 40)):
+        E = frozenset(e for e in range(1, n) if rng.random() < density)
+        terms[E] = _coefficient(rng)
+    return QSym(n, terms)
+
+
+def _seeded_cqsym(rng, n):
+    if n == 0:
+        return CQSym.unit(_coefficient(rng))
+    out = CQSym.zero(n)
+    for _ in range(rng.randrange(1, 6 if n >= 17 else 20)):
+        E = [e for e in range(1, n + 1) if rng.random() < 0.4] or [n]
+        out = out + cyclic_monomial(n, E).scale(_coefficient(rng))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_output_edge_matches_bit_decode_and_json_dumps(seed):
+    rng = random.Random(seed)
+    for n in range(25):
+        x = _seeded_qsym(rng, n)
+        assert x.to_json() == x.to_json("M") == _reference_json("M", n, x.masks)
+        assert repr(x) == _reference_repr(x)
+        assert dict(x.terms) == _reference_terms(n, x.masks)
+        assert QSym.from_json(x.to_json()) == x
+        # F rows hold 2^(n-1-|E|) supersets per term; keep those few.
+        if n == 0 or sum(1 << (n - 1 - len(E)) for E in x.terms) <= 4096:
+            fmasks = x._fundamental_masks()
+            assert x.to_json("F") == _reference_json("F", n, fmasks)
+            assert x.to_fundamental() == _reference_terms(n, fmasks)
+            assert QSym.from_json(x.to_json("F")) == x
+        y = _seeded_cqsym(rng, n)
+        assert y.to_json() == _reference_json("Mcyc", n, y.masks)
+        assert repr(y) == _reference_repr(y)
+        assert dict(y.terms) == _reference_terms(n, y.masks)
+        assert CQSym.from_json(y.to_json()) == y
+        q = y.as_qsym()
+        assert q.to_json("M") == _reference_json("M", n, q.masks)
+        if n <= 12:
+            assert q.to_json("F") == _reference_json("F", n, q._fundamental_masks())
+
+
+def test_zero_elements_render_as_before():
+    for x in (QSym.zero(0), QSym.zero(19), CQSym.zero(5)):
+        assert x.to_json() == _reference_json(x._symbol, x.degree, x.masks)
+        assert repr(x) == _reference_repr(x)
+
+
+def test_rows_are_ranked_by_element_lists():
+    for n in range(13):
+        masks = range(1 << n)
+        assert _ranked(masks, n) == sorted(masks, key=lambda m: _bit_elements(m, n))
+
+
+def test_a_sparse_high_degree_element_renders_without_a_table():
+    start = time.perf_counter()
+    text = QSym(40, {frozenset({1, 7, 33}): 3}).to_json()
+    assert time.perf_counter() - start < 0.1
+    assert text == '{"basis": "M", "degree": 40, "terms": [{"coeff": 3, "set": [1, 7, 33]}]}'
+    fundamental(18, []).to_json()
+    _, _, hi, lo = setcomp._halves(18)
+    assert len(hi) + len(lo) <= 2 * 2**9
+
+
+# --- from_qsym's refusals ---------------------------------------------------
+
+
+def _from_qsym_by_rebuild(a):
+    """from_qsym as it was: read each class's coefficient off its first
+    term, then expand the result back and compare it with a."""
+    n = a.degree
+    if n == 0:
+        return CQSym.unit(a.masks.get(0, 0))
+    coeffs = {}
+    for key in {setcomp._canonical_mask(L | 1, n) for L in a.masks}:
+        L0, mult0 = _class_expansion(key, n)[0]
+        c0 = a.masks.get(L0, 0)
+        if c0 % mult0 != 0:
+            raise NotCyclicError(
+                f"coefficient {c0} of M_{{{n},{sorted(setcomp._set(L0, n))}}} is not "
+                f"divisible by its class multiplicity {mult0}"
+            )
+        coeffs[key] = c0 // mult0
+    result = CQSym._make(n, coeffs)
+    if result.as_qsym() != a:
+        raise NotCyclicError("coefficients are inconsistent across a cyclic class")
+    return result
+
+
+INCONSISTENT = "^coefficients are inconsistent across a cyclic class$"
+
+
+def test_from_qsym_refuses_an_indivisible_coefficient():
+    # M_{4,{2}} has multiplicity 2 in Mcyc_{4,{1,3}}.
+    with pytest.raises(
+        NotCyclicError,
+        match=re.escape("coefficient 3 of M_{4,[2]} is not divisible by its class multiplicity 2"),
+    ):
+        from_qsym(QSym(4, {frozenset({2}): 3}))
+
+
+def test_from_qsym_refuses_a_class_inconsistent_across_its_terms():
+    # Mcyc_{4,{1,2}} = M_{4,{1}} + M_{4,{3}}.
+    assert cyclic_monomial(4, {1, 2}).as_qsym() == QSym(4, {frozenset({1}): 1, frozenset({3}): 1})
+    with pytest.raises(NotCyclicError, match=INCONSISTENT):
+        from_qsym(QSym(4, {frozenset({1}): 1, frozenset({3}): 2}))
+
+
+def test_from_qsym_refuses_a_class_without_its_first_term():
+    key = setcomp._mask({1, 2}, 4)
+    (first, _), (other, _) = _class_expansion(key, 4)
+    with pytest.raises(NotCyclicError, match=INCONSISTENT):
+        from_qsym(QSym._make(4, {other: 1}))
+    assert from_qsym(QSym._make(4, {first: 1, other: 1})) == cyclic_monomial(4, {1, 2})
+
+
+def test_from_qsym_refuses_one_stray_monomial():
+    x = kcyc({2, 5}, 7)
+    with pytest.raises(NotCyclicError, match=INCONSISTENT):
+        from_qsym(x.as_qsym() + monomial(7, {1, 3}))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_from_qsym_agrees_with_rebuild_and_compare(seed):
+    rng = random.Random(seed)
+
+    def outcome(f, a):
+        try:
+            return f(a)
+        except NotCyclicError as exc:
+            return str(exc)
+
+    for n in range(13):
+        a = _seeded_cqsym(rng, n).as_qsym()
+        assert outcome(from_qsym, a) == outcome(_from_qsym_by_rebuild, a)
+        assert type(outcome(from_qsym, a)) is CQSym
+        if a.masks:
+            stray = a + QSym._make(n, {rng.choice(list(a.masks)): rng.choice([1, -1, 2])})
+            assert outcome(from_qsym, stray) == outcome(_from_qsym_by_rebuild, stray)
+        if n:
+            mixed = a + QSym._make(n, {rng.randrange(1 << (n - 1)) << 1: rng.choice([1, 3])})
+            assert outcome(from_qsym, mixed) == outcome(_from_qsym_by_rebuild, mixed)
