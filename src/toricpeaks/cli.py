@@ -179,6 +179,10 @@ def cmd_expand(args) -> int:
                     f"expand {kind} of degree {args.n} may produce more than"
                     f" {MAX_ENUMERATED} terms, the limit"
                 )
+            if kind == "K" and basis == "F":  # Stembridge's F-expansion: no M terms built
+                peaks = enriched._peak_mask(S, args.n)
+                print(qsym._json(basis, args.n, enriched._fundamental_from_peaks(args.n, peaks)))
+                return 0
             elem = BUILDERS[kind](args.n, S)
         if isinstance(elem, qsym.CQSym):
             print(elem.to_json() if basis == "Mcyc" else elem.as_qsym().to_json(basis))

@@ -19,7 +19,6 @@ toric enumerators factor over.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from typing import Iterable, Iterator, Sequence
 
@@ -28,16 +27,67 @@ from .permstat import Word, check_word
 Arc = tuple[int, int]
 
 
-@dataclasses.dataclass(frozen=True)
-class Dag:
+class _Frozen:
+    """An immutable value on ``__slots__``, as a frozen dataclass behaves
+    without the cost of importing and running ``dataclasses``. A subclass
+    names its constructor's fields, in order, in ``__match_args__``, which
+    ``repr`` shows, and returns the tuple of fields behind ``==`` and
+    hashing from ``_key``. Assignment and ``del`` raise
+    ``dataclasses.FrozenInstanceError``; pickling and copying restore every
+    slot without calling the constructor."""
+
+    __slots__ = ()
+    __match_args__: tuple[str, ...] = ()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._key() == other._key()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __setstate__(self, state):
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
+
+class Dag(_Frozen):
     """A DAG on a finite label set. ``labels`` and ``pred`` are its bit
     index (see ``_index``), built by the acyclicity check and kept; they
     take no part in equality, hashing or ``repr``."""
 
+    __slots__ = ("vertices", "arcs", "labels", "pred")
+    __match_args__ = ("vertices", "arcs")
     vertices: frozenset[int]
     arcs: frozenset[Arc]
-    labels: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
-    pred: tuple[int, ...] = dataclasses.field(init=False, compare=False, repr=False)
+    labels: tuple[int, ...]
+    pred: tuple[int, ...]
+
+    def __init__(self, vertices: frozenset[int], arcs: frozenset[Arc]):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "arcs", arcs)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return self.vertices, self.arcs
 
     def __post_init__(self):
         for i, j in self.arcs:
@@ -254,13 +304,20 @@ def flip(d: Dag, v: int) -> Dag:
     return Dag(d.vertices, arcs)
 
 
-@dataclasses.dataclass(frozen=True)
-class ToricClass:
+class ToricClass(_Frozen):
     """The members of a toric class and its canonical member. It hashes and
     compares by the canonical member alone, which determines the class."""
 
-    members: frozenset[Dag] = dataclasses.field(compare=False)
+    __slots__ = __match_args__ = ("members", "canonical")
+    members: frozenset[Dag]
     canonical: Dag
+
+    def __init__(self, members: frozenset[Dag], canonical: Dag):
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "canonical", canonical)
+
+    def _key(self) -> tuple:
+        return (self.canonical,)
 
     def to_json(self) -> str:
         """``json.dumps`` of {"canonical", "size"} with sorted keys, the

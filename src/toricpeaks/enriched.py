@@ -250,13 +250,30 @@ def _delta_from_peaks(n: int, counts: Mapping[int, int]) -> QSym:
     return QSym._make(n, terms)
 
 
-def k_peak(S: Iterable[int], n: int) -> QSym:
-    """K_S, the peak function of a valid linear peak set S in [n]: the
-    weight enumerator of any permutation with peak set S."""
+def _fundamental_from_peaks(n: int, peaks: int) -> dict[int, int]:
+    """K_S in the fundamental basis, keyed by masks, for the mask ``peaks``
+    of a peak set S in [n]: by Stembridge's peak-set expansion, 2^{|S|+1}
+    (1 in degree 0) on each D in [n-1] with S inside D △ (D+1). Such a D
+    holds exactly one of s - 1 and s for each peak s, and any set of the
+    other elements of [n-1]: D is a submask T of those elements and the
+    peaks, with s - 1 in place of each peak s that T leaves out."""
+    others = ((1 << n) - 1 & ~1) & ~(peaks | peaks << 1)
+    coeff = 1 << peaks.bit_count() + (n > 0)
+    return {T | (peaks & ~T) << 1: coeff for T in _submasks(others | peaks)}
+
+
+def _peak_mask(S: Iterable[int], n: int) -> int:
+    """The mask of S, refused unless S is a linear peak set in [n]."""
     S = frozenset(S)
     if not is_peak_set(S, n):
         raise ValueError(f"{sorted(S)} is not a peak set in [{n}]")
-    return _delta_from_peaks(n, {_mask(S, n): 1})
+    return _mask(S, n)
+
+
+def k_peak(S: Iterable[int], n: int) -> QSym:
+    """K_S, the peak function of a valid linear peak set S in [n]: the
+    weight enumerator of any permutation with peak set S."""
+    return _delta_from_peaks(n, {_peak_mask(S, n): 1})
 
 
 def kcyc(S: Iterable[int], n: int) -> CQSym:

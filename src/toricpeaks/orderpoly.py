@@ -7,13 +7,12 @@ running sum for each factor 1/(1-t) of the denominator.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections import Counter
 from math import comb, prod
 from typing import Callable, Mapping, Sequence
 
-from .dag import Dag, ToricClass, _components
+from .dag import Dag, ToricClass, _components, _Frozen
 from .enriched import _peak_distribution, _toric_peaks, enumerate_enriched, is_enriched
 from .permstat import Word, check_word, cpeak_set, peak_set
 
@@ -155,8 +154,7 @@ def gf_omega_cyc(w: Sequence[int], order: int) -> list[int]:
     return _gf_by_peak_number(n, _rotation_peaks(n, len(cpeak_set(word))), order)
 
 
-@dataclasses.dataclass(frozen=True)
-class RunDecomposition:
+class RunDecomposition(_Frozen):
     """Alternating factorization of the sentinel extension of a word.
 
     Index 0 and n+1 carry the sentinel, a value above every label. Odd
@@ -164,9 +162,23 @@ class RunDecomposition:
     successor index sits in the same run.
     """
 
+    __slots__ = __match_args__ = ("runs", "index_sets", "markable")
     runs: tuple[tuple[int, ...], ...]
     index_sets: tuple[frozenset[int], ...]
     markable: frozenset[int]
+
+    def __init__(
+        self,
+        runs: tuple[tuple[int, ...], ...],
+        index_sets: tuple[frozenset[int], ...],
+        markable: frozenset[int],
+    ):
+        object.__setattr__(self, "runs", runs)
+        object.__setattr__(self, "index_sets", index_sets)
+        object.__setattr__(self, "markable", markable)
+
+    def _key(self) -> tuple:
+        return self.runs, self.index_sets, self.markable
 
 
 def runs(w: Sequence[int]) -> RunDecomposition:
@@ -193,20 +205,26 @@ def runs(w: Sequence[int]) -> RunDecomposition:
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class Marking:
+class Marking(_Frozen):
     """Bars in gaps 0..n (with multiplicity) and marked columns of w."""
 
+    __slots__ = __match_args__ = ("w", "bars", "marked")
     w: Word
     bars: tuple[int, ...]
     marked: frozenset[int]
 
-    def __post_init__(self):
-        n = len(self.w)
-        if any(not 0 <= g <= n for g in self.bars):
+    def __init__(self, w: Word, bars: tuple[int, ...], marked: frozenset[int]):
+        n = len(w)
+        if any(not 0 <= g <= n for g in bars):
             raise ValueError("bar outside the gap range")
-        if any(not 1 <= k <= n for k in self.marked):
+        if any(not 1 <= k <= n for k in marked):
             raise ValueError("mark outside the column range")
+        object.__setattr__(self, "w", w)
+        object.__setattr__(self, "bars", bars)
+        object.__setattr__(self, "marked", marked)
+
+    def _key(self) -> tuple:
+        return self.w, self.bars, self.marked
 
 
 def enumerate_markings(w: Sequence[int], m: int) -> list[Marking]:

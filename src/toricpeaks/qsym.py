@@ -157,21 +157,21 @@ class _Homogeneous:
         return f"{name}({n}, {' + '.join(parts)})"
 
     def to_json(self) -> str:
-        return self._json(self._symbol, self.masks)
+        return _json(self._symbol, self.degree, self.masks)
 
-    def _json(self, basis: str, masks: Mapping[int, int]) -> str:
-        """The JSON text of the payload {"degree", "basis", "terms"} with
-        one row {"coeff", "set"} per mask in rank order, byte for byte
-        what ``json.dumps(payload, sort_keys=True)`` gives. Each row is one
-        ``%`` template over the coefficient and the text of the two half
-        tables of ``setcomp._halves``."""
-        n = self.degree
-        h, low, hi, lo = _halves(n)
-        rows = [
-            '{"coeff": %d, "set": [%s]}' % (masks[m], (hi[m >> h][1] + lo[m & low][1])[2:])
-            for m in _ranked(masks, n)
-        ]
-        return '{"basis": "%s", "degree": %d, "terms": [%s]}' % (basis, n, ", ".join(rows))
+
+def _json(basis: str, n: int, masks: Mapping[int, int]) -> str:
+    """The JSON text of the payload {"degree", "basis", "terms"} of the
+    degree-n terms masks in basis, with one row {"coeff", "set"} per mask
+    in rank order, byte for byte what ``json.dumps(payload,
+    sort_keys=True)`` gives. Each row is one ``%`` template over the
+    coefficient and the text of the two half tables of ``setcomp._halves``."""
+    h, low, hi, lo = _halves(n)
+    rows = [
+        '{"coeff": %d, "set": [%s]}' % (masks[m], (hi[m >> h][1] + lo[m & low][1])[2:])
+        for m in _ranked(masks, n)
+    ]
+    return '{"basis": "%s", "degree": %d, "terms": [%s]}' % (basis, n, ", ".join(rows))
 
 
 def _degree(n: int) -> int:
@@ -317,9 +317,9 @@ class QSym(_Homogeneous):
 
     def to_json(self, basis: str = "M") -> str:
         if basis == "M":
-            return self._json(basis, self.masks)
+            return _json(basis, self.degree, self.masks)
         if basis == "F":
-            return self._json(basis, self._fundamental_masks())
+            return _json(basis, self.degree, self._fundamental_masks())
         raise ValueError(f"unknown basis {basis!r}")
 
     @classmethod

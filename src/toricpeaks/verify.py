@@ -14,7 +14,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .dag import (
@@ -323,16 +322,22 @@ def _kcyc_triangular_matrix(n: int) -> tuple[list[frozenset[int]], list[list[int
     return sets, [[row.get(c, 0) for c in mapped] for row in rows]
 
 
-def _interpolate(points: Sequence[tuple[int, int]], x: int) -> Fraction:
-    """Lagrange interpolation at integer nodes, exact rationals."""
-    total = Fraction(0)
+def _interpolate(points: Sequence[tuple[int, int]], x: int) -> int | None:
+    """Lagrange interpolation at integer nodes, in exact integers: the value
+    at x of the polynomial through points when it is an integer, else None.
+    Each Lagrange term is one integer fraction, and their sum is taken over
+    the least common denominator."""
+    terms = []
     for i, (xi, yi) in enumerate(points):
-        term = Fraction(yi)
+        num, den = yi, 1
         for j, (xj, _) in enumerate(points):
             if i != j:
-                term *= Fraction(x - xj, xi - xj)
-        total += term
-    return total
+                num *= x - xj
+                den *= xi - xj
+        terms.append((num, den))
+    common = math.lcm(*(den for _, den in terms))
+    value, rest = divmod(sum(num * (common // den) for num, den in terms), common)
+    return None if rest else value
 
 
 def _truncate(x: QSym, m: int) -> dict[tuple[int, ...], int]:

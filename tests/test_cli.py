@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from toricpeaks import cli, enriched
+from toricpeaks import cli, enriched, permstat
 from toricpeaks.cli import main
 from toricpeaks.dag import Dag, toric_class
 from toricpeaks.enriched import enumerate_enriched, enumerate_enriched_toric
@@ -104,6 +104,26 @@ def test_expand_delta_cyc_from_dag(capsys):
 def test_expand_rejects_invalid_peak_set():
     with pytest.raises(SystemExit):
         main(["expand", "Kcyc", "4", "1,2"])
+
+
+def test_expand_k_in_the_f_basis_is_stembridges_expansion(capsys, monkeypatch):
+    # The F rows come from the peak set alone, byte for byte the rows of K_S
+    # built in the M basis and converted.
+    expected = {}
+    for n in range(11):
+        for k in range(n + 1):
+            for S in itertools.combinations(range(1, n + 1), k):
+                if permstat.is_peak_set(frozenset(S), n):
+                    expected[n, S] = enriched.k_peak(S, n).to_json("F") + "\n"
+    monkeypatch.setattr(enriched, "_delta_from_peaks", lambda n, c: pytest.fail("M terms built"))
+    for (n, S), text in expected.items():
+        assert run(capsys, "expand", "K", str(n), ",".join(map(str, S)) or "-", "--basis", "F") == (0, text)
+    with pytest.raises(SystemExit, match=r"\[2, 3\] is not a peak set in \[5\]"):
+        main(["expand", "K", "5", "2,3", "--basis", "F"])
+    # The cap still runs first: 2^21 F terms are refused before any is built.
+    monkeypatch.setattr(enriched, "_fundamental_from_peaks", lambda n, p: pytest.fail("F terms built"))
+    with pytest.raises(SystemExit, match="may produce more than 1000000 terms"):
+        main(["expand", "K", "22", "-", "--basis", "F"])
 
 
 def run_subprocess(*argv):
@@ -402,6 +422,21 @@ def test_parser_is_not_built_at_import():
         env=dict(os.environ, PYTHONPATH=src),
     )
     assert proc.stdout == "0\n"
+
+
+def test_cli_import_loads_no_dataclasses_fractions_or_inspect():
+    # These three cost a third of a short CLI call's start-up; a module that
+    # the interpreter's site set-up loaded already is not counted.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        "import sys; before = set(sys.modules); import toricpeaks.cli; "
+        "print(sorted({'dataclasses', 'fractions', 'inspect'} & (set(sys.modules) - before)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src),
+    )
+    assert (proc.stdout, proc.stderr) == ("[]\n", "")
 
 
 def test_enumerate_markings(capsys):

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import itertools
+import pickle
 import sys
 
 import pytest
@@ -328,6 +330,82 @@ def test_kept_index_is_not_part_of_equality_or_repr():
         a.pred = ()
     with pytest.raises(TypeError):
         Dag(a.vertices, a.arcs, a.labels, a.pred)
+
+
+_EDGE = Dag.make([1, 2], [(1, 2)])
+# Each value class with one instance, its constructor's fields, the fields
+# behind == and hash, its repr as the frozen dataclasses printed it, and
+# one valid other value per field.
+VALUE_CLASSES = [
+    (
+        Dag.make([1, 2, 3], [(1, 2), (3, 2)]),
+        ("vertices", "arcs"),
+        ("vertices", "arcs"),
+        "Dag(vertices=frozenset({1, 2, 3}), arcs=frozenset({(3, 2), (1, 2)}))",
+        {"vertices": frozenset({1, 2, 3, 4}), "arcs": frozenset({(1, 2)})},
+    ),
+    (
+        toric_class(_EDGE),
+        ("members", "canonical"),
+        ("canonical",),
+        "ToricClass(members=frozenset({Dag(vertices=frozenset({1, 2}), arcs=frozenset({(1, 2)})),"
+        " Dag(vertices=frozenset({1, 2}), arcs=frozenset({(2, 1)}))}),"
+        " canonical=Dag(vertices=frozenset({1, 2}), arcs=frozenset({(1, 2)})))",
+        {"members": frozenset({_EDGE}), "canonical": Dag.make([1, 2], [])},
+    ),
+    (
+        orderpoly.runs((1, 4, 3, 2)),
+        ("runs", "index_sets", "markable"),
+        ("runs", "index_sets", "markable"),
+        "RunDecomposition(runs=((5, 1), (4,), (3, 2), (5,)), index_sets=(frozenset({0, 1}),"
+        " frozenset({2}), frozenset({3, 4}), frozenset({5})), markable=frozenset({3}))",
+        {"runs": (), "index_sets": (), "markable": frozenset()},
+    ),
+    (
+        orderpoly.Marking((2, 1, 3), (0, 3), frozenset({2})),
+        ("w", "bars", "marked"),
+        ("w", "bars", "marked"),
+        "Marking(w=(2, 1, 3), bars=(0, 3), marked=frozenset({2}))",
+        {"w": (1, 2, 3), "bars": (0,), "marked": frozenset()},
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "value, fields, compared, text, others", VALUE_CLASSES, ids=lambda v: type(v).__name__
+)
+def test_value_classes_behave_as_frozen_dataclasses(monkeypatch, value, fields, compared, text, others):
+    cls = type(value)
+    assert repr(value) == text
+    assert cls.__match_args__ == fields
+    assert cls(**{f: getattr(value, f) for f in fields}) == value
+    key = tuple(getattr(value, f) for f in compared)
+    assert hash(value) == hash(key)
+    for f, other in others.items():
+        changed = cls(**{g: other if g == f else getattr(value, g) for g in fields})
+        assert (changed == value) is (f not in compared), f
+    # == holds only within one class.
+    assert value != key and value.__eq__(key) is NotImplemented
+    assert all(value != v for v, *_ in VALUE_CLASSES if type(v) is not cls)
+    for name in (*fields, "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+            setattr(value, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError, match=f"cannot delete field '{name}'"):
+            delattr(value, name)
+    # Copies restore every field, a Dag's index too, without the constructor.
+    monkeypatch.setattr(dagmod, "_index", lambda vertices, arcs: pytest.fail("index rebuilt"))
+    protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+    copies = [pickle.loads(pickle.dumps(value, p)) for p in protocols]
+    for copied in [*copies, copy.copy(value), copy.deepcopy(value)]:
+        assert type(copied) is cls and copied is not value
+        assert copied == value and hash(copied) == hash(value) and repr(copied) == text
+        if cls is Dag:
+            assert (copied.labels, copied.pred) == (value.labels, value.pred)
+    if cls is orderpoly.Marking:
+        with pytest.raises(ValueError, match="^bar outside the gap range$"):
+            cls((1, 2), (3,), frozenset())
+        with pytest.raises(ValueError, match="^mark outside the column range$"):
+            cls((1, 2), (0,), frozenset({0}))
 
 
 def test_algorithms_read_the_kept_index(monkeypatch):

@@ -486,6 +486,14 @@ def test_interpolation_reproduces_polynomial_values():
         assert _interpolate(pts, m) == Fraction(omega(w, m))
 
 
+def test_interpolation_of_a_non_polynomial_is_no_integer():
+    # 2^x at the nodes 0, 2, 4: the parabola through them is
+    # (9x^2 - 6x + 8)/8, 11/8 at x = 1, and an integer at every even x.
+    pts = [(0, 1), (2, 4), (4, 16)]
+    assert _interpolate(pts, 1) is None
+    assert [_interpolate(pts, x) for x in (0, 2, 4, 6)] == [1, 4, 16, 37]
+
+
 def test_marking_image_and_fibers_on_five_letter_words():
     # partition_to_marking does not check its own output; this does, on
     # every word of S_5, beyond the S_4 of the markings verify suite.
