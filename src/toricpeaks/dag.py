@@ -3,14 +3,15 @@
 A ``Dag`` is an immutable labeled digraph, validated acyclic on
 construction. The DAG algorithms read one bit index, built by ``_index``
 when the DAG is validated and kept on it as ``labels`` and ``pred``: bit k
-stands for the k-th smallest label. Six read the arc set instead:
-``toric_class``, ``flip``, ``sources``, ``sinks`` and ``disjoint_union``
-here, and ``enriched.is_enriched``. A toric class is the closure of a DAG
-under flips at sources and sinks; its canonical member is the one with
-lexicographically least sorted arc list. Its search flips arc sets, as
-each member must become a checked ``Dag`` anyway: a search over
-predecessor masks that still built them took 0.177 s against 0.130 s over
-the 872 DAGs of ``small_dags(4)`` and ``random_dags(300, 7, seed=3)``.
+stands for the k-th smallest label. Five read the arc set instead:
+``flip``, ``sources``, ``sinks`` and ``disjoint_union`` here, and
+``enriched.is_enriched``. A toric class is the closure of a DAG under flips
+at sources and sinks; its canonical member is the one with
+lexicographically least sorted arc list. ``toric_class`` searches it on the
+bit index and builds each member from its predecessor masks (``_from_masks``).
+``flip``, ``sources`` and ``sinks`` stay on arc sets, as they are the route
+of the oracle ``verify._toric_class_by_flips``, which shares no flip code
+with that search.
 
 The toric split lives here alone: ``_without_bridges``, ``_components``
 and ``_bridgeless_classes`` cut a DAG or a class into the pieces that the
@@ -20,7 +21,7 @@ toric enumerators factor over.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .permstat import Word, check_word
 
@@ -95,7 +96,10 @@ class Dag(_Frozen):
                 raise ValueError(f"self loop at {i}")
             if i not in self.vertices or j not in self.vertices:
                 raise ValueError(f"arc ({i},{j}) leaves the vertex set")
-        labels, pred = _index(self.vertices, self.arcs)
+        self._keep_index(*_index(self.vertices, self.arcs))
+
+    def _keep_index(self, labels: tuple[int, ...], pred: tuple[int, ...]) -> None:
+        """Keep the bit index, once it passes the acyclicity check."""
         if len(_topological_order(pred)) != len(pred):
             raise ValueError("digraph contains a directed cycle")
         object.__setattr__(self, "labels", labels)
@@ -146,6 +150,28 @@ class Dag(_Frozen):
         _listed_once(vertices, "vertex")
         _listed_once(map(tuple, arcs), "arc")
         return cls.make(vertices, arcs)
+
+
+def _from_masks(d: Dag, nbrs: Sequence[int]) -> Callable[[tuple[int, ...]], Dag]:
+    """The constructor of the DAGs on d's vertices and bit index whose arcs
+    join neighbours in ``nbrs``, one neighbour mask per bit, such as the
+    members of d's toric class. It takes a DAG's predecessor masks and
+    reads its arcs off them, each arc tuple built once and shared by every
+    DAG it builds, and runs the acyclicity check of a DAG built from arcs;
+    no index is derived again."""
+    labels, vertices = d.labels, d.vertices
+    into = [[(1 << j, (labels[j], v)) for j in _bits(a)] for v, a in zip(labels, nbrs)]
+
+    def build(pred: tuple[int, ...]) -> Dag:
+        e = object.__new__(Dag)
+        object.__setattr__(e, "vertices", vertices)
+        object.__setattr__(
+            e, "arcs", frozenset([arc for p, row in zip(pred, into) for b, arc in row if p & b])
+        )
+        e._keep_index(labels, pred)
+        return e
+
+    return build
 
 
 def _listed_once(items: Iterable, what: str) -> None:
@@ -204,10 +230,11 @@ def _without_bridges(d: Dag) -> Dag:
     """d minus its bridges, the arcs on no cycle, or d itself when it has
     none. An arc is a bridge when its ends fall apart once it is removed;
     one reachability sweep over undirected adjacency masks tests each arc.
-    A bridge stays removed, which changes no cycle."""
-    labels, pred = d.labels, d.pred
+    A bridge stays removed, which changes no cycle. The result is built
+    from its predecessor masks, on d's labels."""
+    pred = d.pred
     adj = _undirected(pred)
-    bridges = set()
+    kept = list(pred)
     for k, p in enumerate(pred):
         for j in _bits(p):
             adj[j] ^= 1 << k
@@ -218,8 +245,9 @@ def _without_bridges(d: Dag) -> Dag:
                 adj[j] ^= 1 << k
                 adj[k] ^= 1 << j
             else:
-                bridges.add((labels[j], labels[k]))
-    return Dag(d.vertices, d.arcs - bridges) if bridges else d
+                kept[k] ^= 1 << j
+    kept = tuple(kept)
+    return d if kept == pred else _from_masks(d, adj)(kept)
 
 
 def _components(d: Dag) -> list[Dag]:
@@ -326,23 +354,43 @@ class ToricClass(_Frozen):
 
 
 def toric_class(d: Dag) -> ToricClass:
-    """Closure of d under flips at sources and sinks. Such a flip leaves a
-    DAG acyclic, so the search flips plain arc sets and builds each member
-    but d itself as a checked ``Dag`` once."""
-    seen = {d.arcs}
-    frontier = [d.arcs]
+    """Closure of d under flips at sources and sinks, searched on the bit
+    index. A member is one int holding its predecessor masks, n bits per
+    vertex, and a flip at v is one XOR with a mask that toggles both bits
+    of each edge at v. A vertex with a neighbour is a source when its mask
+    is 0 and a sink when its mask is its neighbour mask. Every member but
+    d itself is then built once from its masks, and checked acyclic."""
+    if not d.arcs:  # no flip applies
+        return ToricClass(frozenset([d]), d)
+    pred = d.pred
+    n = len(pred)
+    full = (1 << n) - 1
+    shifts = [k * n for k in range(n)]
+    adj = _undirected(pred)
+    flips = []
+    for v, nbrs in enumerate(adj):
+        if nbrs:
+            toggle = 0
+            for u in _bits(nbrs):
+                toggle |= 1 << (v * n + u) | 1 << (u * n + v)
+            flips.append((v * n, nbrs, toggle))
+    start = sum(p << shift for p, shift in zip(pred, shifts))
+    seen = {start}
+    frontier = [start]
     while frontier:
-        arcs = frontier.pop()
-        tails = {i for i, _ in arcs}
-        heads = {j for _, j in arcs}
-        for v in tails ^ heads:  # the sources and sinks with an arc
-            nxt = frozenset((j, i) if v in (i, j) else (i, j) for i, j in arcs)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    members = {arcs: Dag(d.vertices, arcs) for arcs in seen if arcs != d.arcs}
-    members[d.arcs] = d
-    return ToricClass(frozenset(members.values()), members[min(seen, key=sorted)])
+        state = frontier.pop()
+        for shift, nbrs, toggle in flips:
+            mask = state >> shift & full
+            if not mask or mask == nbrs:
+                nxt = state ^ toggle
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+    seen.remove(start)
+    build = _from_masks(d, adj)
+    members = [d]
+    members += (build(tuple(state >> shift & full for shift in shifts)) for state in seen)
+    return ToricClass(frozenset(members), min(members, key=lambda m: sorted(m.arcs)))
 
 
 def _class_without_bridges(d: Dag) -> ToricClass:
