@@ -7,12 +7,22 @@ expand in the monomial bases of qsym. Those of a total order, a peak set, a
 DAG and a toric class are one K-expansion (``_delta_from_peaks``) of a
 count of peak sets; for a DAG, by the fundamental lemma, the count is one
 DP over the peak sets of its linear extensions. Kcyc comes from the cyclic
-peak-set formula. An enriched toric partition of [D] is an enriched
-partition of exactly one member of [D], and [D] may drop its bridges
-(``dag._class_without_bridges``), so Δ_[D] is the folded product, over
-the 2-edge-connected components C, of the sums over the members of [C].
-The enumerations here are the combinatorial side of every identity the
-test suite checks.
+peak-set formula.
+
+Products stay in the peak basis. By Stembridge's closure of the peak
+algebra, K_S·K_T is the sum of K_{Pk w} over the shuffles w of any two
+words with peak sets S and T on disjoint letters, and one shuffle DP over
+peak masks (``_shuffle_peaks``) counts those peak sets. A DAG's isolated
+vertices join its DP's count one letter at a time. An enriched toric
+partition of [D] is an enriched partition of exactly one member of [D],
+and [D] may drop its bridges (``dag._class_without_bridges``), so Δ_[D]
+folds the member sums of the classes of the 2-edge-connected components
+by that DP, with one K-expansion at the end. A product of two cyclic peak
+functions decomposes over the toric extensions of two witness cycles; cut
+at the letter 1, these are the shuffles of the first witness's other
+letters with the rotations of the second, so the same DP counts their
+cyclic peak sets without listing them. The enumerations here are the
+combinatorial side of every identity the test suite checks.
 """
 
 from __future__ import annotations
@@ -26,26 +36,35 @@ from typing import Callable, Iterable, Iterator, Mapping, Sequence
 from .dag import (
     Dag,
     ToricClass,
+    _bits,
     _bridgeless_classes,
     _toric_extensions,
+    _undirected,
     _without_bridges,
-    disjoint_union,
     toric_class,
-    toric_extensions,
 )
 from .permstat import (
     Word,
+    _witness,
     check_word,
-    cpeak_set,
     cyclic_peak_witness,
     is_cyclic_peak_set,
     is_peak_set,
     peak_set,
 )
 from .qsym import CQSym, QSym, from_qsym
-from .setcomp import _class_list, _mask, _submasks, canonical_subset_class
+from .setcomp import _canonical_mask, _class_list, _mask, _set, _submasks
 
 Assignment = dict[int, int]
+
+# Entries kept by the process-wide DP memos, each dropping its least
+# recently used entry when full. A bit index's peak distribution is
+# reused by Δ and by every Ω of its shape; a class's component sums by
+# its Δ and Ω; a shuffle's by repeated products of one pair. At 16
+# vertices an entry holds up to a few hundred peak masks.
+_PEAKS_MEMO = 2048
+_TORIC_MEMO = 512
+_SHUFFLE_MEMO = 1024
 
 
 def _rank(x: int) -> int:
@@ -184,12 +203,23 @@ def delta_perm(w: Sequence[int]) -> QSym:
 
 def delta_dag(d: Dag) -> QSym:
     """Weight enumerator of d: by the fundamental lemma, Σ K_{Pk w} over
-    the linear extensions w of d (``_peak_distribution``). Each call
-    returns a new element."""
-    return _delta_from_peaks(len(d.pred), _peak_distribution(d.pred))
+    the linear extensions w of d. The vertices with an arc take one
+    ``_peak_distribution``; each isolated vertex multiplies Δ by K_∅ of
+    degree 1, and joins the count as a one-letter shuffle
+    (``_peaks_product``), so the DP's down-sets do not double per isolated
+    vertex. Each call returns a new element."""
+    pred = d.pred
+    adj = _undirected(pred)
+    linked = [k for k, nbrs in enumerate(adj) if nbrs]
+    if len(linked) < len(pred):
+        index = {k: i for i, k in enumerate(linked)}
+        pred = tuple(sum(1 << index[j] for j in _bits(pred[k])) for k in linked)
+    points = [(1, {0: 1})] * (len(adj) - len(linked))
+    n, counts = functools.reduce(_peaks_product, points, (len(pred), _peak_distribution(pred)))
+    return _delta_from_peaks(n, counts)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=_PEAKS_MEMO)
 def _peak_distribution(pred: tuple[int, ...]) -> dict[int, int]:
     """The number of linear extensions of the DAG with predecessor masks
     ``pred`` per peak set, keyed by setcomp's mask (peak i at bit n - i).
@@ -198,8 +228,9 @@ def _peak_distribution(pred: tuple[int, ...]) -> dict[int, int]:
     its last bit k (the k-th smallest label) and whether k ascended;
     placing a smaller bit after an ascent puts a peak at k. The start
     state's last bit n stands above every bit. The DP reads a DAG only
-    through ``Dag.pred``, so it runs once per bit index for the life of the
-    process, and relabelled DAGs share it. Callers must not mutate the dict.
+    through ``Dag.pred``, so it runs once per bit index while the index
+    stays among the ``_PEAKS_MEMO`` most recently used, and relabelled DAGs
+    share it. Callers must not mutate the dict.
     """
     n = len(pred)
     # Down-set -> (last bit, ascended) -> the peak-mask counts reaching it.
@@ -228,6 +259,78 @@ def _summed(dists: Iterable[Mapping[int, int]]) -> dict[int, int]:
     for counts in dists:
         out.update(counts)
     return dict(out)
+
+
+def _peaks_product(
+    left: tuple[int, Mapping[int, int]], right: tuple[int, Mapping[int, int]]
+) -> tuple[int, dict[int, int]]:
+    """The degree and peak-mask counts whose K-expansion is the product of
+    those of two (degree, counts) pairs. By Stembridge, K_S·K_T is the sum
+    of K_{Pk w} over the shuffles w of any u with Pk u = S and v with
+    Pk v = T on disjoint letters; here u holds 1..a and v a+1..a+b, as
+    ``permstat._witness`` builds them, after a sentinel above both."""
+    (a, lcounts), (b, rcounts) = left, right
+    top = a + b + 1
+    words = [(standardize(_witness(_set(T, b), b, 0), a), d) for T, d in rcounts.items()]
+    out: dict[int, int] = {}
+    for S, c in lcounts.items():
+        u = _witness(_set(S, a), a, 0)
+        for v, d in words:
+            cd = c * d
+            for R, e in _shuffle_peaks(u, v, top).items():
+                out[R] = out.get(R, 0) + cd * e
+    return a + b, out
+
+
+@functools.lru_cache(maxsize=_SHUFFLE_MEMO)
+def _shuffle_peaks(u: Word, v: Word, start: int) -> dict[int, int]:
+    """The number of shuffles of the words u and v per peak mask, the
+    shuffle read cyclically after the letter ``start`` (which is never a
+    peak), and its letter i at bit n - i for n = |u| + |v|.
+
+    A DP that places one letter at a time. A state is the u letters
+    placed (the v letters placed are the rest), the last letter and
+    whether it ascended; placing a lower letter after an ascent puts a
+    peak at the last one, and so does closing the cycle back to
+    ``start``. A start above every letter gives the linear peak sets of
+    the shuffles; a start of 1, below every letter, gives the cyclic peak
+    sets of the words 1 + shuffle, position 1 never a peak and position
+    n + 1 a peak exactly when the last step ascends. Callers must not
+    mutate the dict.
+    """
+    a, n = len(u), len(u) + len(v)
+    # (u letters placed, last letter, ascended) -> the peak-mask counts.
+    layer = {(0, start, False): {0: 1}}
+    for t in range(n):
+        peak = 1 << n - t
+        steps: dict[tuple[int, int, bool], dict[int, int]] = {}
+        for (i, last, up), counts in layer.items():
+            if i < a:
+                x = u[i]
+                _add_counts(steps, (i + 1, x, last < x), counts, peak if up and last > x else 0)
+            if t - i < n - a:
+                x = v[t - i]
+                _add_counts(steps, (i, x, last < x), counts, peak if up and last > x else 0)
+        layer = steps
+    out: dict[int, int] = {}
+    for (_, last, up), counts in layer.items():
+        bit = 1 if up and last > start else 0
+        for S, c in counts.items():
+            S |= bit
+            out[S] = out.get(S, 0) + c
+    return out
+
+
+def _add_counts(into: dict, key, counts: Mapping[int, int], bit: int) -> None:
+    """Add the counts, each mask with ``bit`` set, to ``into[key]``; a new
+    entry is a fresh dict. ``bit`` is 0 or a bit no mask of counts has."""
+    held = into.get(key)
+    if held is None:
+        into[key] = {S | bit: c for S, c in counts.items()} if bit else dict(counts)
+    else:
+        for S, c in counts.items():
+            S |= bit
+            held[S] = held.get(S, 0) + c
 
 
 def _delta_from_peaks(n: int, counts: Mapping[int, int]) -> QSym:
@@ -314,16 +417,15 @@ def delta_toric(tc: ToricClass) -> CQSym:
     members' ``delta_dag``. By ``dag._class_without_bridges``, and as
     disjoint unions multiply, that sum is the product, over the
     2-edge-connected components C of the canonical member, of the member
-    sums of [C] (``_toric_peaks``), folded once.
+    sums of [C] (``_toric_peaks``). The product is folded in the peak basis
+    (``_peaks_product``), and then K-expanded and folded into Mcyc once.
     """
-    # The product shares grid columns across the terms of its right
-    # operand, so the growing product goes on the right.
-    product = QSym.unit()
-    for n, counts in _toric_peaks(tc):
-        product = _delta_from_peaks(n, counts) * product
-    return from_qsym(product)
+    n, counts = functools.reduce(_peaks_product, _toric_peaks(tc))
+    return from_qsym(_delta_from_peaks(n, counts))
 
 
+# Canonical bit index -> the pieces of ``_toric_peaks``, least recently
+# used first.
 _TORIC_PEAKS: dict[tuple[int, ...], tuple[tuple[int, dict[int, int]], ...]] = {}
 
 
@@ -331,16 +433,21 @@ def _toric_peaks(tc: ToricClass) -> tuple[tuple[int, dict[int, int]], ...]:
     """For each 2-edge-connected component C of tc's canonical member, its
     degree and the summed peak distributions of the members of [C]. They
     depend only on that member's bit index, and are kept in
-    ``_TORIC_PEAKS`` under it: Δ and Ω of a class, or Ω at a second m,
-    build its component classes once, relabelled classes share the entry,
-    and no ``Dag`` is kept. Callers must not mutate the dicts."""
+    ``_TORIC_PEAKS`` under it, at most ``_TORIC_MEMO`` entries: Δ and Ω of
+    a class, or Ω at a second m, build its component classes once,
+    relabelled classes share the entry, and no ``Dag`` is kept. Callers
+    must not mutate the dicts."""
     key = tc.canonical.pred
-    if key not in _TORIC_PEAKS:
-        _TORIC_PEAKS[key] = tuple(
+    pieces = _TORIC_PEAKS.pop(key, None)
+    if pieces is None:
+        pieces = tuple(
             (len(c.canonical.pred), _summed(_peak_distribution(e.pred) for e in c.members))
             for c in _bridgeless_classes(tc)
         )
-    return _TORIC_PEAKS[key]
+        if len(_TORIC_PEAKS) >= _TORIC_MEMO:
+            del _TORIC_PEAKS[next(iter(_TORIC_PEAKS))]
+    _TORIC_PEAKS[key] = pieces
+    return pieces
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:
@@ -365,11 +472,17 @@ def cyclic_peak_product(
 ) -> tuple[CQSym, Counter]:
     """Product Kcyc_U * Kcyc_T with its toric-extension decomposition.
 
-    Builds witnesses, standardizes the second to labels above mU, and
-    counts the toric extensions of the disjoint union of the witness total
-    orders by canonical cPk class; the decomposition is empty when a degree
-    is 0. The ``closure`` verify suite checks that the product equals the
-    sum of Kcyc over the decomposition.
+    The product is taken in the monomial basis. The decomposition counts,
+    by canonical cPk class, the toric extensions of the disjoint union of
+    two witness total orders, π for U and w for T standardized above mU;
+    it is empty when a degree is 0. Cut at the letter 1, the least of π,
+    such an extension is 1 followed by a shuffle of π's other letters, in
+    cyclic order after 1, with one of the nT rotations of w, and each of
+    these once. So one ``_shuffle_peaks`` per rotation, started at 1,
+    counts the cyclic peak sets, and no extension is listed. The
+    ``closure`` verify suite checks that the product equals the sum of
+    Kcyc over the decomposition, and the decomposition against the listed
+    extensions.
     """
     U, T = frozenset(U), frozenset(T)
     lhs = kcyc(U, mU) * kcyc(T, nT)
@@ -377,9 +490,11 @@ def cyclic_peak_product(
         return lhs, Counter()
     pi = cyclic_peak_witness(U, mU)
     w = standardize(cyclic_peak_witness(T, nT), mU)
-    union = disjoint_union(Dag.from_word(pi), Dag.from_word(w))
+    cut = pi.index(1)
+    rest = pi[cut + 1 :] + pi[:cut]
     n = mU + nT
-    decomposition = Counter(
-        canonical_subset_class(cpeak_set(sigma), n) for sigma in toric_extensions(union)
-    )
-    return lhs, decomposition
+    classes: Counter = Counter()
+    for r in range(nT):
+        for R, c in _shuffle_peaks(rest, w[r:] + w[:r], 1).items():
+            classes[_canonical_mask(R, n)] += c
+    return lhs, Counter({_set(K, n): c for K, c in classes.items()})

@@ -61,12 +61,13 @@ from .permstat import (
     canonical_rotation,
     cpeak_set,
     cyclic_peak_sets,
+    cyclic_peak_witness,
     peak_set,
     rotations,
     shuffle_set,
 )
 from .qsym import CQSym, QSym, _partial_sums, _superset_sum, cyclic_fundamental, cyclic_monomial
-from .setcomp import _canonical_mask, _mask, shift_set
+from .setcomp import _canonical_mask, _mask, canonical_subset_class, shift_set
 
 
 def _check(name: str, ok: bool | list[bool], detail: str = "") -> dict:
@@ -251,6 +252,17 @@ def _delta_toric_by_cpk(tc: ToricClass) -> CQSym:
     n = len(tc.canonical.vertices)
     counts = Counter(cpeak_set(w) for w in _toric_extensions(tc.members))
     return sum((kcyc(S, n).scale(c) for S, c in counts.items()), CQSym.zero(n))
+
+
+def _decomposition_by_listing(U: frozenset[int], mU: int, T: frozenset[int], nT: int) -> Counter:
+    """Oracle for ``cyclic_peak_product``'s decomposition: the toric
+    extensions of the disjoint union of the two witness total orders, the
+    second standardized above mU, listed and counted by canonical cPk
+    class."""
+    pi = _word_dag(cyclic_peak_witness(U, mU))
+    w = _word_dag(standardize(cyclic_peak_witness(T, nT), mU))
+    words = toric_extensions(disjoint_union(pi, w))
+    return Counter(canonical_subset_class(cpeak_set(sigma), mU + nT) for sigma in words)
 
 
 def _count_enriched_word(w: tuple[int, ...], m: int) -> int:
@@ -701,7 +713,8 @@ def suite_triangularity(max_n: int = 6, **_) -> Iterator[dict]:
 
 @_suite
 def suite_closure(max_n: int = 6, **_) -> Iterator[dict]:
-    """The cyclic peak functions form a subring: products decompose."""
+    """The cyclic peak functions form a subring: products decompose, by the
+    shuffle DP's decomposition, which equals the listed toric extensions'."""
     products = []
     for mU in range(1, max_n):
         for nT in range(1, max_n - mU + 1):
@@ -712,7 +725,8 @@ def suite_closure(max_n: int = 6, **_) -> Iterator[dict]:
                         (kcyc(S, mU + nT).scale(c) for S, c in decomposition.items()),
                         CQSym.zero(mU + nT),
                     )
-                    products.append(lhs == rhs)
+                    listed = _decomposition_by_listing(U, mU, T, nT)
+                    products.append(lhs == rhs and decomposition == listed)
     yield _check(f"{len(products)} witness products, degrees <= {max_n}", products)
     k1 = kcyc({1}, 2)
     yield _check(

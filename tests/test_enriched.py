@@ -1,14 +1,21 @@
 import itertools
 import math
+import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toricpeaks.dag import Dag, disjoint_union, toric_class
+from toricpeaks import enriched
 from toricpeaks.enriched import (
+    _delta_from_peaks,
     _peak_distribution,
+    _peaks_product,
     _rank,
+    _shuffle_peaks,
+    _toric_peaks,
     cyclic_peak_product,
     delta_dag,
     delta_perm,
@@ -21,7 +28,13 @@ from toricpeaks.enriched import (
     k_peak,
     kcyc,
 )
-from toricpeaks.permstat import cyclic_peak_sets, is_cyclic_peak_set, peak_set
+from toricpeaks.permstat import (
+    cpeak_set,
+    cyclic_peak_sets,
+    is_cyclic_peak_set,
+    peak_set,
+    shuffle_set,
+)
 from toricpeaks.qsym import (
     CQSym,
     QSym,
@@ -33,6 +46,7 @@ from toricpeaks.qsym import (
 from toricpeaks.setcomp import _canonical_mask, _mask, _set, shift_set
 from toricpeaks.verify import (
     _brute_enriched,
+    _decomposition_by_listing,
     _delta_by_extensions,
     _delta_toric_by_cpk,
     _k_fundamental,
@@ -459,3 +473,87 @@ def test_cyclic_peak_product_small_cases():
     # degree-0 unit
     unit_side, _ = cyclic_peak_product(frozenset(), 0, {1}, 2)
     assert unit_side == kcyc({1}, 2)
+
+
+def test_shuffle_peaks_counts_the_listed_shuffles():
+    # Two words on disjoint letters, interleaved in value, from a sentinel
+    # above every letter (linear peak sets) and from the letter 1 below
+    # every letter (cyclic peak sets of 1 + shuffle).
+    rng = random.Random(5)
+    for _ in range(150):
+        a, b = rng.randint(0, 4), rng.randint(0, 4)
+        letters = rng.sample(range(2, 12), a + b)
+        u, v = tuple(letters[:a]), tuple(letters[a:])
+        n = a + b
+        words = shuffle_set(u, v)
+        assert len(words) == math.comb(n, a)
+        linear = Counter(_mask(peak_set(w), n) for w in words)
+        assert _shuffle_peaks(u, v, 12) == linear, (u, v)
+        cyclic = Counter(_mask(cpeak_set((1, *w)), n + 1) for w in words)
+        assert _shuffle_peaks(u, v, 1) == cyclic, (u, v)
+
+
+@settings(deadline=None, max_examples=60)
+@given(labeled_dags(4), labeled_dags(4))
+def test_peaks_product_is_the_product_of_deltas(d, e):
+    # Stembridge's closure: the shuffle DP's product of two peak
+    # distributions K-expands to the M-basis product of the two Δ.
+    a, b = len(d.vertices), len(e.vertices)
+    n, counts = _peaks_product((a, _peak_distribution(d.pred)), (b, _peak_distribution(e.pred)))
+    assert n == a + b
+    assert _delta_from_peaks(n, counts) == delta_dag(d) * delta_dag(e)
+
+
+def test_delta_dag_folds_isolated_vertices_into_the_whole_dp():
+    # The DP of the vertices with an arc, with each isolated vertex joined
+    # by a one-letter shuffle, is the DP of the whole DAG.
+    for d in [
+        Dag.make(range(1, 7), []),
+        Dag.make(range(1, 8), [(2, 5), (5, 3), (6, 3)]),
+        Dag.make([3, 9, 4, 11], [(9, 4)]),
+        *small_dags(4),
+    ]:
+        n = len(d.vertices)
+        assert delta_dag(d) == _delta_from_peaks(n, _peak_distribution(d.pred)), d
+
+
+def test_cyclic_peak_product_decomposes_as_the_listing():
+    # The shuffle DP per rotation of the second witness counts the toric
+    # extensions of the two witness cycles by canonical cPk class.
+    for total in range(2, 8):
+        for a in range(1, total):
+            for U in cyclic_peak_sets(a):
+                for T in cyclic_peak_sets(total - a):
+                    _, decomposition = cyclic_peak_product(U, a, T, total - a)
+                    assert decomposition == _decomposition_by_listing(U, a, T, total - a)
+
+
+def _natural_dag_pred(k: int) -> tuple[int, ...]:
+    """The predecessor masks of the k-th DAG on 6 vertices whose arcs all
+    rise, k < 2^15: bit i takes its i bits of k as the mask below it."""
+    return tuple(k >> (i * (i - 1) // 2) & (1 << i) - 1 for i in range(6))
+
+
+def test_dp_memos_are_bounded(monkeypatch):
+    # N + 1 distinct DAGs leave at most N entries in each memo, and the
+    # least recently used entry is the one that goes.
+    dags = [Dag.make(range(1, 6), [(1, 2), (k, 5)]) for k in range(2, 5)]
+    dags += [Dag.make(range(1, 6), [(k, 5)]) for k in range(1, 5)]
+    classes = [toric_class(d) for d in dags]
+    assert len({tc.canonical.pred for tc in classes}) == len(dags)
+    monkeypatch.setattr(enriched, "_TORIC_MEMO", len(dags) - 1)
+    enriched._TORIC_PEAKS.clear()
+    for tc in classes:
+        _toric_peaks(tc)
+    assert list(enriched._TORIC_PEAKS) == [tc.canonical.pred for tc in classes[1:]]
+    enriched._TORIC_PEAKS.clear()
+    assert _shuffle_peaks.cache_parameters()["maxsize"] == enriched._SHUFFLE_MEMO
+    size = _peak_distribution.cache_parameters()["maxsize"]
+    assert size == enriched._PEAKS_MEMO
+    preds = [_natural_dag_pred(k) for k in range(size + 1)]
+    assert len(set(preds)) == size + 1
+    _peak_distribution.cache_clear()
+    for pred in preds:
+        _peak_distribution(pred)
+    assert _peak_distribution.cache_info().currsize == size
+    _peak_distribution.cache_clear()
