@@ -30,8 +30,8 @@ from __future__ import annotations
 import functools
 import heapq
 import operator
-from collections import Counter
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from collections import Counter, OrderedDict
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .dag import (
     Dag,
@@ -57,14 +57,51 @@ from .setcomp import _canonical_mask, _class_list, _mask, _set, _submasks
 
 Assignment = dict[int, int]
 
-# Entries kept by the process-wide DP memos, each dropping its least
-# recently used entry when full. A bit index's peak distribution is
-# reused by Δ and by every Ω of its shape; a class's component sums by
-# its Δ and Ω; a shuffle's by repeated products of one pair. At 16
-# vertices an entry holds up to a few hundred peak masks.
-_PEAKS_MEMO = 2048
-_TORIC_MEMO = 512
-_SHUFFLE_MEMO = 1024
+# Peak masks kept by the process-wide DP memos. A bit index's peak
+# distribution is reused by Δ and by every Ω of its shape, a class's
+# component sums by its Δ and Ω, a shuffle's by the Δ and cyclic products
+# that meet its two words again. An entry holds up to one count per peak
+# set, 100 to 200 bytes each: a 16-vertex fence's 987 masks take 92 KB
+# and a 20-vertex fence's 6,765 take 700 KB, so the memos are bounded by
+# masks, not by entries.
+_PEAKS_MEMO = 1 << 18
+_TORIC_MEMO = 1 << 17
+_SHUFFLE_MEMO = 1 << 16
+
+
+class _Memo(OrderedDict):
+    """Values by key, least recently used first. Each value weighs the
+    peak masks it holds (``weigh``), and entries go from the front while
+    the memo holds more than ``budget`` masks, so one value above the
+    budget is not kept. ``misses`` counts computed values since the last
+    ``clear``."""
+
+    def __init__(self, budget: int, weigh: Callable[[Any], int]):
+        super().__init__()
+        self.budget, self.weigh, self.held, self.misses = budget, weigh, 0, 0
+
+    def fetch(self, key, compute: Callable, *args):
+        """The value under key, ``compute(*args)`` on a miss."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+            return value
+        value = self[key] = compute(*args)
+        self.misses += 1
+        self.held += self.weigh(value)
+        while self.held > self.budget:
+            self.held -= self.weigh(self.popitem(last=False)[1])
+        return value
+
+    def clear(self) -> None:
+        super().clear()
+        self.held = self.misses = 0
+
+
+# Bit index -> the counts of ``_peak_distribution``; (u, v, start) -> the
+# counts of ``_shuffle_peaks``.
+_PEAKS = _Memo(_PEAKS_MEMO, len)
+_SHUFFLES = _Memo(_SHUFFLE_MEMO, len)
 
 
 def _rank(x: int) -> int:
@@ -219,19 +256,20 @@ def delta_dag(d: Dag) -> QSym:
     return _delta_from_peaks(n, counts)
 
 
-@functools.lru_cache(maxsize=_PEAKS_MEMO)
 def _peak_distribution(pred: tuple[int, ...]) -> dict[int, int]:
     """The number of linear extensions of the DAG with predecessor masks
     ``pred`` per peak set, keyed by setcomp's mask (peak i at bit n - i).
+    ``_peak_dp`` reads a DAG only through ``Dag.pred``, so it runs once
+    per bit index while the index stays in ``_PEAKS``, and relabelled DAGs
+    share it. Callers must not mutate the dict."""
+    return _PEAKS.fetch(pred, _peak_dp, pred)
 
-    A DP that places one vertex at a time. A state is the down-set placed,
-    its last bit k (the k-th smallest label) and whether k ascended;
-    placing a smaller bit after an ascent puts a peak at k. The start
-    state's last bit n stands above every bit. The DP reads a DAG only
-    through ``Dag.pred``, so it runs once per bit index while the index
-    stays among the ``_PEAKS_MEMO`` most recently used, and relabelled DAGs
-    share it. Callers must not mutate the dict.
-    """
+
+def _peak_dp(pred: tuple[int, ...]) -> dict[int, int]:
+    """``_peak_distribution`` by a DP that places one vertex at a time. A
+    state is the down-set placed, its last bit k (the k-th smallest label)
+    and whether k ascended; placing a smaller bit after an ascent puts a
+    peak at k. The start state's last bit n stands above every bit."""
     n = len(pred)
     # Down-set -> (last bit, ascended) -> the peak-mask counts reaching it.
     layer = {0: {(n, False): {0: 1}}}
@@ -268,36 +306,44 @@ def _peaks_product(
     those of two (degree, counts) pairs. By Stembridge, K_S·K_T is the sum
     of K_{Pk w} over the shuffles w of any u with Pk u = S and v with
     Pk v = T on disjoint letters; here u holds 1..a and v a+1..a+b, as
-    ``permstat._witness`` builds them, after a sentinel above both."""
+    ``permstat._witness`` builds them, after a sentinel above both. As
+    K_S·K_T = K_T·K_S, a pair times itself runs each unordered pair of
+    peak sets once, S < T counted twice."""
     (a, lcounts), (b, rcounts) = left, right
     top = a + b + 1
-    words = [(standardize(_witness(_set(T, b), b, 0), a), d) for T, d in rcounts.items()]
+    square = left == right
+    words = [(T, standardize(_witness(_set(T, b), b, 0), a), d) for T, d in rcounts.items()]
     out: dict[int, int] = {}
     for S, c in lcounts.items():
         u = _witness(_set(S, a), a, 0)
-        for v, d in words:
+        for T, v, d in words:
+            if square and T != S:
+                if T < S:
+                    continue
+                d *= 2
             cd = c * d
             for R, e in _shuffle_peaks(u, v, top).items():
                 out[R] = out.get(R, 0) + cd * e
     return a + b, out
 
 
-@functools.lru_cache(maxsize=_SHUFFLE_MEMO)
 def _shuffle_peaks(u: Word, v: Word, start: int) -> dict[int, int]:
     """The number of shuffles of the words u and v per peak mask, the
     shuffle read cyclically after the letter ``start`` (which is never a
-    peak), and its letter i at bit n - i for n = |u| + |v|.
+    peak), and its letter i at bit n - i for n = |u| + |v|. Kept in
+    ``_SHUFFLES``; callers must not mutate the dict."""
+    return _SHUFFLES.fetch((u, v, start), _shuffle_dp, u, v, start)
 
-    A DP that places one letter at a time. A state is the u letters
-    placed (the v letters placed are the rest), the last letter and
-    whether it ascended; placing a lower letter after an ascent puts a
-    peak at the last one, and so does closing the cycle back to
-    ``start``. A start above every letter gives the linear peak sets of
-    the shuffles; a start of 1, below every letter, gives the cyclic peak
-    sets of the words 1 + shuffle, position 1 never a peak and position
-    n + 1 a peak exactly when the last step ascends. Callers must not
-    mutate the dict.
-    """
+
+def _shuffle_dp(u: Word, v: Word, start: int) -> dict[int, int]:
+    """``_shuffle_peaks`` by a DP that places one letter at a time. A
+    state is the u letters placed (the v letters placed are the rest),
+    the last letter and whether it ascended; placing a lower letter after
+    an ascent puts a peak at the last one, and so does closing the cycle
+    back to ``start``. A start above every letter gives the linear peak
+    sets of the shuffles; a start of 1, below every letter, gives the
+    cyclic peak sets of the words 1 + shuffle, position 1 never a peak
+    and position n + 1 a peak exactly when the last step ascends."""
     a, n = len(u), len(u) + len(v)
     # (u letters placed, last letter, ascended) -> the peak-mask counts.
     layer = {(0, start, False): {0: 1}}
@@ -424,30 +470,26 @@ def delta_toric(tc: ToricClass) -> CQSym:
     return from_qsym(_delta_from_peaks(n, counts))
 
 
-# Canonical bit index -> the pieces of ``_toric_peaks``, least recently
-# used first.
-_TORIC_PEAKS: dict[tuple[int, ...], tuple[tuple[int, dict[int, int]], ...]] = {}
+# Canonical bit index -> the pieces of ``_toric_peaks``.
+_TORIC_PEAKS = _Memo(_TORIC_MEMO, lambda pieces: sum(len(counts) for _, counts in pieces))
 
 
 def _toric_peaks(tc: ToricClass) -> tuple[tuple[int, dict[int, int]], ...]:
     """For each 2-edge-connected component C of tc's canonical member, its
     degree and the summed peak distributions of the members of [C]. They
     depend only on that member's bit index, and are kept in
-    ``_TORIC_PEAKS`` under it, at most ``_TORIC_MEMO`` entries: Δ and Ω of
-    a class, or Ω at a second m, build its component classes once,
-    relabelled classes share the entry, and no ``Dag`` is kept. Callers
-    must not mutate the dicts."""
-    key = tc.canonical.pred
-    pieces = _TORIC_PEAKS.pop(key, None)
-    if pieces is None:
-        pieces = tuple(
-            (len(c.canonical.pred), _summed(_peak_distribution(e.pred) for e in c.members))
-            for c in _bridgeless_classes(tc)
-        )
-        if len(_TORIC_PEAKS) >= _TORIC_MEMO:
-            del _TORIC_PEAKS[next(iter(_TORIC_PEAKS))]
-    _TORIC_PEAKS[key] = pieces
-    return pieces
+    ``_TORIC_PEAKS`` under it: Δ and Ω of a class, or Ω at a second m,
+    build its component classes once, relabelled classes share the entry,
+    and no ``Dag`` is kept. Callers must not mutate the dicts."""
+    return _TORIC_PEAKS.fetch(tc.canonical.pred, _component_peaks, tc)
+
+
+def _component_peaks(tc: ToricClass) -> tuple[tuple[int, dict[int, int]], ...]:
+    """The pieces of ``_toric_peaks``, computed."""
+    return tuple(
+        (len(c.canonical.pred), _summed(_peak_distribution(e.pred) for e in c.members))
+        for c in _bridgeless_classes(tc)
+    )
 
 
 def delta_toric_by_rotations(tc: ToricClass) -> CQSym:

@@ -5,8 +5,7 @@ of degree n stores a sparse map from subsets of [n-1] to integer
 coefficients; a ``CQSym`` maps canonical cyclic subset classes in [n] to
 integers. Both key their maps by the bitmasks of setcomp (element e at
 bit n - e) and show frozenset keys only at the API edge: the ``terms``
-view, which decodes a key only when it is read, and the public
-constructors. JSON and ``repr`` rows list the
+view and the public constructors. JSON and ``repr`` rows list the
 masks in the order of their sorted element lists, by an integer rank
 (:func:`_ranked`), and read each mask's elements and text from the two
 half tables of ``setcomp._halves``; a JSON row is one ``%`` template,
@@ -30,9 +29,9 @@ import functools
 import itertools
 import json
 from collections import Counter
-from collections.abc import ItemsView, Mapping
 from math import comb
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .setcomp import (
     _canonical_mask,
@@ -106,9 +105,10 @@ class _Homogeneous:
 
     @property
     def terms(self) -> Mapping[frozenset, int]:
-        """Read-only view of the coefficients keyed by frozensets (see
-        ``_Terms``)."""
-        return _Terms(self.degree, self.masks)
+        """Read-only view of the coefficients keyed by frozensets, built
+        on each access."""
+        n = self.degree
+        return MappingProxyType({_set(k, n): c for k, c in self.masks.items()})
 
     def __eq__(self, other) -> bool:
         return (
@@ -158,71 +158,6 @@ class _Homogeneous:
 
     def to_json(self) -> str:
         return _json(self._symbol, self.degree, self.masks)
-
-
-class _Terms(Mapping):
-    """A read-only view of degree-n masks and their coefficients, keyed by
-    frozensets. ``len`` and ``values`` decode nothing; iteration and
-    ``items`` decode each mask through the two half tables of
-    ``setcomp._halves``, and a lookup encodes its key. A key that is not a
-    frozenset of elements of [n] is missing. ``copy`` and ``|`` give plain
-    dicts, as a ``MappingProxyType`` does."""
-
-    __slots__ = ("_degree", "_masks")
-
-    def __init__(self, degree: int, masks: Mapping[int, int]):
-        self._degree = degree
-        self._masks = masks
-
-    def __len__(self) -> int:
-        return len(self._masks)
-
-    def __iter__(self):
-        h, low, hi, lo = _halves(self._degree)
-        for m in self._masks:
-            yield frozenset(hi[m >> h][0] + lo[m & low][0])
-
-    def __getitem__(self, E: frozenset) -> int:
-        if type(E) is not frozenset:
-            raise KeyError(E)
-        try:
-            return self._masks[_mask(E, self._degree)]
-        except (TypeError, ValueError, KeyError):
-            raise KeyError(E) from None
-
-    def values(self):
-        return self._masks.values()
-
-    def items(self):
-        return _TermItems(self)
-
-    def copy(self) -> dict[frozenset, int]:
-        return dict(self.items())
-
-    def __or__(self, other):
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return {**self.copy(), **other}
-
-    def __ror__(self, other):
-        if not isinstance(other, Mapping):
-            return NotImplemented
-        return {**other, **self.copy()}
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.copy()!r})"
-
-
-class _TermItems(ItemsView):
-    """The items of a ``_Terms``, each mask decoded once."""
-
-    __slots__ = ()
-
-    def __iter__(self):
-        terms = self._mapping
-        h, low, hi, lo = _halves(terms._degree)
-        for m, c in terms._masks.items():
-            yield frozenset(hi[m >> h][0] + lo[m & low][0]), c
 
 
 def _json(basis: str, n: int, masks: Mapping[int, int]) -> str:

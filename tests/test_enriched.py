@@ -185,16 +185,16 @@ def test_down_set_dp_edge_cases():
 def test_delta_dag_runs_once_per_shape():
     tc = toric_class(Dag.make(range(1, 5), [(1, 2), (2, 3), (1, 4), (4, 3)]))
     shapes = {e.pred for e in tc.members}
-    _peak_distribution.cache_clear()
+    enriched._PEAKS.clear()
     for e in tc.members:
         assert delta_dag(e) == _delta_by_extensions(e)
-    assert _peak_distribution.cache_info().misses == len(shapes)
+    assert enriched._PEAKS.misses == len(shapes)
     # Labels + 10 give the same bit index: a hit, and an equal element.
     shifted = Dag.make([v + 10 for v in D3.vertices], [(i + 10, j + 10) for i, j in D3.arcs])
     expected = delta_dag(D3)
-    misses = _peak_distribution.cache_info().misses
+    misses = enriched._PEAKS.misses
     assert delta_dag(shifted) == expected
-    assert _peak_distribution.cache_info().misses == misses
+    assert enriched._PEAKS.misses == misses
 
 
 def test_delta_dag_hands_out_its_own_masks():
@@ -504,6 +504,26 @@ def test_peaks_product_is_the_product_of_deltas(d, e):
     assert _delta_from_peaks(n, counts) == delta_dag(d) * delta_dag(e)
 
 
+def test_peaks_product_of_a_pair_with_itself_runs_each_unordered_pair_once(monkeypatch):
+    # Two ladders' member sums meet across a bridge as one pair twice; the
+    # product is the square of Δ, from one DP per unordered pair of peak
+    # sets.
+    d = Dag.make(range(1, 6), [(1, 2), (3, 2), (3, 4), (5, 4), (1, 5)])
+    pair = (5, _peak_distribution(d.pred))
+    k = len(pair[1])
+    assert k >= 3
+    calls = []
+
+    def counted(u, v, start):
+        calls.append((u, v))
+        return _shuffle_peaks(u, v, start)
+
+    monkeypatch.setattr(enriched, "_shuffle_peaks", counted)
+    n, counts = _peaks_product(pair, pair)
+    assert len(calls) == k * (k + 1) // 2
+    assert _delta_from_peaks(n, counts) == delta_dag(d) * delta_dag(d)
+
+
 def test_delta_dag_folds_isolated_vertices_into_the_whole_dp():
     # The DP of the vertices with an arc, with each isolated vertex joined
     # by a one-letter shuffle, is the DP of the whole DAG.
@@ -535,25 +555,45 @@ def _natural_dag_pred(k: int) -> tuple[int, ...]:
 
 
 def test_dp_memos_are_bounded(monkeypatch):
-    # N + 1 distinct DAGs leave at most N entries in each memo, and the
-    # least recently used entry is the one that goes.
+    # A memo holds at most its budget of peak masks; the least recently
+    # used entries go first, and a value above the budget is not kept.
+    memo = enriched._TORIC_PEAKS
+    assert (enriched._PEAKS.budget, memo.budget, enriched._SHUFFLES.budget) == (
+        enriched._PEAKS_MEMO,
+        enriched._TORIC_MEMO,
+        enriched._SHUFFLE_MEMO,
+    )
     dags = [Dag.make(range(1, 6), [(1, 2), (k, 5)]) for k in range(2, 5)]
     dags += [Dag.make(range(1, 6), [(k, 5)]) for k in range(1, 5)]
     classes = [toric_class(d) for d in dags]
-    assert len({tc.canonical.pred for tc in classes}) == len(dags)
-    monkeypatch.setattr(enriched, "_TORIC_MEMO", len(dags) - 1)
-    enriched._TORIC_PEAKS.clear()
+    keys = [tc.canonical.pred for tc in classes]
+    assert len(set(keys)) == len(dags)
+    weights = [sum(len(counts) for _, counts in _toric_peaks(tc)) for tc in classes]
+    memo.clear()
+    monkeypatch.setattr(memo, "budget", sum(weights[1:]))
     for tc in classes:
         _toric_peaks(tc)
-    assert list(enriched._TORIC_PEAKS) == [tc.canonical.pred for tc in classes[1:]]
-    enriched._TORIC_PEAKS.clear()
-    assert _shuffle_peaks.cache_parameters()["maxsize"] == enriched._SHUFFLE_MEMO
-    size = _peak_distribution.cache_parameters()["maxsize"]
-    assert size == enriched._PEAKS_MEMO
-    preds = [_natural_dag_pred(k) for k in range(size + 1)]
-    assert len(set(preds)) == size + 1
-    _peak_distribution.cache_clear()
+    assert list(memo) == keys[1:] and memo.held == memo.budget
+    assert memo.misses == len(classes)
+    # A hit moves its entry to the back, and the front goes first.
+    _toric_peaks(classes[1])
+    _toric_peaks(classes[0])
+    assert list(memo)[-2:] == [keys[1], keys[0]] and memo.held <= memo.budget
+    assert memo.misses == len(classes) + 1
+    memo.clear()
+    peaks = enriched._PEAKS
+    preds = [_natural_dag_pred(k) for k in range(200)]
+    assert len(set(preds)) == len(preds)
+    peaks.clear()
+    monkeypatch.setattr(peaks, "budget", 100)
     for pred in preds:
         _peak_distribution(pred)
-    assert _peak_distribution.cache_info().currsize == size
-    _peak_distribution.cache_clear()
+        assert peaks.held == sum(map(len, peaks.values())) <= 100
+    # The most recent entries stay, as many as fit: a 6-vertex DAG has at
+    # most 8 peak sets, those of [6].
+    kept = list(peaks)
+    assert kept == preds[-len(kept) :] and peaks.held > 100 - 8
+    monkeypatch.setattr(peaks, "budget", 0)
+    peaks.clear()
+    assert _peak_distribution(preds[0]) == _peak_distribution(preds[0])
+    assert not peaks and peaks.misses == 2

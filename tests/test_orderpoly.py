@@ -223,23 +223,23 @@ def test_omega_dag_and_toric():
 def test_omega_dag_runs_once_per_shape():
     # Two one-arc components share a shape; the in-star is a third shape.
     d = Dag.make(range(1, 8), [(1, 2), (3, 4), (5, 6), (7, 6)])
-    _peak_distribution.cache_clear()
+    enriched._PEAKS.clear()
     table = [omega_dag(d, m) for m in range(6)]
-    assert _peak_distribution.cache_info().misses == len({c.pred for c in _components(d)}) == 2
+    assert enriched._PEAKS.misses == len({c.pred for c in _components(d)}) == 2
     assert table == [len(enumerate_enriched(d, m)) for m in range(6)]
     # Labels + 10 give the same index: no new DP, the same counts.
     shifted = Dag.make([v + 10 for v in d.vertices], [(i + 10, j + 10) for i, j in d.arcs])
     assert [omega_dag(shifted, m) for m in range(6)] == table
-    assert _peak_distribution.cache_info().misses == 2
+    assert enriched._PEAKS.misses == 2
     # A 4-cycle with a pendant arc: one DP per shape among the members of
     # its bridgeless pieces' classes, and one build of those classes,
     # whatever m.
     tc = toric_class(Dag.make(range(1, 6), [(1, 2), (2, 3), (1, 4), (4, 3), (3, 5)]))
     shapes = {e.pred for c in _bridgeless_classes(tc) for e in c.members}
-    _peak_distribution.cache_clear()
+    enriched._PEAKS.clear()
     enriched._TORIC_PEAKS.clear()
     counts = [omega_toric(tc, m) for m in range(6)]
-    assert _peak_distribution.cache_info().misses == len(shapes)
+    assert enriched._PEAKS.misses == len(shapes)
     assert list(enriched._TORIC_PEAKS) == [tc.canonical.pred]
     assert counts == [len(enumerate_enriched_toric(tc, m)) for m in range(6)]
 
@@ -267,10 +267,10 @@ def test_toric_peaks_are_kept_per_bit_index():
 def test_delta_and_omega_share_one_dp():
     # One shape, one DP: Δ and Ω both read the peak distribution.
     d = Dag.make([1, 2, 3, 4], [(2, 1), (2, 4), (2, 3), (4, 1), (4, 3)])
-    _peak_distribution.cache_clear()
+    enriched._PEAKS.clear()
     assert delta_dag(d) == _delta_by_extensions(d)
     table = [omega_dag(d, m) for m in range(4)]
-    assert _peak_distribution.cache_info().misses == 1
+    assert enriched._PEAKS.misses == 1
     assert table == [len(enumerate_enriched(d, m)) for m in range(4)]
 
 

@@ -23,7 +23,7 @@ from toricpeaks.qsym import (
     monomial,
 )
 from toricpeaks.enriched import kcyc
-from toricpeaks import qsym, setcomp
+from toricpeaks import setcomp
 from toricpeaks.setcomp import _mask, phi
 from toricpeaks.verify import _cyclic_fundamental_via_F, _fcyc_pair_oracle, _truncate
 
@@ -495,31 +495,6 @@ def test_keys_are_masks_and_terms_a_read_only_view():
         x.terms[frozenset()] = 1
     with pytest.raises(AttributeError):
         x.terms = {}
-
-
-def test_terms_view_decodes_only_what_it_reads(monkeypatch):
-    # len and values read the masks alone; keys decode through the half
-    # tables, and a lookup encodes its frozenset.
-    x = monomial(5, {2, 4}).scale(3) + monomial(5, {1}).scale(-2)
-    terms = x.terms
-    monkeypatch.setattr(qsym, "_halves", None)
-    assert len(terms) == 2 and sorted(terms.values()) == [-2, 3]
-    assert terms[frozenset({2, 4})] == 3 and frozenset({1}) in terms
-    monkeypatch.undo()
-    expected = {frozenset({2, 4}): 3, frozenset({1}): -2}
-    assert terms == expected and expected == terms and dict(terms) == expected
-    assert terms.copy() == expected and type(terms.copy()) is dict
-    assert terms | {frozenset(): 1} == {**expected, frozenset(): 1}
-    assert {frozenset(): 1} | terms == {frozenset(): 1, **expected}
-    assert set(terms) == set(expected) and set(terms.items()) == set(expected.items())
-    # Keys that are not frozensets of [n] are missing, not converted.
-    for key in ({2, 4}, (2, 4), frozenset({9}), frozenset({"a"}), 2):
-        assert key not in terms
-        with pytest.raises(KeyError):
-            terms[key]
-    with pytest.raises(TypeError):
-        terms[frozenset({3})] = 1
-    assert cyclic_monomial(4, {2, 4}).terms == {frozenset({1, 3}): 1}
 
 
 def test_degree_zero_units():
